@@ -1,16 +1,17 @@
-"""The shared fault state machine both execution hosts drive.
+"""The fault state machine both execution hosts drive.
 
 A :class:`FaultInjector` owns everything about a fault trace that must
 be *identical* between the offline simulator and the online runtime:
 which nodes are up, the current speed/arrival multipliers, the crash
 semantics (``on_crash``) and the degraded-mode policy (``degraded``).
-The hosts own their queues and job bookkeeping; they call
-:meth:`apply` when a plan event's time arrives and act on the returned
-directive (``"crash"``/``"recover"``/``None``), and they consult
-:meth:`suppress_timeout`, :attr:`up`, :attr:`speed_factor` and
-:attr:`arrival_factor` at every decision the fault state influences.
-Because both hosts run the same decision logic at the same model times
-with the same RNG stream, their per-job fault outcomes agree exactly
+The queues and job bookkeeping belong to the TAGS core both hosts
+drive, :class:`repro.sim.cluster.Cluster`.  A host calls :meth:`apply`
+when a plan event's time arrives and hands the returned directive
+(``"crash"``/``"recover"``/``None``) to the core, which consults
+:meth:`suppress_timeout`, :attr:`up` and :attr:`speed_factor` at every
+decision the fault state influences (the hosts read
+:attr:`arrival_factor` when they draw arrival gaps).  With one core
+making every decision, the hosts' per-job fault outcomes agree exactly
 (``tests/serve/test_equivalence.py``).
 
 Crash semantics (``on_crash``)

@@ -34,9 +34,8 @@ class FaultReport:
     def collect(cls, result, injector: FaultInjector, t_end: float) -> "FaultReport":
         """Build from a finished run's result + the injector that drove it.
 
-        ``result`` is a :class:`~repro.sim.runner.SimulationResult` or
-        :class:`~repro.serve.dispatcher.DispatchResult`; both carry
-        ``lost_to_failure`` / ``work_wasted``.
+        ``result`` is a :class:`~repro.sim.runner.SimulationResult` from
+        either host; it carries ``lost_to_failure`` / ``work_wasted``.
         """
         return cls(
             t_end=float(t_end),

@@ -17,8 +17,9 @@ Pieces
   ``sim.runner``) and :class:`WallClock` (real time, optionally scaled).
 * :mod:`~repro.serve.loadgen` -- open-loop Poisson, MMPP/bursty and
   trace-replay sources, plus trace adapters for the offline simulator.
-* :mod:`~repro.serve.dispatcher` -- the runtime: per-node server tasks,
-  kill/forward semantics, live timeout swapping, obs instrumentation.
+* :mod:`~repro.serve.dispatcher` -- the runtime: drives the TAGS core
+  (:mod:`repro.sim.cluster`, shared with the simulator) from clock
+  timers; live timeout swapping, retries/breaker, obs instrumentation.
 * :mod:`~repro.serve.controller` -- sliding-window estimation
   (``dists.fit`` with soft failure), ``approx.optimise_timeout``
   re-tuning, deadband hysteresis, full decision history.
@@ -51,7 +52,7 @@ from repro.serve.controller import (
     TimeoutController,
     fit_demands_soft,
 )
-from repro.serve.dispatcher import DispatchResult, DispatchRuntime, JobRecord
+from repro.serve.dispatcher import DispatchRuntime, JobRecord
 from repro.serve.loadgen import (
     MMPPLoad,
     PoissonLoad,
@@ -74,7 +75,6 @@ __all__ = [
     "ControlDecision",
     "TimeoutController",
     "fit_demands_soft",
-    "DispatchResult",
     "DispatchRuntime",
     "JobRecord",
     "MMPPLoad",

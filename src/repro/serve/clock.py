@@ -1,8 +1,8 @@
 """Virtual and wall clocks for the dispatcher runtime.
 
-Every time-dependent actor in :mod:`repro.serve` (load generators, node
-servers, the controller) sleeps through a :class:`Clock` rather than
-``asyncio.sleep``, so the same runtime runs in two modes:
+Every time-dependent actor in :mod:`repro.serve` (arrivals, the
+cluster's scheduled outcomes, the controller) waits on a :class:`Clock`
+rather than ``asyncio.sleep``, so the same runtime runs in two modes:
 
 * :class:`VirtualClock` -- simulated time.  Timers live in a heap; the
   driver (:meth:`VirtualClock.run_until`) repeatedly lets every runnable
@@ -57,6 +57,11 @@ class Clock:
         """
         raise NotImplementedError
 
+    def call_at(self, deadline: float, fn, *args) -> None:
+        """Call ``fn(*args)`` from the event loop at model time
+        ``deadline`` (at once if it has passed)."""
+        raise NotImplementedError
+
     async def run_until(self, deadline: float) -> None:
         """Drive the clock to model time ``deadline`` (no-op for wall
         clocks beyond sleeping until it passes)."""
@@ -80,6 +85,21 @@ async def _drain(max_rounds: int = 64) -> None:
         await asyncio.sleep(0)
         if not ready:
             return
+
+
+class _Call:
+    """A virtual-clock timer that runs a callback instead of waking a
+    task."""
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn, args) -> None:
+        self.fn = fn
+        self.args = args
+
+    @staticmethod
+    def cancelled() -> bool:
+        return False
 
 
 class VirtualClock(Clock):
@@ -110,13 +130,19 @@ class VirtualClock(Clock):
         if delay < 0:
             raise ValueError("cannot sleep a negative duration")
         fut = asyncio.get_running_loop().create_future()
-        heapq.heappush(
-            self._timers, (self._now + delay, self._seq, fut, daemon)
-        )
+        self._push(self._now + delay, fut, daemon)
+        return fut
+
+    def call_at(self, deadline: float, fn, *args) -> None:
+        """Exact: the callback runs at ``deadline`` itself (a sleep of
+        ``deadline - now`` can land one ulp off)."""
+        self._push(max(deadline, self._now), _Call(fn, args), False)
+
+    def _push(self, deadline: float, timer, daemon: bool) -> None:
+        heapq.heappush(self._timers, (deadline, self._seq, timer, daemon))
         self._seq += 1
         if not daemon:
             self._essential += 1
-        return fut
 
     async def run_until(self, deadline: float) -> None:
         """Advance to ``deadline``, firing every timer due on the way.
@@ -125,24 +151,31 @@ class VirtualClock(Clock):
         a full drain between fires, so all consequences of one event
         (enqueues, new timers) land before the next event's time is
         decided -- exactly the discrete-event contract of
-        ``sim.runner``'s heap loop.
+        ``sim.runner``'s heap loop.  A :meth:`call_at` callback runs
+        right here in this loop; the drain after it is skipped when it
+        woke no task.
 
         Daemon timers fire in that same order *while* essential work is
         pending; once only daemon timers remain the system can no longer
         change state on its own, so the driver stops firing them and
         jumps to ``deadline``.
         """
+        ready = getattr(asyncio.get_running_loop(), "_ready", None)
         await _drain()
         while self._essential > 0:
             nxt = self.next_deadline()
             if nxt is None or nxt > deadline:
                 break
-            when, _, fut, daemon = heapq.heappop(self._timers)
+            when, _, timer, daemon = heapq.heappop(self._timers)
             if not daemon:
                 self._essential -= 1
             self._now = when if when > self._now else self._now
-            if not fut.cancelled():
-                fut.set_result(None)
+            if type(timer) is _Call:
+                timer.fn(*timer.args)
+                if ready is None or ready:
+                    await _drain()
+            elif not timer.cancelled():
+                timer.set_result(None)
                 await _drain()
         if deadline > self._now:
             self._now = deadline
@@ -164,6 +197,10 @@ class WallClock(Clock):
         if delay < 0:
             raise ValueError("cannot sleep a negative duration")
         await asyncio.sleep(delay / self.rate)
+
+    def call_at(self, deadline: float, fn, *args) -> None:
+        delay = max(deadline - self.now(), 0.0) / self.rate
+        asyncio.get_running_loop().call_later(delay, fn, *args)
 
     async def run_until(self, deadline: float) -> None:
         remaining = deadline - self.now()

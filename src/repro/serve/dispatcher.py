@@ -3,52 +3,53 @@
 :class:`DispatchRuntime` executes an allocation policy
 (:class:`~repro.sim.policies.TagsPolicy`, random, round-robin, JSQ --
 anything answering ``route``/``timeout``/``forward``) over bounded FCFS
-nodes as a set of cooperating asyncio tasks:
+nodes.  The TAGS semantics -- admission with drop-on-full, the
+service/timeout race, kill-and-forward with drop-after-timeout,
+restart or resume, crash surgery, the warm-up reset, the result -- live
+in :class:`~repro.sim.cluster.Cluster`, the state machine
+``sim.runner`` drives too.  The runtime drives the same core from
+its clock:
 
-* one **load-generator task** pulls ``(gap, demand)`` pairs from a
-  :mod:`~repro.serve.loadgen` source, sleeps the gap on the runtime's
-  :class:`~repro.serve.clock.Clock`, and admits the arrival (routing via
-  the policy; **drop-on-full** at the routed node);
-* one **server task per node** serves its queue head FCFS, racing the
-  policy's timeout sampler against the job's remaining wall time exactly
-  as ``sim.runner`` does: on a timeout the job is killed and forwarded
-  to ``policy.forward(node)`` (**drop-after-timeout** when that node is
-  full or absent), with restart-from-scratch or resume semantics chosen
-  by the policy's ``resume`` flag;
+* the **load generator** is a chain of arrival timers on the runtime's
+  :class:`~repro.serve.clock.Clock`: each arrival pulls the next
+  ``(gap, demand)`` pair from a :mod:`~repro.serve.loadgen` source, sets
+  its timer and admits itself;
+* every outcome the core schedules (a completion, a kill, the end of the
+  warm-up) and every fault-plan event likewise becomes one clock timer,
+  whose callback hands it back to the core;
 * optionally a **controller task** (:mod:`~repro.serve.controller`)
   re-tunes the timeout from live observations.
 
 Under a :class:`~repro.serve.clock.VirtualClock` the runtime is a
-deterministic discrete-event program: ``tests/serve/test_equivalence.py``
-pins its per-job outcomes bit-for-bit to ``sim.runner.Simulation`` on a
-shared trace.  Under a :class:`~repro.serve.clock.WallClock` the same
-code serves in real time.
+deterministic discrete-event program whose per-job outcomes equal
+``sim.runner.Simulation``'s on a shared trace
+(``tests/serve/test_equivalence.py``).  Under a
+:class:`~repro.serve.clock.WallClock` the same code serves in real time.
 
 Instrumentation goes through :mod:`repro.obs` and is gated on
 ``recorder().enabled`` everywhere, so a disabled recorder costs one
 attribute check per event (the CI ``serve`` job benches off vs. on):
-per-job ``serve.job`` spans (virtual timestamps), queue-depth gauges,
-and end-of-run counters mirroring the simulator's.
+per-job ``serve.job`` spans (virtual timestamps, filed in one batch
+when the run ends), queue-depth gauges, and end-of-run counters
+mirroring the simulator's.
 
-**Faults and resilience** (all off by default; the defaults leave the
-no-fault path bit-for-bit unchanged):
+**Faults and resilience** (all off by default):
 
 * ``faults=`` replays a :class:`~repro.faults.FaultPlan` /
   :class:`~repro.faults.FaultInjector` -- the same object the simulator
-  accepts -- through a fault-driver task.  A crash cancels the node's
-  in-flight service race (per-node epochs mark the cancellation, as in
-  the simulator's stale-event skip), wastes the attempt's work, and
-  either holds the queue for recovery (``on_crash="requeue"``) or sheds
-  it (``"drop"``); arrivals and forwards to a down node are shed as
-  ``lost_to_failure``.
+  accepts -- on the clock; the core voids the crashed node's pending
+  outcome, wastes the attempt's work, and holds (``on_crash="requeue"``)
+  or sheds (``"drop"``) its queue.
 * ``supervisor=`` attaches a :class:`~repro.serve.supervisor.Supervisor`
   whose health-check/backoff loop performs restarts after a fault
   clears, so measured MTTR includes detection latency.
-* ``forward_retries=`` / ``breaker=`` guard node-2 forwards with
+* ``forward_retries=`` / ``breaker=`` guard forwards with
   jittered-exponential-backoff retries and a
-  :class:`~repro.faults.CircuitBreaker`; jobs whose forward ultimately
-  fails are ``dropped_forward`` (full target) or ``lost_to_failure``
-  (down target), never leaked.
+  :class:`~repro.faults.CircuitBreaker`; the killing node waits for the
+  forward to resolve before it serves its next job, and jobs whose
+  forward ultimately fails are ``dropped_forward`` (full target) or
+  ``lost_to_failure`` (down target), never leaked.  Without either,
+  forwarding is the core's plain kill-and-forward.
 
 Retry backoff and supervisor jitter draw from private RNG streams, so
 enabling them never perturbs the workload's draw sequence.
@@ -59,62 +60,47 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.faults.injector import FaultInjector
 from repro.serve.clock import Clock, VirtualClock
-from repro.sim.runner import SimulationResult
-from repro.sim.stats import TimeAverage
+from repro.sim.cluster import Cluster, JobRecord, SimulationResult, check_nodes
 
-__all__ = ["JobRecord", "DispatchResult", "DispatchRuntime"]
-
-
-@dataclass
-class JobRecord:
-    """One job's life in the runtime (also the queue entry)."""
-
-    job_id: int
-    arrival_time: float
-    demand: float
-    remaining: float | None = None
-    kills: int = 0
-    outcome: str | None = None  # completed / dropped_arrival / dropped_forward
-    node: int | None = None
-    finish_time: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.remaining is None:
-            self.remaining = self.demand
-
-    def outcome_tuple(self) -> tuple:
-        """``(outcome, node, kills)`` -- the equivalence-test currency."""
-        return (self.outcome, self.node, self.kills)
+__all__ = ["JobRecord", "DispatchRuntime"]
 
 
-@dataclass
-class DispatchResult(SimulationResult):
-    """A :class:`~repro.sim.runner.SimulationResult` plus runtime extras.
+class _TracedCluster(Cluster):
+    """The core, noting each finished job for its ``serve.job`` span.
 
-    ``jobs`` holds :class:`JobRecord` objects (richer than the
-    simulator's tuples); :meth:`job_outcomes` normalises both to the
-    same ``job_id -> (outcome, node, kills)`` mapping.
+    The spans are filed in one batch after the run: a span call per job
+    would cost more than the job's dispatch.  The notes go into one flat
+    list of numbers and strings, six per job: a container per job would
+    be a garbage-collected allocation that lives to the end of the run,
+    and thousands of those trigger repeated full collections.
     """
 
-    killed: int = 0
-    forwarded: int = 0
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.finished: list = []
 
-    def job_outcomes(self) -> dict:
-        """``job_id -> (outcome, node, kills)`` for finished jobs."""
-        if self.jobs is None:
-            raise ValueError("run with record_jobs=True to keep job logs")
-        return {
-            j.job_id: j.outcome_tuple()
-            for j in self.jobs
-            if j.outcome is not None
-        }
+    def _finish(self, job, now, outcome, node) -> None:
+        job.outcome = outcome
+        job.node = node
+        self.finished += (
+            job.arrival_time, now - job.arrival_time, job.job_id, outcome, node, job.kills
+        )
+
+    def file_job_spans(self, rec) -> None:
+        notes = iter(self.finished)
+        rec.record_spans(
+            "serve.job",
+            (
+                (t0, dur, {"job": jid, "outcome": outcome, "node": node, "kills": kills})
+                for t0, dur, jid, outcome, node, kills in zip(*[notes] * 6)
+            ),
+        )
 
 
 class DispatchRuntime:
@@ -148,22 +134,7 @@ class DispatchRuntime:
     ) -> None:
         self.loadgen = loadgen
         self.policy = policy
-        self.capacities = tuple(int(k) for k in capacities)
-        if len(self.capacities) != policy.n_nodes():
-            raise ValueError(
-                f"policy expects {policy.n_nodes()} nodes, got "
-                f"{len(self.capacities)} capacities"
-            )
-        if min(self.capacities) < 1:
-            raise ValueError("capacities must be >= 1")
-        if speeds is None:
-            self.speeds = (1.0,) * len(self.capacities)
-        else:
-            self.speeds = tuple(float(s) for s in speeds)
-            if len(self.speeds) != len(self.capacities):
-                raise ValueError("need one speed per node")
-            if min(self.speeds) <= 0:
-                raise ValueError("speeds must be positive")
+        self.capacities, self.speeds = check_nodes(policy, capacities, speeds)
         self.clock = clock if clock is not None else VirtualClock()
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.controller = controller
@@ -190,33 +161,13 @@ class DispatchRuntime:
         self.retry_backoff = float(retry_backoff)
         self.retry_jitter = float(retry_jitter)
         self.breaker = breaker
+        self._guarded = self.forward_retries > 0 or breaker is not None
         # private stream: retry jitter must not perturb the workload rng
         self._resilience_rng = np.random.default_rng([seed, 0x7E5])
         self._rec = obs.recorder()  # re-resolved at each arun()
-
-        n = len(self.capacities)
-        self.queues: "list[deque]" = [deque() for _ in range(n)]
-        self._wake = [None] * n  # asyncio.Events, created in arun
-        self.q_avg = [TimeAverage() for _ in range(n)]
-        self.offered = 0
-        self.completed = 0
-        self.killed = 0
-        self.forwarded = 0
-        self.dropped_arrival = 0
-        self.dropped_forward = 0
-        self.lost_to_failure = 0
-        self.work_wasted = 0.0
-        self._epoch = [0] * n
-        self._service_start: list = [None] * n  # (t0, speed, work) per attempt
-        self._sleep_fut: list = [None] * n  # cancellable service race
-        self._up_evt: list = [None] * n  # asyncio.Events, created in arun
+        self.cluster: "Cluster | None" = None  # the running core
+        self._tasks: list = []
         self._sup_wake = None  # supervisor wake event, created in arun
-        self._inflight_forwards = 0  # jobs mid-retry, owned by no queue
-        self.responses: list = []
-        self.slowdowns: list = []
-        self.demands: list = []
-        self.jobs: "list[JobRecord]" = []
-        self._next_id = 0
         self._scheduled: list = []  # (delay, fn) buffered before arun
         self._running = False
         # sliding-window observations for the controller (pruned there)
@@ -244,24 +195,47 @@ class DispatchRuntime:
     def schedule(self, delay: float, fn) -> None:
         """Run ``fn()`` at model time ``now + delay`` (e.g. a load shift).
 
-        Callable before the run starts (buffered) or from inside a task
-        while the runtime is live.
+        Callable before the run starts (buffered) or while the runtime is
+        live.
         """
         if self._running:
-            asyncio.get_running_loop().create_task(self._fire_later(delay, fn))
+            self._at(self.clock.now() + delay, fn)
         else:
             self._scheduled.append((delay, fn))
 
-    async def _fire_later(self, delay: float, fn) -> None:
-        await self.clock.sleep(delay)
-        fn()
-
     def queue_lengths(self) -> list:
-        return [len(q) for q in self.queues]
+        return [len(q) for q in self.cluster.queues]
 
-    # -- event handling -------------------------------------------------
-    def _note_queue(self, now: float, node: int) -> None:
-        self.q_avg[node].update(now, len(self.queues[node]))
+    # -- driving the core -----------------------------------------------
+    def _at(self, when: float, fn, *args) -> None:
+        """Call ``fn(*args)`` at model time ``when`` if this run lasts."""
+        self.clock.call_at(when, self._due, self.cluster, fn, args)
+
+    def _due(self, cluster, fn, args) -> None:
+        # timers pending when a run ends stay on the clock: a wall clock
+        # fires them during teardown, a reused clock in the next run
+        if self._running and cluster is self.cluster:
+            fn(*args)
+
+    def _schedule(self, outcomes) -> None:
+        for when, kind, node, epoch in outcomes:
+            self._at(when, self._fire, kind, node, epoch)
+
+    def _fire(self, kind: str, node: int, epoch: int) -> None:
+        cluster = self.cluster
+        now = self.clock.now()
+        if kind == "kill" and self._guarded:
+            job = cluster.kill(now, node, epoch)
+            if job is not None:
+                self._tasks.append(asyncio.ensure_future(self._forward(job, node)))
+            return
+        if (
+            kind == "complete"
+            and self.controller is not None
+            and epoch == cluster.epoch[node]
+        ):
+            self.window_completions.append((now, cluster.queues[node][0].demand))
+        self._schedule(cluster.fire(now, kind, node, epoch))
 
     async def _sample_depths(self, rec, interval: float) -> None:
         """Periodic ``serve.queue_depth`` gauges.
@@ -269,181 +243,59 @@ class DispatchRuntime:
         Depth is sampled on a timer rather than at every queue event:
         per-event gauges would dominate the dispatch cost (the CI gate
         holds enabled recording to <= 10%), and the exact time-averaged
-        depths are kept in ``q_avg`` regardless.
+        depths are kept by the core regardless.
         """
         while True:
             await self.clock.sleep(interval, daemon=True)
-            for i, q in enumerate(self.queues):
+            for i, q in enumerate(self.cluster.queues):
                 rec.gauge("serve.queue_depth", len(q), node=i)
 
-    def _finish(self, job: JobRecord, now: float, outcome: str, node: int) -> None:
-        job.outcome = outcome
-        job.node = node
-        job.finish_time = now
-        rec = self._rec
-        if rec.enabled:
-            rec.record_span(
-                "serve.job",
-                job.arrival_time,
-                now - job.arrival_time,
-                job=job.job_id,
-                outcome=outcome,
-                node=node,
-                kills=job.kills,
-            )
-
-    def _admit(self, now: float, demand: float) -> None:
-        self.offered += 1
-        job = JobRecord(self._next_id, now, demand)
-        self._next_id += 1
-        if self.record_jobs:
-            self.jobs.append(job)
-        if self.controller is not None:
-            self.window_arrivals.append(now)
-        target = self.policy.route(self.queue_lengths(), self.rng)
-        if self.faults is not None and not self.faults.up[target]:
-            # a down node accepts nothing; the arrival is shed
-            self.lost_to_failure += 1
-            self._finish(job, now, "lost_to_failure", target)
-            return
-        if len(self.queues[target]) >= self.capacities[target]:
-            self.dropped_arrival += 1
-            self._finish(job, now, "dropped_arrival", target)
-            return
-        self.queues[target].append(job)
-        self._note_queue(now, target)
-        self._wake[target].set()
-
-    async def _generate(self) -> None:
-        inj = self.faults
-        while True:
-            nxt = self.loadgen.next_job(self.rng)
-            if nxt is None:
-                return  # finite trace exhausted
+    def _next_arrival(self) -> None:
+        """Pull the next job from the load source and set its arrival
+        timer (a finite trace simply runs out)."""
+        nxt = self.loadgen.next_job(self.rng)
+        if nxt is not None:
             gap, demand = nxt
+            inj = self.faults
             if inj is not None and inj.arrival_factor != 1.0:
                 gap = gap / inj.arrival_factor
-            await self.clock.sleep(gap)
-            self._admit(self.clock.now(), demand)
+            self._at(self.clock.now() + gap, self._arrive, demand)
 
-    async def _service_sleep(self, node: int, delay: float) -> bool:
-        """Sleep the race duration; False when a crash voided the race.
-
-        With faults on, the sleep's future is parked where the fault
-        driver can cancel it; a bumped epoch identifies the cancellation
-        as a crash (anything else is runtime teardown and re-raises).
-        """
-        if self.faults is None:
-            await self.clock.sleep(delay)
-            return True
-        e0 = self._epoch[node]
-        fut = asyncio.ensure_future(self.clock.sleep(delay))
-        self._sleep_fut[node] = fut
-        try:
-            await fut
-            return True
-        except asyncio.CancelledError:
-            if self._epoch[node] != e0:
-                return False
-            raise
-        finally:
-            self._sleep_fut[node] = None
-
-    async def _serve_node(self, node: int) -> None:
-        queue = self.queues[node]
-        wake = self._wake[node]
-        inj = self.faults
-        resume = getattr(self.policy, "resume", False)
-        while True:
-            if inj is not None and not inj.up[node]:
-                await self._up_evt[node].wait()
-                continue
-            if not queue:
-                wake.clear()
-                await wake.wait()
-                continue
-            job = queue[0]
-            work = job.remaining if resume else job.demand
-            speed = self.speeds[node]
-            if inj is not None:
-                speed = speed * inj.speed_factor[node]
-            wall = work / speed
-            sampler = self.policy.timeout(node)
-            if (
-                sampler is not None
-                and inj is not None
-                and inj.suppress_timeout(self.policy.forward(node))
-            ):
-                sampler = None  # degraded single-node: serve to exhaustion
-            tau = None if sampler is None else sampler.sample(self.rng)
-            if inj is not None:
-                self._service_start[node] = (self.clock.now(), speed, work)
-            if tau is None or wall <= tau:
-                if not await self._service_sleep(node, wall):
-                    continue  # crash voided the race
-                now = self.clock.now()
-                self._service_start[node] = None
-                queue.popleft()
-                self._note_queue(now, node)
-                self.completed += 1
-                self.responses.append(now - job.arrival_time)
-                self.slowdowns.append((now - job.arrival_time) / job.demand)
-                self.demands.append(job.demand)
-                if self.controller is not None:
-                    self.window_completions.append((now, job.demand))
-                self._finish(job, now, "completed", node)
-            else:
-                if resume:
-                    job.remaining = work - tau * speed
-                if not await self._service_sleep(node, tau):
-                    continue  # crash voided the race
-                now = self.clock.now()
-                self._service_start[node] = None
-                queue.popleft()
-                self._note_queue(now, node)
-                self.killed += 1
-                job.kills += 1
-                # counted until _forward resolves the job; teardown
-                # cancellation leaves it counted, so a job asleep in a
-                # retry backoff at t_end still shows up in still_queued
-                self._inflight_forwards += 1
-                await self._forward(job, node)
-                self._inflight_forwards -= 1
+    def _arrive(self, demand: float) -> None:
+        # the successor's timer before this arrival's outcomes: the order
+        # sim pushes them, so same-instant ties break alike
+        self._next_arrival()
+        now = self.clock.now()
+        if self.controller is not None:
+            self.window_arrivals.append(now)
+        self._schedule(self.cluster.admit(now, demand))
 
     async def _forward(self, job: JobRecord, node: int) -> None:
-        """Place a killed job at the forward target.
+        """Forward a killed job through the retry/breaker guard; ``node``
+        serves nothing until the job is placed or given up.
 
-        The default configuration (no retries, no breaker, no faults)
-        reproduces the simulator's drop-after-timeout exactly.  With
-        resilience on, each attempt must pass the breaker and find the
-        target up with room; failed attempts back off exponentially with
-        jitter.  A job whose attempts are exhausted is ``lost_to_failure``
-        when the target is down, ``dropped_forward`` otherwise.
+        Each attempt must pass the breaker and find the target up with
+        room; failed attempts back off exponentially with jitter.  A job
+        whose attempts are exhausted is ``lost_to_failure`` when the
+        target is down, ``dropped_forward`` otherwise.  A run ending
+        mid-backoff leaves the job counted in ``still_queued``.
         """
-        target = self.policy.forward(node)
-        if target is None:
-            self.dropped_forward += 1
-            self._finish(job, self.clock.now(), "dropped_forward", node)
-            return
-        inj = self.faults
+        cluster = self.cluster
         breaker = self.breaker
+        target = self.policy.forward(node)
         attempt = 0
         while True:
             now = self.clock.now()
-            if breaker is None or breaker.allow(now):
-                if (inj is None or inj.up[target]) and len(
-                    self.queues[target]
-                ) < self.capacities[target]:
+            if target is not None and (breaker is None or breaker.allow(now)):
+                if cluster.accepts(target):
                     if breaker is not None:
                         breaker.record_success(now)
-                    self.forwarded += 1
-                    self.queues[target].append(job)
-                    self._note_queue(now, target)
-                    self._wake[target].set()
-                    return
+                    self._schedule(cluster.forward(now, job, target))
+                    break
                 if breaker is not None:
                     breaker.record_failure(now)
-            if attempt >= self.forward_retries:
+            if target is None or attempt >= self.forward_retries:
+                cluster.reject(now, job, node, target)
                 break
             attempt += 1
             delay = self.retry_backoff * (2.0 ** (attempt - 1))
@@ -452,179 +304,81 @@ class DispatchRuntime:
                     self._resilience_rng.uniform(-1.0, 1.0)
                 )
             await self.clock.sleep(delay)
-        now = self.clock.now()
-        if inj is not None and not inj.up[target]:
-            self.lost_to_failure += 1
-            self._finish(job, now, "lost_to_failure", node)
-        else:
-            self.dropped_forward += 1
-            self._finish(job, now, "dropped_forward", node)
+        self._schedule(cluster.release(self.clock.now(), node))
 
     # -- fault handling -------------------------------------------------
-    async def _drive_faults(self) -> None:
-        """Replay the injector's plan on the runtime's clock."""
-        inj = self.faults
-        for ev in inj.events():
-            delay = ev.time - self.clock.now()
-            if delay > 0:
-                await self.clock.sleep(delay)
-            self._apply_fault(ev, self.clock.now())
-
-    def _apply_fault(self, ev, now: float) -> None:
-        inj = self.faults
-        directive = inj.apply(ev, now)
-        node = ev.node
-        rec = self._rec
+    def _apply_fault(self, ev) -> None:
+        now = self.clock.now()
+        directive = self.faults.apply(ev, now)
         if directive == "crash":
-            if rec.enabled:
-                rec.add("serve.fault.crash")
-            self._epoch[node] += 1  # voids this node's in-flight race
-            self._up_evt[node].clear()
-            attempt = self._service_start[node]
-            self._service_start[node] = None
-            if attempt is not None:
-                start_t, att_speed, att_work = attempt
-                self.work_wasted += (now - start_t) * att_speed
-                if inj.on_crash == "requeue" and getattr(
-                    self.policy, "resume", False
-                ):
-                    # the destroyed attempt's partial service is lost,
-                    # but credit from earlier kills is kept
-                    self.queues[node][0].remaining = att_work
-            fut = self._sleep_fut[node]
-            if fut is not None and not fut.done():
-                fut.cancel()
-            if inj.on_crash == "drop" and self.queues[node]:
-                for job in self.queues[node]:
-                    self.lost_to_failure += 1
-                    self._finish(job, now, "lost_to_failure", node)
-                self.queues[node].clear()
-                self._note_queue(now, node)
+            if self._rec.enabled:
+                self._rec.add("serve.fault.crash")
+            self.cluster.crash(now, ev.node)
             if self.supervisor is not None:
                 self._sup_wake.set()
         elif directive == "recover":
-            self._on_restart(node, now)
+            self._on_restart(ev.node, now)
 
     def _on_restart(self, node: int, now: float) -> None:
         """Bring a node back into service (recovery or supervisor restart)."""
-        rec = self._rec
-        if rec.enabled:
-            rec.add("serve.fault.restart")
-        self._up_evt[node].set()
-
-    def _reset_measurements(self, now: float) -> None:
-        """Warm-up boundary: zero counters, keep jobs in flight."""
-        self.offered = self.completed = 0
-        self.killed = self.forwarded = 0
-        self.dropped_arrival = self.dropped_forward = 0
-        self.lost_to_failure = 0
-        self.work_wasted = 0.0
-        self.responses.clear()
-        self.slowdowns.clear()
-        self.demands.clear()
-        for node, avg in enumerate(self.q_avg):
-            avg.reset(now, len(self.queues[node]))
+        if self._rec.enabled:
+            self._rec.add("serve.fault.restart")
+        self._schedule(self.cluster.recover(now, node))
 
     # -- running --------------------------------------------------------
-    async def arun(self, t_end: float, warmup: float = 0.0) -> DispatchResult:
+    async def arun(self, t_end: float, warmup: float = 0.0) -> SimulationResult:
         """Run until model time ``t_end``; measure after ``warmup``."""
-        if t_end <= warmup:
-            raise ValueError("t_end must exceed warmup")
         if self._running:
             raise RuntimeError("runtime is already running")
-        self._running = True
-        # one recorder lookup per run: every per-job site reads the
-        # cached reference (swapping recorders mid-run is unsupported)
+        # one recorder lookup per run (swapping recorders mid-run is
+        # unsupported)
         rec = self._rec = obs.recorder()
+        cluster = self.cluster = (_TracedCluster if rec.enabled else Cluster)(
+            self.policy,
+            self.capacities,
+            self.speeds,
+            self.rng,
+            t_end=t_end,
+            warmup=warmup,
+            faults=self.faults,
+            record_jobs=self.record_jobs,
+        )
+        self._running = True
         t_wall0 = time.perf_counter() if rec.enabled else 0.0
-        n = len(self.capacities)
-        self._wake = [asyncio.Event() for _ in range(n)]
+        # timers in sim's heap order: warm-up end, plan events, arrivals
+        self._schedule(cluster.initial())
         if self.faults is not None:
-            self.faults.reset(n)
-            self._epoch = [0] * n
-            self._service_start = [None] * n
-            self._sleep_fut = [None] * n
-            self._up_evt = [asyncio.Event() for _ in range(n)]
-            for evt in self._up_evt:
-                evt.set()
-            self._sup_wake = asyncio.Event()
-        tasks = [asyncio.ensure_future(self._generate())]
+            for ev in self.faults.events():
+                self._at(ev.time, self._apply_fault, ev)
+        self._next_arrival()
+        for delay, fn in self._scheduled:
+            self._at(self.clock.now() + delay, fn)
+        self._scheduled = []
+        tasks = self._tasks = []
         if rec.enabled:
             tasks.append(
                 asyncio.ensure_future(
                     self._sample_depths(rec, self.gauge_interval)
                 )
             )
-        tasks += [
-            asyncio.ensure_future(self._serve_node(i)) for i in range(n)
-        ]
-        if warmup > 0:
-            tasks.append(
-                asyncio.ensure_future(
-                    self._fire_later(
-                        warmup, lambda: self._reset_measurements(warmup)
-                    )
-                )
-            )
-        if self.faults is not None:
-            tasks.append(asyncio.ensure_future(self._drive_faults()))
         if self.supervisor is not None:
+            self._sup_wake = asyncio.Event()
             self.supervisor.bind(self)
             tasks.append(asyncio.ensure_future(self.supervisor.run()))
         if self.controller is not None:
             self.controller.bind(self)
             tasks.append(asyncio.ensure_future(self.controller.run()))
-        for delay, fn in self._scheduled:
-            tasks.append(asyncio.ensure_future(self._fire_later(delay, fn)))
-        self._scheduled = []
         try:
             await self.clock.run_until(t_end)
         finally:
+            self._running = False
             for task in tasks:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
-            self._running = False
-
-        duration = max(t_end - warmup, 1e-12)
         if rec.enabled:
-            rec.record_span(
-                "serve.run",
-                t_wall0,
-                time.perf_counter() - t_wall0,
-                t_end=t_end,
-                warmup=warmup,
-                nodes=n,
-            )
-            rec.add("serve.offered", self.offered)
-            rec.add("serve.completed", self.completed)
-            rec.add("serve.killed", self.killed)
-            rec.add("serve.forwarded", self.forwarded)
-            rec.add("serve.dropped.arrival", self.dropped_arrival)
-            rec.add("serve.dropped.forward", self.dropped_forward)
-            if self.faults is not None:
-                rec.add("serve.lost_to_failure", self.lost_to_failure)
-                rec.gauge("serve.work_wasted", self.work_wasted)
-            for i, avg in enumerate(self.q_avg):
-                rec.gauge("serve.mean_queue_length", avg.mean(t_end), node=i)
-        return DispatchResult(
-            duration=duration,
-            offered=self.offered,
-            completed=self.completed,
-            dropped_arrival=self.dropped_arrival,
-            dropped_forward=self.dropped_forward,
-            mean_queue_lengths=tuple(a.mean(t_end) for a in self.q_avg),
-            response_times=np.asarray(self.responses),
-            slowdowns=np.asarray(self.slowdowns),
-            demands=np.asarray(self.demands),
-            killed=self.killed,
-            forwarded=self.forwarded,
-            jobs=self.jobs if self.record_jobs else None,
-            lost_to_failure=self.lost_to_failure,
-            work_wasted=self.work_wasted,
-            still_queued=sum(len(q) for q in self.queues)
-            + self._inflight_forwards,
-        )
+            cluster.file_job_spans(rec)
+        return cluster.result(rec, "serve", t_wall0)
 
-    def run(self, t_end: float, warmup: float = 0.0) -> DispatchResult:
+    def run(self, t_end: float, warmup: float = 0.0) -> SimulationResult:
         """Synchronous convenience wrapper around :meth:`arun`."""
         return asyncio.run(self.arun(t_end, warmup))

@@ -26,7 +26,7 @@ instants (rejecting non-monotone sequences).
 
 All sources validate their parameters **up front** and name the
 offending field in the ``ValueError``: a zero MMPP rate or a NaN gap
-surfacing as a hung load-generator task deep inside an asyncio run is
+surfacing as a hung arrival chain deep inside an asyncio run is
 much harder to diagnose than a constructor error (NaN in particular
 slips through naive ``x <= 0`` comparisons, so the checks here insist
 on finiteness explicitly).

@@ -96,8 +96,7 @@ def validate_against_model(
     Parameters
     ----------
     result :
-        A :class:`~repro.sim.runner.SimulationResult` /
-        :class:`~repro.serve.dispatcher.DispatchResult`.
+        A :class:`~repro.sim.runner.SimulationResult` from either host.
     model :
         Anything with ``.metrics()`` returning
         :class:`~repro.models.QueueMetrics` -- typically

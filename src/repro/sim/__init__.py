@@ -13,8 +13,11 @@ Building blocks:
   processes; any distribution with ``.sample`` works for demands.
 * :mod:`~repro.sim.policies` -- TAGS, random, round-robin and
   join-shortest-queue dispatchers over bounded FCFS nodes.
-* :mod:`~repro.sim.runner` -- the event loop, warm-up handling and
-  replication driver.
+* :mod:`~repro.sim.cluster` -- the TAGS state machine (queues, the
+  service/timeout race, kill-and-forward, faults, warm-up, results)
+  that both this simulator and :mod:`repro.serve` drive.
+* :mod:`~repro.sim.runner` -- the heap-based event loop and the
+  replication helpers.
 * :mod:`~repro.sim.stats` -- time-averaged queue lengths, batch-means
   confidence intervals, mean slowdown.
 """

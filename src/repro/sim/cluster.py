@@ -1,0 +1,540 @@
+"""The TAGS cluster: one state machine behind the simulator and the runtime.
+
+Semantics (true kill-and-restart TAGS, not the CTMC approximation):
+
+* a job draws a single service **demand** on arrival and keeps it for life;
+* at a node the head job is served FCFS at the node's speed; if the node
+  has a timeout, a duration is drawn from the timeout sampler at *service
+  start* and the job is killed when it fires first -- all prior work is
+  lost;
+* a killed job restarts (same demand, from scratch) at the policy's
+  forward node, or is dropped if that node is full -- the paper's "lost at
+  node 2 after completing a timed-out service" case; policies with
+  ``resume=True`` (the multi-level-feedback variant of the paper's
+  Section 6 open problem) carry the remaining work over instead;
+* queues are bounded: an arrival routed to a full node is dropped.
+
+:class:`Cluster` holds one run of those semantics with no clock of its
+own.  Each transition -- :meth:`~Cluster.admit`, :meth:`~Cluster.fire`,
+:meth:`~Cluster.crash`, :meth:`~Cluster.recover` -- takes the model time
+and returns the outcomes it scheduled as ``(time, kind, node, epoch)``
+tuples; the host hands each back to :meth:`~Cluster.fire` when its time
+comes.  :class:`repro.sim.runner.Simulation` keeps them in a heap and
+:class:`repro.serve.dispatcher.DispatchRuntime` sets one clock timer per
+outcome, so the two hosts agree job for job by construction.
+
+Because nothing but a crash preempts the head job, the winner of the
+service/timeout race is known at service start and a busy node has
+exactly one pending outcome.  A crash bumps the node's epoch; outcomes
+scheduled before it are ignored when they fire.
+
+The core makes every draw on the shared generator except the workload's
+own (inter-arrival gaps and demands, which the hosts draw): routing at
+admission and the timeout at service start.  On a kill the forward
+target starts its service, and draws, before the killing node starts its
+next job.
+
+**Fault injection**: with a :class:`~repro.faults.FaultInjector` the
+core consults its node state (down nodes accept and start nothing,
+degradation scales the speed at service start, ``single_node`` mode
+suppresses the timeout race while the forward target is down) and does
+the crash-time queue surgery.  Jobs destroyed by failure are counted
+``lost_to_failure``; the work an interrupted attempt had accumulated is
+``work_wasted``.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from collections import deque
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from repro.sim.stats import TimeAverage, batch_means_ci
+
+__all__ = ["Cluster", "JobRecord", "SimulationResult", "check_nodes"]
+
+
+@dataclass(slots=True)
+class JobRecord:
+    """One job: its arrival time, lifetime demand, the work still
+    outstanding (under resume policies, after kills), its kill count and,
+    once it has left the system, its ``outcome`` and the ``node`` it left
+    from.
+
+    ``remaining`` is genuinely optional (``None`` means "not yet
+    started": it is filled with the full demand on construction), so it
+    is typed ``float | None`` rather than lying to the dataclass with a
+    ``float`` annotation and a ``None`` default.
+    """
+
+    arrival_time: float
+    demand: float
+    remaining: float | None = None
+    job_id: int = -1
+    kills: int = 0
+    outcome: str | None = None  # completed / dropped_* / lost_to_failure
+    node: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.remaining is None:
+            self.remaining = self.demand
+
+
+@dataclass
+class SimulationResult:
+    """Post-warm-up measurements of one run, from either host.
+
+    ``demands`` is aligned with ``response_times``/``slowdowns`` (one entry
+    per completed job), enabling per-size-class analysis -- TAGS's whole
+    purpose is to treat short and long jobs differently, and
+    Harchol-Balter's evaluation revolves around slowdown by job size.
+
+    ``jobs`` (only with ``record_jobs=True``, never pruned at warm-up) is
+    the :class:`JobRecord` of every offered job in arrival order, ids
+    assigned in arrival order; :meth:`job_outcomes` is the currency the
+    equivalence tests compare between the hosts.
+
+    Failure accounting (all zero without fault injection):
+    ``lost_to_failure`` counts jobs destroyed by node failure (crashed
+    away under ``on_crash="drop"``, shed because the routed or forward
+    node was down), ``work_wasted`` the demand-units of service an
+    interrupted attempt had accumulated when its node crashed, and
+    ``still_queued`` the jobs left in queues (or mid-forward) at
+    ``t_end`` -- so every offered job is accounted for exactly once
+    (:attr:`accounted`).
+    """
+
+    duration: float
+    offered: int
+    completed: int
+    dropped_arrival: int
+    dropped_forward: int
+    mean_queue_lengths: tuple
+    response_times: np.ndarray
+    slowdowns: np.ndarray
+    demands: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # kept out of the repr: asyncio.run formats its main task's result
+    # while restoring the SIGINT handler, and 10^5 records take seconds
+    jobs: "list | None" = field(default=None, repr=False)
+    lost_to_failure: int = 0
+    work_wasted: float = 0.0
+    still_queued: int = 0
+    killed: int = 0
+    forwarded: int = 0
+
+    def job_outcomes(self) -> dict:
+        """``job_id -> (outcome, node, kills)`` for finished jobs."""
+        if self.jobs is None:
+            raise ValueError("run with record_jobs=True to keep job logs")
+        return {
+            j.job_id: (j.outcome, j.node, j.kills)
+            for j in self.jobs
+            if j.outcome is not None
+        }
+
+    @property
+    def throughput(self) -> float:
+        return self.completed / self.duration
+
+    @property
+    def offered_rate(self) -> float:
+        return self.offered / self.duration
+
+    @property
+    def loss_probability(self) -> float:
+        total = self.dropped_arrival + self.dropped_forward
+        return total / self.offered if self.offered else 0.0
+
+    @property
+    def accounted(self) -> int:
+        """Jobs accounted for: completed + dropped + lost + queued.
+
+        Equals :attr:`offered` whenever the measurement window starts at
+        time zero (``warmup=0``) -- the job-conservation invariant the
+        fault-injection property tests pin for every seeded plan.
+        """
+        return (
+            self.completed
+            + self.dropped_arrival
+            + self.dropped_forward
+            + self.lost_to_failure
+            + self.still_queued
+        )
+
+    @property
+    def failure_loss_probability(self) -> float:
+        return self.lost_to_failure / self.offered if self.offered else 0.0
+
+    @property
+    def mean_jobs(self) -> float:
+        return float(sum(self.mean_queue_lengths))
+
+    @property
+    def mean_response_time(self) -> float:
+        return float(self.response_times.mean()) if self.response_times.size else 0.0
+
+    @property
+    def mean_slowdown(self) -> float:
+        return float(self.slowdowns.mean()) if self.slowdowns.size else 0.0
+
+    def response_time_ci(self, n_batches: int = 20) -> tuple:
+        return batch_means_ci(self.response_times, n_batches)
+
+    # -- per-size-class views ------------------------------------------
+    def class_mask(self, threshold: float) -> np.ndarray:
+        """Boolean mask of *short* completed jobs (demand <= threshold)."""
+        if self.demands.size != self.response_times.size:
+            raise ValueError("this result carries no per-job demands")
+        return self.demands <= threshold
+
+    def mean_slowdown_by_class(self, threshold: float) -> tuple:
+        """(short-job mean slowdown, long-job mean slowdown)."""
+        short = self.class_mask(threshold)
+        s = float(self.slowdowns[short].mean()) if short.any() else float("nan")
+        l = (
+            float(self.slowdowns[~short].mean())
+            if (~short).any()
+            else float("nan")
+        )
+        return s, l
+
+    def mean_response_by_class(self, threshold: float) -> tuple:
+        """(short-job mean response, long-job mean response)."""
+        short = self.class_mask(threshold)
+        s = (
+            float(self.response_times[short].mean())
+            if short.any()
+            else float("nan")
+        )
+        l = (
+            float(self.response_times[~short].mean())
+            if (~short).any()
+            else float("nan")
+        )
+        return s, l
+
+    def slowdown_percentile(self, q: float) -> float:
+        """Slowdown percentile (q in [0, 100])."""
+        if self.slowdowns.size == 0:
+            return float("nan")
+        return float(np.percentile(self.slowdowns, q))
+
+
+def check_nodes(policy, capacities, speeds=None) -> tuple:
+    """Validated ``(capacities, speeds)`` tuples for ``policy``'s nodes
+    (speeds default to 1)."""
+    capacities = tuple(int(k) for k in capacities)
+    if len(capacities) != policy.n_nodes():
+        raise ValueError(
+            f"policy expects {policy.n_nodes()} nodes, got "
+            f"{len(capacities)} capacities"
+        )
+    if min(capacities) < 1:
+        raise ValueError("capacities must be >= 1")
+    if speeds is None:
+        return capacities, (1.0,) * len(capacities)
+    speeds = tuple(float(s) for s in speeds)
+    if len(speeds) != len(capacities):
+        raise ValueError("need one speed per node")
+    if min(speeds) <= 0:
+        raise ValueError("speeds must be positive")
+    return capacities, speeds
+
+
+class Cluster:
+    """One run of a policy over bounded FCFS nodes (see the module
+    docstring).
+
+    ``capacities``/``speeds`` come from :func:`check_nodes`; ``rng`` is
+    the generator every routing and timeout draw comes from; ``faults``
+    an optional :class:`~repro.faults.FaultInjector`, re-armed here.  The
+    run measures over ``[warmup, t_end]``, which must be finite with
+    ``0 <= warmup < t_end``.
+    """
+
+    def __init__(
+        self,
+        policy,
+        capacities,
+        speeds,
+        rng,
+        *,
+        t_end: float,
+        warmup: float = 0.0,
+        faults=None,
+        record_jobs: bool = False,
+    ) -> None:
+        if not 0.0 <= warmup < t_end < math.inf:
+            raise ValueError(
+                "t_end must be finite and must exceed warmup, which must "
+                f"be >= 0 (got t_end={t_end}, warmup={warmup})"
+            )
+        n = len(capacities)
+        self.policy = policy
+        self.capacities = capacities
+        self.speeds = speeds
+        self.rng = rng
+        self.t_end = float(t_end)
+        self.warmup = float(warmup)
+        self.faults = faults
+        if faults is not None:
+            faults.reset(n)
+        self.resume = bool(getattr(policy, "resume", False))
+        self.queues = [deque() for _ in range(n)]
+        self.q_avg = [TimeAverage() for _ in range(n)]
+        self.epoch = [0] * n
+        # (start time, effective speed, work at start) of the attempt in
+        # service; consulted on crash for waste and the resume restore
+        self.attempt: list = [None] * n
+        # serving, or holding a killed job that is still being forwarded
+        self.busy = [False] * n
+        self.jobs: "list | None" = [] if record_jobs else None
+        self.next_id = 0  # job ids by arrival order; never reset at warm-up
+        self._start_measuring(0.0)
+
+    def initial(self) -> list:
+        """Outcomes to schedule before anything else: the end of the
+        warm-up, so it precedes every same-time event."""
+        return [(self.warmup, "warmup", -1, 0)] if self.warmup > 0 else []
+
+    def _start_measuring(self, now: float) -> None:
+        """Zero the counters and anchor the queue-length averages at
+        ``now``; jobs in flight are kept."""
+        self.offered = self.completed = self.killed = self.forwarded = 0
+        self.dropped_arrival = self.dropped_forward = 0
+        self.lost_to_failure = 0
+        self.work_wasted = 0.0
+        self.responses: list = []
+        self.slowdowns: list = []
+        self.demands: list = []
+        for queue, avg in zip(self.queues, self.q_avg):
+            avg.reset(now, len(queue))
+
+    # -- transitions ----------------------------------------------------
+    def admit(self, now: float, demand: float) -> list:
+        """A fresh arrival with service ``demand``: route it, drop it if
+        the node is full (or down), else queue it."""
+        self.offered += 1
+        job = JobRecord(now, demand, demand, self.next_id)
+        self.next_id += 1
+        if self.jobs is not None:
+            self.jobs.append(job)
+        target = self.policy.route([len(q) for q in self.queues], self.rng)
+        out: list = []
+        if self.faults is not None and not self.faults.up[target]:
+            # a down node accepts nothing; the arrival is shed
+            self.lost_to_failure += 1
+            self._finish(job, now, "lost_to_failure", target)
+        elif len(self.queues[target]) >= self.capacities[target]:
+            self.dropped_arrival += 1
+            self._finish(job, now, "dropped_arrival", target)
+        else:
+            self._enqueue(now, job, target, out)
+        return out
+
+    def fire(self, now: float, kind: str, node: int, epoch: int) -> list:
+        """A scheduled outcome falls due: ``"complete"``, ``"kill"``
+        (kill and forward) or ``"warmup"``."""
+        if kind == "kill":
+            job = self.kill(now, node, epoch)
+            if job is None:
+                return []
+            target = self.policy.forward(node)
+            if self.accepts(target):
+                out = self.forward(now, job, target)
+            else:
+                self.reject(now, job, node, target)
+                out = []
+            return out + self.release(now, node)
+        if kind == "warmup":
+            self._start_measuring(now)
+            return []
+        if epoch != self.epoch[node]:
+            return []  # scheduled before a crash; outcome voided
+        job = self._pop(now, node)
+        self.completed += 1
+        response = now - job.arrival_time
+        self.responses.append(response)
+        self.slowdowns.append(response / job.demand)
+        self.demands.append(job.demand)
+        self._finish(job, now, "completed", node)
+        out: list = []
+        self._start(now, node, out)
+        return out
+
+    def kill(self, now: float, node: int, epoch: int) -> "JobRecord | None":
+        """The timeout won: take the killed job off ``node`` (None if the
+        outcome is stale).  ``node`` stays busy until :meth:`release`, so
+        a host forwarding the job itself holds the node meanwhile."""
+        if epoch != self.epoch[node]:
+            return None  # scheduled before a crash; outcome voided
+        job = self._pop(now, node)
+        self.killed += 1
+        job.kills += 1
+        return job
+
+    def accepts(self, target: "int | None") -> bool:
+        """Whether ``target`` can take a forwarded job now."""
+        return (
+            target is not None
+            and (self.faults is None or self.faults.up[target])
+            and len(self.queues[target]) < self.capacities[target]
+        )
+
+    def forward(self, now: float, job: JobRecord, target: int) -> list:
+        """Queue a killed job at ``target`` (which :meth:`accepts` it)."""
+        self.forwarded += 1
+        out: list = []
+        self._enqueue(now, job, target, out)
+        return out
+
+    def reject(self, now: float, job: JobRecord, node: int, target) -> None:
+        """A killed job ``target`` cannot take: lost to failure when the
+        target is down, dropped after timeout otherwise."""
+        if target is not None and self.faults is not None and not self.faults.up[target]:
+            self.lost_to_failure += 1
+            self._finish(job, now, "lost_to_failure", node)
+        else:
+            self.dropped_forward += 1
+            self._finish(job, now, "dropped_forward", node)
+
+    def release(self, now: float, node: int) -> list:
+        """``node``'s killed job is placed or gone: serve the next one."""
+        out: list = []
+        self._start(now, node, out)
+        return out
+
+    def crash(self, now: float, node: int) -> None:
+        """``node`` went down: void its pending outcome, waste the
+        attempt's work, and hold (``requeue``) or shed (``drop``) its
+        queue."""
+        self.epoch[node] += 1
+        queue = self.queues[node]
+        attempt = self.attempt[node]
+        if attempt is not None:
+            self.attempt[node] = None
+            self.busy[node] = False
+            start, speed, work = attempt
+            self.work_wasted += (now - start) * speed
+            if self.resume and self.faults.on_crash == "requeue":
+                # the destroyed attempt's partial service is lost, but
+                # credit from earlier kills is kept
+                queue[0].remaining = work
+        if self.faults.on_crash == "drop" and queue:
+            self.lost_to_failure += len(queue)
+            for job in queue:
+                self._finish(job, now, "lost_to_failure", node)
+            queue.clear()
+            self._note(now, node)
+
+    def recover(self, now: float, node: int) -> list:
+        """``node`` is back in service: resume its queue."""
+        out: list = []
+        if not self.busy[node]:
+            self._start(now, node, out)
+        return out
+
+    # -- internals ------------------------------------------------------
+    def _start(self, now: float, node: int, out: list) -> None:
+        """Start serving ``node``'s head job: draw the timeout and append
+        the race's outcome to ``out``.
+
+        A node of speed ``s`` finishes a demand-``D`` job in ``D/s`` wall
+        time; the timeout races that wall-clock duration.  Under resume
+        policies the job's *remaining* work is what is served (and
+        decremented on a kill); under restart the full demand is, so prior
+        service is lost.  A down node, or one with nothing queued, goes
+        idle.
+        """
+        queue = self.queues[node]
+        inj = self.faults
+        if not queue or (inj is not None and not inj.up[node]):
+            self.busy[node] = False
+            return
+        self.busy[node] = True
+        job = queue[0]
+        work = job.remaining if self.resume else job.demand
+        speed = self.speeds[node]
+        if inj is not None:
+            speed = speed * inj.speed_factor[node]
+        wall = work / speed
+        self.attempt[node] = (now, speed, work)
+        sampler = self.policy.timeout(node)
+        if sampler is not None and (
+            inj is None or not inj.suppress_timeout(self.policy.forward(node))
+        ):
+            tau = sampler.sample(self.rng)
+            if tau < wall:
+                if self.resume:
+                    job.remaining = work - tau * speed
+                out.append((now + tau, "kill", node, self.epoch[node]))
+                return
+        out.append((now + wall, "complete", node, self.epoch[node]))
+
+    def _enqueue(self, now: float, job: JobRecord, node: int, out: list) -> None:
+        self.queues[node].append(job)
+        self._note(now, node)
+        if not self.busy[node]:
+            self._start(now, node, out)
+
+    def _pop(self, now: float, node: int) -> JobRecord:
+        self.attempt[node] = None
+        job = self.queues[node].popleft()
+        self._note(now, node)
+        return job
+
+    def _note(self, now: float, node: int) -> None:
+        self.q_avg[node].update(now, len(self.queues[node]))
+
+    def _finish(self, job: JobRecord, now: float, outcome: str, node: int) -> None:
+        job.outcome = outcome
+        job.node = node
+
+    # -- reporting ------------------------------------------------------
+    def result(self, rec, host: str, t_wall0: float) -> SimulationResult:
+        """The run's result; with ``rec`` enabled, also its ``<host>.run``
+        span (wall time since ``t_wall0``) and ``<host>.*`` counters."""
+        t_end = self.t_end
+        means = tuple(avg.mean(t_end) for avg in self.q_avg)
+        # a busy node with no attempt holds a job mid-forward
+        held = sum(b and a is None for b, a in zip(self.busy, self.attempt))
+        if rec.enabled:
+            rec.record_span(
+                f"{host}.run",
+                t_wall0,
+                time.perf_counter() - t_wall0,
+                t_end=t_end,
+                warmup=self.warmup,
+                nodes=len(self.queues),
+            )
+            rec.add(f"{host}.offered", self.offered)
+            rec.add(f"{host}.completed", self.completed)
+            rec.add(f"{host}.killed", self.killed)
+            rec.add(f"{host}.forwarded", self.forwarded)
+            rec.add(f"{host}.dropped.arrival", self.dropped_arrival)
+            rec.add(f"{host}.dropped.forward", self.dropped_forward)
+            if self.faults is not None:
+                rec.add(f"{host}.lost_to_failure", self.lost_to_failure)
+                rec.gauge(f"{host}.work_wasted", self.work_wasted)
+            for i, mean in enumerate(means):
+                rec.gauge(f"{host}.mean_queue_length", mean, node=i)
+        return SimulationResult(
+            duration=t_end - self.warmup,
+            offered=self.offered,
+            completed=self.completed,
+            dropped_arrival=self.dropped_arrival,
+            dropped_forward=self.dropped_forward,
+            mean_queue_lengths=means,
+            response_times=np.asarray(self.responses),
+            slowdowns=np.asarray(self.slowdowns),
+            demands=np.asarray(self.demands),
+            jobs=self.jobs,
+            lost_to_failure=self.lost_to_failure,
+            work_wasted=self.work_wasted,
+            still_queued=sum(len(q) for q in self.queues) + held,
+            killed=self.killed,
+            forwarded=self.forwarded,
+        )

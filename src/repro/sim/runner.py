@@ -1,202 +1,33 @@
 """The discrete-event engine and replication driver.
 
-Semantics (true kill-and-restart TAGS, not the CTMC approximation):
-
-* a job draws a single service **demand** on arrival and keeps it for life;
-* at a node the head job is served FCFS at unit speed; if the node has a
-  timeout, a duration is drawn from the timeout sampler at *service start*
-  and the job is killed when it fires first -- all prior work is lost;
-* a killed job restarts (same demand, from scratch) at the policy's
-  forward node, or is dropped if that node is full -- the paper's "lost at
-  node 2 after completing a timed-out service" case; policies with
-  ``resume=True`` (the multi-level-feedback variant of the paper's
-  Section 6 open problem) carry the remaining work over instead;
-* queues are bounded: an arrival routed to a full node is dropped.
-
-Because nothing preempts the head job, the winner of the service/timeout
-race is known at service start and exactly one future event per busy node
-is ever scheduled -- no event cancellation is needed.
+:class:`Simulation` runs the TAGS semantics of
+:class:`~repro.sim.cluster.Cluster` (the state machine the online
+:class:`repro.serve.dispatcher.DispatchRuntime` drives too) as a heap
+loop: it draws the workload -- inter-arrival gaps, then each arrival's
+demand -- and pops the cluster's scheduled outcomes in
+``(time, push order)`` sequence.
 
 **Fault injection** (``faults=``): a
 :class:`~repro.faults.FaultPlan` / :class:`~repro.faults.FaultInjector`
 replays node crashes, recoveries, service-rate degradation and arrival
-surges into the run.  Crashes *do* preempt the head job, so scheduled
-race outcomes carry a per-node epoch and a crash invalidates them
-(stale events are skipped when popped -- the heap is never edited).
-Jobs destroyed by failure are counted ``lost_to_failure``; the work an
-interrupted attempt had accumulated is ``work_wasted``.  The identical
-semantics run in :class:`repro.serve.dispatcher.DispatchRuntime`, and
-the equivalence tests pin the two hosts' per-job fault outcomes to each
-other exactly.
+surges into the run.  The injector owns the fault state, the cluster
+owns its effect on queues and jobs; this loop only delivers the plan's
+events at their times, ahead of any same-time arrival or outcome.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
-from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
 from repro.faults.injector import FaultInjector
-from repro.sim.stats import TimeAverage, batch_means_ci
+from repro.sim.cluster import Cluster, SimulationResult, check_nodes
 
 __all__ = ["Simulation", "SimulationResult", "replicate", "replicate_until"]
-
-
-@dataclass
-class _Job:
-    """One job: its arrival time, lifetime demand, and -- under resume
-    policies -- the work still outstanding after kills.
-
-    ``remaining`` is genuinely optional (``None`` means "not yet
-    started": it is filled with the full demand on construction), so it
-    is typed ``float | None`` rather than lying to the dataclass with a
-    ``float`` annotation and a ``None`` default.
-    """
-
-    arrival_time: float
-    demand: float
-    remaining: float | None = None
-    job_id: int = -1
-    kills: int = 0
-
-    def __post_init__(self) -> None:
-        if self.remaining is None:
-            self.remaining = self.demand
-
-
-@dataclass
-class SimulationResult:
-    """Post-warm-up measurements of one run.
-
-    ``demands`` is aligned with ``response_times``/``slowdowns`` (one entry
-    per completed job), enabling per-size-class analysis -- TAGS's whole
-    purpose is to treat short and long jobs differently, and
-    Harchol-Balter's evaluation revolves around slowdown by job size.
-
-    ``jobs`` (only with ``record_jobs=True``, never pruned at warm-up) is
-    the per-job outcome log ``[(job_id, outcome, node, kills), ...]`` in
-    event order, with ids assigned in arrival order -- the currency the
-    ``repro.serve`` equivalence tests compare against the online runtime.
-
-    Failure accounting (all zero without fault injection):
-    ``lost_to_failure`` counts jobs destroyed by node failure (crashed
-    away under ``on_crash="drop"``, shed because the routed or forward
-    node was down), ``work_wasted`` the demand-units of service an
-    interrupted attempt had accumulated when its node crashed, and
-    ``still_queued`` the jobs left in queues at ``t_end`` -- so every
-    offered job is accounted for exactly once (:attr:`accounted`).
-    """
-
-    duration: float
-    offered: int
-    completed: int
-    dropped_arrival: int
-    dropped_forward: int
-    mean_queue_lengths: tuple
-    response_times: np.ndarray
-    slowdowns: np.ndarray
-    demands: np.ndarray = field(default_factory=lambda: np.empty(0))
-    jobs: "list | None" = None
-    lost_to_failure: int = 0
-    work_wasted: float = 0.0
-    still_queued: int = 0
-
-    def job_outcomes(self) -> dict:
-        """``job_id -> (outcome, node, kills)`` for finished jobs."""
-        if self.jobs is None:
-            raise ValueError("run with record_jobs=True to keep job logs")
-        return {jid: (outcome, node, kills) for jid, outcome, node, kills in self.jobs}
-
-    @property
-    def throughput(self) -> float:
-        return self.completed / self.duration
-
-    @property
-    def offered_rate(self) -> float:
-        return self.offered / self.duration
-
-    @property
-    def loss_probability(self) -> float:
-        total = self.dropped_arrival + self.dropped_forward
-        return total / self.offered if self.offered else 0.0
-
-    @property
-    def accounted(self) -> int:
-        """Jobs accounted for: completed + dropped + lost + queued.
-
-        Equals :attr:`offered` whenever the measurement window starts at
-        time zero (``warmup=0``) -- the job-conservation invariant the
-        fault-injection property tests pin for every seeded plan.
-        """
-        return (
-            self.completed
-            + self.dropped_arrival
-            + self.dropped_forward
-            + self.lost_to_failure
-            + self.still_queued
-        )
-
-    @property
-    def failure_loss_probability(self) -> float:
-        return self.lost_to_failure / self.offered if self.offered else 0.0
-
-    @property
-    def mean_jobs(self) -> float:
-        return float(sum(self.mean_queue_lengths))
-
-    @property
-    def mean_response_time(self) -> float:
-        return float(self.response_times.mean()) if self.response_times.size else 0.0
-
-    @property
-    def mean_slowdown(self) -> float:
-        return float(self.slowdowns.mean()) if self.slowdowns.size else 0.0
-
-    def response_time_ci(self, n_batches: int = 20) -> tuple:
-        return batch_means_ci(self.response_times, n_batches)
-
-    # -- per-size-class views ------------------------------------------
-    def class_mask(self, threshold: float) -> np.ndarray:
-        """Boolean mask of *short* completed jobs (demand <= threshold)."""
-        if self.demands.size != self.response_times.size:
-            raise ValueError("this result carries no per-job demands")
-        return self.demands <= threshold
-
-    def mean_slowdown_by_class(self, threshold: float) -> tuple:
-        """(short-job mean slowdown, long-job mean slowdown)."""
-        short = self.class_mask(threshold)
-        s = float(self.slowdowns[short].mean()) if short.any() else float("nan")
-        l = (
-            float(self.slowdowns[~short].mean())
-            if (~short).any()
-            else float("nan")
-        )
-        return s, l
-
-    def mean_response_by_class(self, threshold: float) -> tuple:
-        """(short-job mean response, long-job mean response)."""
-        short = self.class_mask(threshold)
-        s = (
-            float(self.response_times[short].mean())
-            if short.any()
-            else float("nan")
-        )
-        l = (
-            float(self.response_times[~short].mean())
-            if (~short).any()
-            else float("nan")
-        )
-        return s, l
-
-    def slowdown_percentile(self, q: float) -> float:
-        """Slowdown percentile (q in [0, 100])."""
-        if self.slowdowns.size == 0:
-            return float("nan")
-        return float(np.percentile(self.slowdowns, q))
 
 
 class Simulation:
@@ -245,22 +76,7 @@ class Simulation:
         self.arrivals = arrivals
         self.demand = demand
         self.policy = policy
-        self.capacities = tuple(int(k) for k in capacities)
-        if len(self.capacities) != policy.n_nodes():
-            raise ValueError(
-                f"policy expects {policy.n_nodes()} nodes, got "
-                f"{len(self.capacities)} capacities"
-            )
-        if min(self.capacities) < 1:
-            raise ValueError("capacities must be >= 1")
-        if speeds is None:
-            self.speeds = (1.0,) * len(self.capacities)
-        else:
-            self.speeds = tuple(float(s) for s in speeds)
-            if len(self.speeds) != len(self.capacities):
-                raise ValueError("need one speed per node")
-            if min(self.speeds) <= 0:
-                raise ValueError("speeds must be positive")
+        self.capacities, self.speeds = check_nodes(policy, capacities, speeds)
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.record_jobs = record_jobs
         if faults is None or isinstance(faults, FaultInjector):
@@ -270,82 +86,25 @@ class Simulation:
 
     # ------------------------------------------------------------------
     def run(self, t_end: float, warmup: float = 0.0) -> SimulationResult:
-        if t_end <= warmup:
-            raise ValueError("t_end must exceed warmup")
+        cluster = Cluster(
+            self.policy,
+            self.capacities,
+            self.speeds,
+            self.rng,
+            t_end=t_end,
+            warmup=warmup,
+            faults=self.faults,
+            record_jobs=self.record_jobs,
+        )
         rec = obs.recorder()
         t_wall0 = time.perf_counter() if rec.enabled else 0.0
         rng = self.rng
-        n_nodes = len(self.capacities)
-        queues = [deque() for _ in range(n_nodes)]
-        q_avg = [TimeAverage() for _ in range(n_nodes)]
-        heap: list = []
-        seq = 0
-
         inj = self.faults
-        epoch = [0] * n_nodes
-        # per-node (start time, effective speed, work at start) of the
-        # in-progress attempt; consulted on crash for waste accounting
-        # and the requeue remaining-work restore
-        service_start: list = [None] * n_nodes
+        heap: list = []
+        seq = itertools.count()
 
-        offered = completed = dropped_arrival = dropped_forward = 0
-        killed = forwarded = 0
-        lost_to_failure = 0
-        work_wasted = 0.0
-        responses: list = []
-        slowdowns: list = []
-        demands: list = []
-        warm = False
-        next_id = 0  # job ids by arrival order; never reset at warm-up
-        job_log: "list | None" = [] if self.record_jobs else None
-
-        def push(time: float, kind: str, node: int, payload=None):
-            nonlocal seq
-            heapq.heappush(heap, (time, seq, kind, node, payload))
-            seq += 1
-
-        def start_service(now: float, node: int) -> None:
-            """Schedule the race outcome for the new head job.
-
-            A node of speed ``s`` finishes a demand-``D`` job in ``D/s``
-            wall time; the timeout races that wall-clock duration.  Under
-            resume policies the job's *remaining* work is what is served
-            (and decremented on a kill); under restart the remaining work
-            is re-set to the full demand, so prior service is lost.
-
-            With fault injection: a down node starts nothing (service
-            resumes on recovery); degradation scales the effective speed
-            at service start; ``single_node`` mode suppresses the timeout
-            race while the forward target is down.  The scheduled outcome
-            carries the node's epoch, so a later crash invalidates it.
-            """
-            if inj is not None and not inj.up[node]:
-                return
-            job = queues[node][0]
-            resume = getattr(self.policy, "resume", False)
-            work = job.remaining if resume else job.demand
-            speed = self.speeds[node]
-            if inj is not None:
-                speed = speed * inj.speed_factor[node]
-            wall = work / speed
-            service_start[node] = (now, speed, work)
-            sampler = self.policy.timeout(node)
-            if sampler is None or (
-                inj is not None
-                and inj.suppress_timeout(self.policy.forward(node))
-            ):
-                push(now + wall, "complete", node, epoch[node])
-                return
-            tau = sampler.sample(rng)
-            if wall <= tau:
-                push(now + wall, "complete", node, epoch[node])
-            else:
-                if resume:
-                    job.remaining = work - tau * speed
-                push(now + tau, "kill", node, epoch[node])
-
-        def note_queue(now: float, node: int) -> None:
-            q_avg[node].update(now, len(queues[node]))
+        def push(time: float, kind: str, node: int, payload) -> None:
+            heapq.heappush(heap, (time, next(seq), kind, node, payload))
 
         def next_gap() -> float:
             gap = self.arrivals.next_interarrival(rng)
@@ -353,175 +112,36 @@ class Simulation:
                 gap = gap / inj.arrival_factor
             return gap
 
+        for outcome in cluster.initial():
+            push(*outcome)
         if inj is not None:
-            inj.reset(n_nodes)
             # fault events enter the heap before the first arrival, so a
             # fault always precedes same-time host events (lower seq)
             for ev in inj.events():
                 push(ev.time, "fault", ev.node, ev)
-        push(next_gap(), "arrival", -1)
-        now = 0.0
+        push(next_gap(), "arrival", -1, None)
         while heap:
             now, _, kind, node, payload = heapq.heappop(heap)
             if now > t_end:
                 break
-            if not warm and now >= warmup:
-                warm = True
-                # queue lengths are unchanged on (last event, now) ⊇
-                # (warmup, now), so anchoring the integrators at exactly
-                # t=warmup makes the measurement window [warmup, t_end]
-                for node_i in range(n_nodes):
-                    q_avg[node_i].reset(warmup, len(queues[node_i]))
-                offered = completed = dropped_arrival = dropped_forward = 0
-                killed = forwarded = 0
-                lost_to_failure = 0
-                work_wasted = 0.0
-                responses.clear()
-                slowdowns.clear()
-                demands.clear()
-
             if kind == "arrival":
-                push(now + next_gap(), "arrival", -1)
-                offered += 1
-                job = _Job(
-                    now, float(self.demand.sample(1, rng)[0]), job_id=next_id
+                push(now + next_gap(), "arrival", -1, None)
+                outcomes = cluster.admit(
+                    now, float(self.demand.sample(1, rng)[0])
                 )
-                next_id += 1
-                target = self.policy.route(
-                    [len(q) for q in queues], rng
-                )
-                if inj is not None and not inj.up[target]:
-                    # a down node accepts nothing; the arrival is shed
-                    lost_to_failure += 1
-                    if job_log is not None:
-                        job_log.append(
-                            (job.job_id, "lost_to_failure", target, 0)
-                        )
-                    continue
-                if len(queues[target]) >= self.capacities[target]:
-                    dropped_arrival += 1
-                    if job_log is not None:
-                        job_log.append(
-                            (job.job_id, "dropped_arrival", target, 0)
-                        )
-                    continue
-                queues[target].append(job)
-                note_queue(now, target)
-                if len(queues[target]) == 1:
-                    start_service(now, target)
-
-            elif kind == "complete":
-                if payload != epoch[node]:
-                    continue  # scheduled before a crash; outcome voided
-                service_start[node] = None
-                job = queues[node].popleft()
-                note_queue(now, node)
-                completed += 1
-                responses.append(now - job.arrival_time)
-                slowdowns.append((now - job.arrival_time) / job.demand)
-                demands.append(job.demand)
-                if job_log is not None:
-                    job_log.append((job.job_id, "completed", node, job.kills))
-                if queues[node]:
-                    start_service(now, node)
-
-            elif kind == "kill":
-                if payload != epoch[node]:
-                    continue  # scheduled before a crash; outcome voided
-                service_start[node] = None
-                job = queues[node].popleft()
-                note_queue(now, node)
-                killed += 1
-                job.kills += 1
-                target = self.policy.forward(node)
-                if inj is not None and target is not None and not inj.up[target]:
-                    # killed with the forward target down: shed
-                    lost_to_failure += 1
-                    if job_log is not None:
-                        job_log.append(
-                            (job.job_id, "lost_to_failure", node, job.kills)
-                        )
-                elif target is None or len(queues[target]) >= self.capacities[target]:
-                    dropped_forward += 1
-                    if job_log is not None:
-                        job_log.append(
-                            (job.job_id, "dropped_forward", node, job.kills)
-                        )
-                else:
-                    forwarded += 1
-                    queues[target].append(job)
-                    note_queue(now, target)
-                    if len(queues[target]) == 1:
-                        start_service(now, target)
-                if queues[node]:
-                    start_service(now, node)
-
             elif kind == "fault":
                 directive = inj.apply(payload, now)
                 if directive == "crash":
-                    epoch[node] += 1  # voids this node's scheduled outcome
-                    attempt = service_start[node]
-                    service_start[node] = None
-                    if attempt is not None:
-                        start_t, att_speed, att_work = attempt
-                        work_wasted += (now - start_t) * att_speed
-                        if inj.on_crash == "requeue" and getattr(
-                            self.policy, "resume", False
-                        ):
-                            # the destroyed attempt's partial service is
-                            # lost, but credit from earlier kills is kept
-                            queues[node][0].remaining = att_work
-                    if inj.on_crash == "drop" and queues[node]:
-                        for job in queues[node]:
-                            lost_to_failure += 1
-                            if job_log is not None:
-                                job_log.append(
-                                    (job.job_id, "lost_to_failure", node, job.kills)
-                                )
-                        queues[node].clear()
-                        note_queue(now, node)
-                elif directive == "recover":
-                    if queues[node]:
-                        start_service(now, node)
-            else:  # pragma: no cover
-                raise AssertionError(kind)
-
-        duration = max(t_end - warmup, 1e-12)
-        if rec.enabled:
-            rec.record_span(
-                "sim.run",
-                t_wall0,
-                time.perf_counter() - t_wall0,
-                t_end=t_end,
-                warmup=warmup,
-                nodes=n_nodes,
-            )
-            rec.add("sim.offered", offered)
-            rec.add("sim.completed", completed)
-            rec.add("sim.killed", killed)
-            rec.add("sim.forwarded", forwarded)
-            rec.add("sim.dropped.arrival", dropped_arrival)
-            rec.add("sim.dropped.forward", dropped_forward)
-            if inj is not None:
-                rec.add("sim.lost_to_failure", lost_to_failure)
-                rec.gauge("sim.work_wasted", work_wasted)
-            for i, avg in enumerate(q_avg):
-                rec.gauge("sim.mean_queue_length", avg.mean(t_end), node=i)
-        return SimulationResult(
-            duration=duration,
-            offered=offered,
-            completed=completed,
-            dropped_arrival=dropped_arrival,
-            dropped_forward=dropped_forward,
-            mean_queue_lengths=tuple(a.mean(t_end) for a in q_avg),
-            response_times=np.asarray(responses),
-            slowdowns=np.asarray(slowdowns),
-            demands=np.asarray(demands),
-            jobs=job_log,
-            lost_to_failure=lost_to_failure,
-            work_wasted=work_wasted,
-            still_queued=sum(len(q) for q in queues),
-        )
+                    cluster.crash(now, node)
+                    continue
+                if directive != "recover":
+                    continue
+                outcomes = cluster.recover(now, node)
+            else:
+                outcomes = cluster.fire(now, kind, node, payload)
+            for outcome in outcomes:
+                push(*outcome)
+        return cluster.result(rec, "sim", t_wall0)
 
 
 def replicate(

@@ -71,6 +71,16 @@ class TestSpans:
         assert manual.parent_id == sp.span_id
         assert rec.find_spans("manual")[0].attrs == {"k": "v"}
 
+    def test_record_spans_files_a_batch(self):
+        rec = Recorder()
+        with rec.span("open") as sp:
+            rec.record_spans("job", [(0.0, 1.0, {"n": 0}), (1.0, 2.0, {"n": 1})])
+        jobs = rec.find_spans("job")
+        assert [s.attrs["n"] for s in jobs] == [0, 1]
+        assert [s.duration for s in jobs] == [1.0, 2.0]
+        assert all(s.parent_id == sp.span_id for s in jobs)
+        assert len({s.span_id for s in rec.spans}) == len(rec.spans)
+
     def test_adopt_assigns_id_and_parent(self):
         rec = Recorder()
         span = SpanRecord(name="pt", t0=0.0, duration=0.5)

@@ -159,6 +159,11 @@ class TestLiveControl:
         rt = make_tags_runtime()
         with pytest.raises(ValueError, match="exceed"):
             rt.run(10.0, warmup=10.0)
+        # a NaN horizon never ends; a negative warmup inflates duration
+        with pytest.raises(ValueError, match="exceed"):
+            rt.run(float("nan"))
+        with pytest.raises(ValueError, match="exceed"):
+            rt.run(10.0, warmup=-1.0)
         with pytest.raises(ValueError, match="capacities"):
             make_tags_runtime(caps=(10,))
         with pytest.raises(ValueError, match="capacities"):

@@ -10,6 +10,8 @@ pinned to the CTMC models, and the runtime is pinned job-for-job to the
 simulator.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -88,9 +90,18 @@ class TestExactEquivalence:
         assert sim_res.dropped_forward > 0  # the interesting case occurs
         assert sim_res.job_outcomes() == rt_res.job_outcomes()
 
-    def test_three_node_cascade(self):
-        """N-node TAGS with deterministic timeouts (no sampler rng, so
-        the multi-node draw-order caveat does not apply)."""
+    @pytest.mark.parametrize(
+        "timeouts",
+        [
+            (DeterministicTimeout(0.1), DeterministicTimeout(0.5)),
+            (ErlangTimeout(6, 10.0), ErlangTimeout(6, 2.0)),
+        ],
+        ids=["deterministic", "erlang"],
+    )
+    def test_three_node_cascade(self, timeouts):
+        """N-node TAGS.  With stochastic timeouts a kill makes two draws
+        at one instant (the forward target's service start, then the
+        killing node's next one), so this case pins the draw order."""
         trace = Trace.synthesise(
             PoissonArrivals(6.0),
             h2_balanced_means(0.15, 0.95, 50.0),
@@ -99,12 +110,7 @@ class TestExactEquivalence:
         )
         sim_res, rt_res = run_both(
             trace,
-            lambda: TagsPolicy(
-                timeouts=(
-                    DeterministicTimeout(0.1),
-                    DeterministicTimeout(0.5),
-                )
-            ),
+            lambda: TagsPolicy(timeouts=timeouts),
             (8, 8, 8),
         )
         outcomes = sim_res.job_outcomes()
@@ -155,15 +161,19 @@ class TestExactEquivalence:
             seed=3,
         )
         assert len(plan) >= 4  # the storm actually happens
-        for on_crash, degraded in [
-            ("requeue", "shed"),
-            ("drop", "shed"),
-            ("requeue", "single_node"),
-        ]:
+        policies = [
+            lambda: TagsPolicy(timeouts=(ErlangTimeout(6, 51.0),)),
+            # resume: a crash restores the head job's remaining work
+            lambda: TagsPolicy(timeouts=(ErlangTimeout(6, 51.0),), resume=True),
+        ]
+        for make_policy, (on_crash, degraded) in itertools.product(
+            policies,
+            [("requeue", "shed"), ("drop", "shed"), ("requeue", "single_node")],
+        ):
             sim = Simulation(
                 TraceArrivals(trace),
                 TraceDemands(trace),
-                TagsPolicy(timeouts=(ErlangTimeout(6, 51.0),)),
+                make_policy(),
                 (10, 10),
                 seed=42,
                 record_jobs=True,
@@ -172,7 +182,7 @@ class TestExactEquivalence:
             sim_res = sim.run(t_end=HORIZON)
             rt = DispatchRuntime(
                 TraceLoad(trace),
-                TagsPolicy(timeouts=(ErlangTimeout(6, 51.0),)),
+                make_policy(),
                 (10, 10),
                 rng=np.random.default_rng(42),
                 record_jobs=True,
@@ -180,6 +190,7 @@ class TestExactEquivalence:
             )
             rt_res = rt.run(HORIZON)
             assert sim_res.job_outcomes() == rt_res.job_outcomes(), (
+                make_policy().resume,
                 on_crash,
                 degraded,
             )

@@ -1,6 +1,6 @@
 """Regression tests for resume-policy work accounting.
 
-``_Job.remaining`` must carry over *exactly* the unserved work when a
+``JobRecord.remaining`` must carry over *exactly* the unserved work when a
 ``resume=True`` policy moves a killed job, and restart semantics must
 re-serve the full demand.  A fully deterministic single-job scenario
 pins the arithmetic: demand 10, node-1 timeout 4, so resume completes
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.sim import DeterministicTimeout, Simulation, TagsPolicy
-from repro.sim.runner import _Job
+from repro.sim.cluster import JobRecord
 
 
 class ConstantDemand:
@@ -49,16 +49,16 @@ def one_job_response(resume: bool, demand: float = 10.0, tau: float = 4.0) -> fl
 
 class TestJobTyping:
     def test_remaining_defaults_to_demand(self):
-        job = _Job(arrival_time=0.0, demand=7.5)
+        job = JobRecord(arrival_time=0.0, demand=7.5)
         assert job.remaining == 7.5
 
     def test_explicit_remaining_is_kept(self):
-        job = _Job(arrival_time=0.0, demand=7.5, remaining=2.5)
+        job = JobRecord(arrival_time=0.0, demand=7.5, remaining=2.5)
         assert job.remaining == 2.5
 
     def test_annotation_is_optional_float(self):
         # the dataclass must declare the None default honestly
-        assert _Job.__dataclass_fields__["remaining"].type == "float | None"
+        assert JobRecord.__dataclass_fields__["remaining"].type == "float | None"
 
 
 class TestResumeCarriesRemainingWork:

@@ -241,6 +241,11 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="exceed"):
             sim.run(t_end=10.0, warmup=10.0)
+        # a NaN horizon never ends; a negative warmup inflates duration
+        with pytest.raises(ValueError, match="exceed"):
+            sim.run(t_end=float("nan"))
+        with pytest.raises(ValueError, match="exceed"):
+            sim.run(t_end=10.0, warmup=-1.0)
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError, match="capacities"):
