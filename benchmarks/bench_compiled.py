@@ -17,12 +17,21 @@ import numpy as np
 
 from repro.ctmc import action_throughput, steady_state
 from repro.models import TagsPepa, build_tags_model
-from repro.models.tags_pepa import TagsParameters, _q1_len, _q2_len
+from repro.models.tags_pepa import TagsParameters
 from repro.pepa import explore, to_generator
 from repro.pepa.compiled import compile_model
 from repro.sweep import structure_cache
 
 LAMS = np.linspace(2.0, 9.5, 16)
+
+
+# flattened local names of a Figure 3 state: Q1_i, Timer1_k, Q2*_j, Timer2_k
+def _q1_len(names) -> float:
+    return float(names[0].rsplit("_", 1)[1])
+
+
+def _q2_len(names) -> float:
+    return float(names[2].rsplit("_", 1)[1])
 
 
 def _interpreter_point(lam: float):

@@ -15,7 +15,7 @@ from repro.ctmc import absorbing_on_action, mean_first_passage_times
 from repro.experiments import render_table
 from repro.models import RandomAllocation, ShortestQueue, TagsExponential
 from repro.models.mm1k import MM1K
-from repro.models._bfs import bfs_generator
+from repro.ctmc.bfs import bfs_generator
 
 
 def _first_loss_time(generator, actions, initial=0) -> float:

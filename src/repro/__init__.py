@@ -17,7 +17,8 @@ Subpackages
     bounded Pareto.
 ``repro.models``
     The paper's queueing systems (TAGS exp/H2, random, shortest queue,
-    M/M/1/K, M/PH/1/K), each as PEPA and as a direct CTMC.
+    M/M/1/K, M/PH/1/K); the TAGS chains are PEPA models solved on the
+    compiled engine.
 ``repro.approx``
     Section 4's timeout approximations and the optimiser.
 ``repro.sim``

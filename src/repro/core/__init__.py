@@ -1,9 +1,9 @@
 """The paper's primary contribution, in one import.
 
 This facade gathers the PEPA models of the TAGS policy with bounded
-queues, their fast direct-CTMC twins, the baseline strategies they are
-compared against, the Section 4 timeout approximations, and the
-figure-regeneration functions::
+queues, the sweepable model classes that solve them, the baseline
+strategies they are compared against, the Section 4 timeout
+approximations, and the figure-regeneration functions::
 
     from repro.core import TagsExponential, ShortestQueue, figure9
 

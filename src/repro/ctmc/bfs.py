@@ -1,12 +1,10 @@
 """Breadth-first CTMC construction over tuple-encoded states.
 
-The direct model builders (TAGS, shortest queue, ...) define a successor
-function ``succ(state) -> [(action, rate, next_state), ...]`` over plain
-tuples; :func:`bfs_generator` explores the reachable set and assembles a
-labelled :class:`~repro.ctmc.generator.Generator`.  This mirrors the PEPA
-exploration but skips the process-algebra overhead, which makes the
-parameter sweeps in the benchmarks ~50x faster while the test suite pins
-both constructions to each other.
+Chains built directly over tuple states (the N-node TAGS extension, the
+shortest-queue / round-robin / MMPP chains, tagged-job chains) define a
+successor function ``succ(state) -> [(action, rate, next_state), ...]``
+over plain tuples; :func:`bfs_generator` explores the reachable set and
+assembles a labelled :class:`~repro.ctmc.generator.Generator`.
 
 :class:`ChainTemplate` is the evaluate-many companion: it freezes the
 reachability structure of one exploration (states, transition endpoints,
@@ -157,23 +155,9 @@ class ChainTemplate:
     model whose parameters change the structure (e.g. a rate hitting
     exactly 0 drops transitions) raises :class:`StructureMismatch` so the
     caller can rebuild from scratch.
-
-    Model classes with vectorisable rate formulas can skip the
-    re-enumeration entirely and hand :meth:`generator` a rate vector
-    computed directly from the stored endpoint arrays.
     """
 
-    __slots__ = (
-        "states",
-        "index",
-        "src",
-        "dst",
-        "act",
-        "rate",
-        "initial",
-        "_state_array",
-        "_masks",
-    )
+    __slots__ = ("states", "index", "src", "dst", "act", "rate")
 
     def __init__(self, states, index, src, dst, rate, act) -> None:
         self.states = states
@@ -182,9 +166,6 @@ class ChainTemplate:
         self.dst = dst
         self.rate = rate
         self.act = act
-        self.initial = states[0]
-        self._state_array = None
-        self._masks = None
 
     @classmethod
     def explore(
@@ -203,27 +184,6 @@ class ChainTemplate:
     @property
     def n_transitions(self) -> int:
         return int(self.src.size)
-
-    def state_array(self) -> np.ndarray:
-        """States as an ``(n_states, width)`` int array (memoised).
-
-        Only valid for flat-tuple state encodings; vectorised rate
-        formulas index it by ``src``/``dst`` to recover per-transition
-        source and destination coordinates.
-        """
-        if self._state_array is None:
-            self._state_array = np.asarray(self.states, dtype=np.int64)
-        return self._state_array
-
-    def action_mask(self, action: str) -> np.ndarray:
-        """Boolean mask of transitions labelled ``action`` (memoised)."""
-        if self._masks is None:
-            self._masks = {}
-        mask = self._masks.get(action)
-        if mask is None:
-            act_a = np.asarray(self.act, dtype=object)
-            mask = self._masks[action] = act_a == action
-        return mask
 
     def refill(self, successors: Callable) -> np.ndarray:
         """Rate column of ``successors`` over the recorded structure.

@@ -137,7 +137,8 @@ def steady_state(
     ----------
     generator :
         A :class:`~repro.ctmc.generator.Generator` or any sparse/dense
-        generator matrix.
+        generator matrix.  Non-finite entries raise ``ValueError`` before
+        any solver runs.
     method :
         ``"auto"`` (default), ``"gth"``, ``"direct"``, ``"power"``,
         ``"gauss_seidel"`` or ``"gmres"``.
@@ -162,6 +163,10 @@ def steady_state(
     n = Q.shape[0]
     if n == 0:
         raise SteadyStateError("empty chain")
+    if not np.isfinite(Q.data).all():
+        # a nan/inf rate is a caller bug: no solver can converge on it,
+        # and the auto chain would otherwise grind through all of them
+        raise ValueError("generator has non-finite entries")
     if n == 1:
         _record_info(info, method=method, iterations=0, warm_started=False)
         return np.ones(1)

@@ -1,7 +1,8 @@
 """Series generators: one function per paper figure.
 
-All sweeps use the direct CTMC constructions (pinned to the PEPA models by
-the test suite) because a figure is 30-60 steady-state solves.
+All sweeps solve the PEPA models of Figures 3 and 5 on the compiled
+engine (``TagsExponential`` / ``TagsHyperExponential``); a figure is 30-60
+steady-state solves.
 
 Every solve routes through the shared :func:`repro.sweep.default_engine`,
 so figures over the same grid share one solve pass: ``figure6``/``figure7``
@@ -12,9 +13,8 @@ process pool (see ``docs/performance.md``).
 
 Within one solve pass the state space is explored exactly once per
 *structure*: every grid point of a figure 6/7 or 9/10 sweep varies only
-rate values, so the model builders pull the frozen reachability
-template from :func:`repro.sweep.structure_cache` and refill its rate
-column (``sweep.structure.hit``/``template.refill.points`` counters
+rate values, so the model classes pull the explored compiled space
+from :func:`repro.sweep.structure_cache` and refill its rate column (``sweep.structure.hit``/``template.refill.points`` counters
 record this when an :mod:`repro.obs` recorder is enabled).
 """
 

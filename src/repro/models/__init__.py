@@ -1,21 +1,21 @@
 """The paper's queueing models.
 
-Every allocation strategy the paper evaluates is available in two forms
-where feasible:
-
-* a **PEPA model** faithful to the figures/appendices (built
-  programmatically, analysable with :mod:`repro.pepa`);
-* a **direct CTMC** construction (vectorised state enumeration), used for
-  the parameter sweeps because it is orders of magnitude faster and is
-  cross-validated against the PEPA form in the test suite.
+The TAGS models are PEPA models faithful to the paper's figures (built
+programmatically, analysable with :mod:`repro.pepa`), and their model
+classes solve them on the compiled engine (:mod:`repro.pepa.compiled`):
+each chain has one construction, explored once per structure and
+refilled per rate point.  Chains without a PEPA form are built directly
+over tuple states (:mod:`repro.ctmc.bfs`).
 
 Modules
 -------
-``tags_pepa``      Figure 3 (exponential TAGS) and Figure 4 (per-place
-                   alternative) PEPA builders.
-``tags_hyper``     Figure 5 (H2-service TAGS) PEPA builder.
-``tags_direct``    direct CTMCs for TAGS with exponential or H2 service,
-                   two nodes or the N-node extension.
+``tags_pepa``      Figure 3 (exponential TAGS) PEPA builder and its model
+                   classes ``TagsExponential`` / ``TagsPepa`` (with the
+                   heterogeneous, dynamic-timeout and resume extensions).
+``tags_hyper``     Figure 5 (H2-service TAGS) PEPA builder and
+                   ``TagsHyperExponential``.
+``tags_figure4``   the Figure 4 (per-place alternative) PEPA model.
+``tags_multinode`` direct CTMC of the N-node TAGS extension.
 ``random_alloc``   Appendix A weighted random allocation (exp analytic,
                    H2 via M/PH/1/K).
 ``shortest_queue`` Appendix B shortest-queue strategy (PEPA + direct,
@@ -32,13 +32,18 @@ from repro.models.mm1k import MM1K
 from repro.models.mmck import MMcK, erlang_b, erlang_c
 from repro.models.mph1k import MPH1K
 from repro.models.tags_breakdown import TagsBreakdown, build_tags_breakdown_model
-from repro.models.tags_pepa import TagsPepa, build_tags_model, tags_pepa_metrics
-from repro.models.tags_hyper import build_tags_h2_model, tags_h2_pepa_metrics
-from repro.models.tags_direct import (
+from repro.models.tags_pepa import (
     TagsExponential,
-    TagsHyperExponential,
-    TagsMultiNode,
+    TagsPepa,
+    build_tags_model,
+    tags_pepa_metrics,
 )
+from repro.models.tags_hyper import (
+    TagsHyperExponential,
+    build_tags_h2_model,
+    tags_h2_pepa_metrics,
+)
+from repro.models.tags_multinode import TagsMultiNode
 from repro.models.random_alloc import RandomAllocation
 from repro.models.round_robin import RoundRobin
 from repro.models.tags_figure4 import Figure4Model

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ctmc import action_throughput, steady_state
-from repro.models._bfs import bfs_generator
+from repro.ctmc.bfs import bfs_generator
 from repro.models.metrics import QueueMetrics, from_population_and_throughput
 
 __all__ = ["MMPP2", "TagsMMPP", "ShortestQueueMMPP"]

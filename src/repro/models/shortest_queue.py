@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.ctmc import action_throughput, steady_state
 from repro.dists.families import HyperExponential
-from repro.models._bfs import bfs_generator
+from repro.ctmc.bfs import bfs_generator
 from repro.models.metrics import QueueMetrics, from_population_and_throughput
 from repro.pepa import (
     Activity,

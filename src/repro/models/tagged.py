@@ -38,7 +38,8 @@ import numpy as np
 from repro.ctmc import Generator, transient_distribution
 from repro.ctmc.bfs import bfs_generator
 from repro.ctmc.passage import conditional_absorption_times
-from repro.models.tags_direct import TagsExponential, TagsHyperExponential
+from repro.models.tags_hyper import TagsHyperExponential
+from repro.models.tags_pepa import TagsExponential
 
 __all__ = ["TaggedJobAnalysis", "TaggedJobAnalysisH2"]
 

@@ -20,34 +20,36 @@ depend on the head's phase), and ``(arrival, (1-alpha) lam).Q1_1'`` targets
 
 Note on the ``t``-rates in the queue: Figure 5 attaches rate ``t`` (split
 ``alpha t`` / ``(1-alpha) t``) to the queue's ``timeout``/``repeatservice``
-activities instead of the passive ``T`` used in Figure 3.  Under PEPA's
-apparent-rate rule the synchronised rate is ``min(t, t) = t`` split in the
-same proportions, so the two encodings yield the same CTMC; we keep the
-paper's active-rate style here and the passive style in Figure 3, and the
-test suite checks the exponential degenerate cases coincide.
+activities and leaves the timers passive there.  Under PEPA's
+apparent-rate rule the synchronised rate is ``min(t, T) = t`` split in the
+same proportions, so this yields the same CTMC as a timer-side rate; the
+Figure 3 builder puts its node-1 clock on the queue side the same way, and
+the test suite checks the exponential degenerate case coincides.
+
+A degenerate ``alpha_prime`` (0 or 1) drops the impossible
+``repeatservice`` branch rather than giving it rate zero, so the never-
+entered residual derivatives are not part of the model.
+
+:class:`TagsHyperExponential` solves this model on the compiled engine
+through the structure cache (see
+:class:`~repro.models.tags_pepa.CompiledTags`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from repro.ctmc import action_throughput, steady_state
 from repro.dists.residual import h2_residual_mixing
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
-from repro.pepa import (
-    Activity,
-    Choice,
-    Constant,
-    Cooperation,
-    Model,
-    Prefix,
-    Rate,
-    explore,
-    to_generator,
-    top,
-)
+from repro.models.metrics import QueueMetrics
+from repro.models.tags_pepa import CompiledTags, _choice, _index, _p, check_rates
+from repro.pepa import Constant, Cooperation, Model, top
 
-__all__ = ["TagsH2Parameters", "build_tags_h2_model", "tags_h2_pepa_metrics"]
+__all__ = [
+    "TagsH2Parameters",
+    "TagsHyperExponential",
+    "build_tags_h2_model",
+    "tags_h2_pepa_metrics",
+]
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,7 @@ class TagsH2Parameters:
     tick_during_residual: bool = False
 
     def __post_init__(self) -> None:
-        if min(self.lam, self.mu1, self.mu2, self.t) <= 0:
-            raise ValueError("rates must be positive")
+        check_rates(lam=self.lam, mu1=self.mu1, mu2=self.mu2, t=self.t)
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must be in (0, 1)")
         if self.n < 1 or self.K1 < 1 or self.K2 < 1:
@@ -92,18 +93,6 @@ class TagsH2Parameters:
         return self.alpha / self.mu1 + (1 - self.alpha) / self.mu2
 
 
-def _choice(*terms):
-    comp = terms[0]
-    for t in terms[1:]:
-        comp = Choice(comp, t)
-    return comp
-
-
-def _p(action, rate, target):
-    r = rate if isinstance(rate, Rate) else Rate(rate)
-    return Prefix(Activity(action, r), Constant(target))
-
-
 def build_tags_h2_model(params: TagsH2Parameters) -> Model:
     """Construct the Figure 5 PEPA model."""
     lam, t, n = params.lam, params.t, params.n
@@ -117,58 +106,29 @@ def build_tags_h2_model(params: TagsH2Parameters) -> Model:
         _p("arrival", a * lam, "Q1_1"),
         _p("arrival", (1 - a) * lam, "Q1p_1"),
     )
-    # head short (Q1) / head long (Q1p); i = 1 empties without branching
-    defs["Q1_1"] = _choice(
-        _p("arrival", lam, "Q1_2") if K1 > 1 else _p("arrloss", lam, "Q1_1"),
-        _p("tick1", top(), "Q1_1"),
-        _p("service1", m1, "Q1_0"),
-        _p("timeout", t, "Q1_0"),
-    )
-    defs["Q1p_1"] = _choice(
-        _p("arrival", lam, "Q1p_2") if K1 > 1 else _p("arrloss", lam, "Q1p_1"),
-        _p("tick1", top(), "Q1p_1"),
-        _p("service1", m2, "Q1_0"),
-        _p("timeout", t, "Q1_0"),
-    )
-    for i in range(2, K1):
-        defs[f"Q1_{i}"] = _choice(
-            _p("arrival", lam, f"Q1_{i + 1}"),
-            _p("tick1", top(), f"Q1_{i}"),
-            _p("service1", (1 - a) * m1, f"Q1p_{i - 1}"),
-            _p("service1", a * m1, f"Q1_{i - 1}"),
-            _p("timeout", (1 - a) * t, f"Q1p_{i - 1}"),
-            _p("timeout", a * t, f"Q1_{i - 1}"),
-        )
-        defs[f"Q1p_{i}"] = _choice(
-            _p("arrival", lam, f"Q1p_{i + 1}"),
-            _p("tick1", top(), f"Q1p_{i}"),
-            _p("service1", (1 - a) * m2, f"Q1p_{i - 1}"),
-            _p("service1", a * m2, f"Q1_{i - 1}"),
-            _p("timeout", (1 - a) * t, f"Q1p_{i - 1}"),
-            _p("timeout", a * t, f"Q1_{i - 1}"),
-        )
-    if K1 > 1:
-        defs[f"Q1_{K1}"] = _choice(
-            _p("tick1", top(), f"Q1_{K1}"),
-            _p("timeout", a * t, f"Q1_{K1 - 1}"),
-            _p("timeout", (1 - a) * t, f"Q1p_{K1 - 1}"),
-            _p("service1", (1 - a) * m1, f"Q1p_{K1 - 1}"),
-            _p("service1", a * m1, f"Q1_{K1 - 1}"),
-            _p("arrloss", lam, f"Q1_{K1}"),
-        )
-        defs[f"Q1p_{K1}"] = _choice(
-            _p("tick1", top(), f"Q1p_{K1}"),
-            _p("timeout", a * t, f"Q1_{K1 - 1}"),
-            _p("timeout", (1 - a) * t, f"Q1p_{K1 - 1}"),
-            _p("service1", (1 - a) * m2, f"Q1p_{K1 - 1}"),
-            _p("service1", a * m2, f"Q1_{K1 - 1}"),
-            _p("arrloss", lam, f"Q1p_{K1}"),
-        )
+    # head short (Q1) / head long (Q1p); a departure from i = 1 empties
+    # the queue, any other draws the next head's phase
+    for i in range(1, K1 + 1):
+        for head, mu_head in (("Q1", m1), ("Q1p", m2)):
+            name = f"{head}_{i}"
+            terms = [
+                _p("arrival", lam, f"{head}_{i + 1}")
+                if i < K1
+                else _p("arrloss", lam, name),
+                _p("tick1", top(), name),
+            ]
+            for action, rate in (("service1", mu_head), ("timeout", t)):
+                if i == 1:
+                    terms.append(_p(action, rate, "Q1_0"))
+                else:
+                    terms.append(_p(action, (1 - a) * rate, f"Q1p_{i - 1}"))
+                    terms.append(_p(action, a * rate, f"Q1_{i - 1}"))
+            defs[name] = _choice(*terms)
 
     # ------------------------------------------------------ timer 1
     # n Erlang phases: Timer1_{n-1} .. Timer1_1 tick, Timer1_0 enables
     # the (queue-driven) timeout
-    top_ref = f"Timer1_{n - 1}" if n > 1 else "Timer1_0"
+    top_ref = f"Timer1_{n - 1}"
     defs["Timer1_0"] = _choice(
         _p("timeout", top(), top_ref),
         _p("service1", top(), top_ref),
@@ -183,37 +143,30 @@ def build_tags_h2_model(params: TagsH2Parameters) -> Model:
     # Q2_i: head in repeat phase; Q2s_i / Q2l_i: short / long residual.
     defs["Q2_0"] = _p("timeout", top(), "Q2_1")
 
-    def residual(name: str, i: int, rate: float, kind: str):
+    def residual(i: int, rate: float, kind: str):
         terms = [
             _p("timeout", top(), f"Q2{kind}_{min(i + 1, K2)}"),
             _p("service2", rate, f"Q2_{i - 1}"),
         ]
         if params.tick_during_residual:
-            terms.insert(1, _p("tick2", top(), name))
+            terms.insert(1, _p("tick2", top(), f"Q2{kind}_{i}"))
         return _choice(*terms)
 
-    for i in range(1, K2):
+    for i in range(1, K2 + 1):
         defs[f"Q2_{i}"] = _choice(
-            _p("timeout", top(), f"Q2_{i + 1}"),
+            _p("timeout", top(), f"Q2_{min(i + 1, K2)}"),
             _p("tick2", top(), f"Q2_{i}"),
-            _p("repeatservice", ap * t, f"Q2s_{i}"),
-            _p("repeatservice", (1 - ap) * t, f"Q2l_{i}"),
+            *(
+                _p("repeatservice", p * t, f"Q2{kind}_{i}")
+                for p, kind in ((ap, "s"), (1 - ap, "l"))
+                if p > 0
+            ),
         )
-        defs[f"Q2s_{i}"] = residual(f"Q2s_{i}", i, m1, "s")
-        defs[f"Q2l_{i}"] = residual(f"Q2l_{i}", i, m2, "l")
-    defs[f"Q2_{K2}"] = _choice(
-        _p("timeout", top(), f"Q2_{K2}"),
-        _p("tick2", top(), f"Q2_{K2}"),
-        _p("repeatservice", ap * t, f"Q2s_{K2}"),
-        _p("repeatservice", (1 - ap) * t, f"Q2l_{K2}"),
-    )
-    defs[f"Q2s_{K2}"] = residual(f"Q2s_{K2}", K2, m1, "s")
-    defs[f"Q2l_{K2}"] = residual(f"Q2l_{K2}", K2, m2, "l")
+        defs[f"Q2s_{i}"] = residual(i, m1, "s")
+        defs[f"Q2l_{i}"] = residual(i, m2, "l")
 
     # ------------------------------------------------------ timer 2
-    defs["Timer2_0"] = _p(
-        "repeatservice", top(), f"Timer2_{n - 1}" if n > 1 else "Timer2_0"
-    )
+    defs["Timer2_0"] = _p("repeatservice", top(), f"Timer2_{n - 1}")
     for i in range(1, n):
         defs[f"Timer2_{i}"] = _p("tick2", t, f"Timer2_{i - 1}")
 
@@ -231,43 +184,75 @@ def build_tags_h2_model(params: TagsH2Parameters) -> Model:
     return Model(defs, system)
 
 
+_PH2 = {"_": 0, "s": 1, "l": 2}  # Q2_ repeat, Q2s_ short, Q2l_ long
+
+
+@dataclass
+class TagsHyperExponential(CompiledTags):
+    """Two-node TAGS, H2 service (the Figure 5 chain).
+
+    ``alpha_prime=None`` computes the exact residual-mixing probability
+    from the Erlang(n, t) timeout race.  State tuples ``(q1, ph1, r1, q2,
+    ph2, r2)`` extend the Figure 3 encoding by the node-1 head's phase
+    (``ph1``: 0 short / 1 long) and split node 2's residual phase
+    (``ph2``: 0 repeat, 1 short, 2 long).
+    """
+
+    lam: float = 11.0
+    alpha: float = 0.99
+    mu1: float = 100.0
+    mu2: float = 1.0
+    t: float = 51.0
+    n: int = 6
+    K1: int = 10
+    K2: int = 10
+    alpha_prime: float | None = None
+    tick_during_residual: bool = False
+
+    PARAMS = TagsH2Parameters
+    _Q2_COLUMN = 3
+
+    @property
+    def resolved_alpha_prime(self) -> float:
+        return self.params().resolved_alpha_prime
+
+    @property
+    def mean_service(self) -> float:
+        return self.params().mean_service
+
+    def build(self) -> Model:
+        return build_tags_h2_model(self.params())
+
+    def _structure_key(self) -> tuple:
+        # alpha is validated inside (0, 1) so its splits never vanish,
+        # but a degenerate alpha_prime (0 or 1) drops a repeatservice
+        # branch, which is a different structure
+        ap = self.resolved_alpha_prime
+        return (
+            "tags-figure5",
+            self.n,
+            self.K1,
+            self.K2,
+            self.tick_during_residual,
+            ap == 0.0,
+            ap == 1.0,
+        )
+
+    def _state_fields(self) -> list:
+        # sequential components: Q1_i / Q1p_i, Timer1_k, Q2*_j, Timer2_k
+        return [
+            (0, _index),
+            (0, lambda name: int(name[2] == "p")),
+            (1, _index),
+            (2, _index),
+            (2, lambda name: _PH2[name[2]]),
+            (3, _index),
+        ]
+
+    def _extra(self) -> dict:
+        return {"alpha_prime": self.resolved_alpha_prime}
+
+
 def tags_h2_pepa_metrics(params: TagsH2Parameters) -> QueueMetrics:
-    """Explore, solve and extract metrics from the Figure 5 model."""
-    model = build_tags_h2_model(params)
-    space = explore(model)
-    gen = to_generator(space)
-    pi = steady_state(gen)
-
-    def q1_len(names) -> float:
-        for nm in names:
-            if nm.startswith("Q1_") or nm.startswith("Q1p_"):
-                return float(nm.split("_", 1)[1])
-        raise AssertionError("no Q1 component in state")
-
-    def q2_len(names) -> float:
-        for nm in names:
-            if nm.startswith(("Q2_", "Q2s_", "Q2l_")):
-                return float(nm.split("_", 1)[1])
-        raise AssertionError("no Q2 component in state")
-
-    L1 = float(pi @ space.state_reward(q1_len))
-    L2 = float(pi @ space.state_reward(q2_len))
-    x_s1 = action_throughput(gen, pi, "service1")
-    x_s2 = action_throughput(gen, pi, "service2")
-    x_to = action_throughput(gen, pi, "timeout")
-    try:
-        loss1 = action_throughput(gen, pi, "arrloss")
-    except KeyError:
-        loss1 = 0.0
-    loss2 = x_to - x_s2
-    return from_population_and_throughput(
-        mean_jobs_per_node=(L1, L2),
-        throughput=x_s1 + x_s2,
-        offered_load=params.lam,
-        loss_per_node=(loss1, loss2),
-        extra={
-            "n_states": space.n_states,
-            "timeout_throughput": x_to,
-            "alpha_prime": params.resolved_alpha_prime,
-        },
-    )
+    """Solve the Figure 5 model and extract the paper's metrics."""
+    return TagsHyperExponential(**asdict(params)).metrics()

@@ -10,13 +10,18 @@ Structure (see DESIGN.md interpretation notes)::
     Node2  =  Q2_0  <repeatservice, tick2>       Timer2_{n-1}
     System =  Node1 <timeout> Node2
 
-``timeout`` is therefore a three-way synchronisation: Timer1 supplies rate
-``t``, Q1 passively sheds the head job, Q2 passively admits it (or drops it
-via a self-loop when full).  ``service2`` is *not* in Node2's cooperation
-set: Timer2 never performs it (unlike Timer1, which resets on
-``service1``), so including it -- as the paper's Figure 4 appears to --
-would block queue 2 for ever.  Our well-formedness checker flags exactly
-this mistake.
+``timeout`` is therefore a three-way synchronisation: Q1 supplies the
+clock rate ``t`` and sheds the head job, Timer1 passively enables it in
+its last phase, Q2 passively admits the job (or drops it via a self-loop
+when full).  The node-1 clock rate sits on the ``Q1_i`` side (``tick1``
+and ``timeout`` active in the queue, passive in the timer), as Figure 5
+does for ``timeout``: under PEPA's apparent-rate rule the synchronised
+rate is ``t`` either way, and the queue side lets the rate depend on the
+queue length (``t_of_q1``).  ``service2`` is *not* in Node2's
+cooperation set: Timer2 never performs it (unlike Timer1, which resets
+on ``service1``), so including it -- as the paper's Figure 4 appears to
+-- would block queue 2 for ever.  Our well-formedness checker flags
+exactly this mistake.
 
 **Timer convention.** The paper is internally inconsistent about ``n``: the
 printed component definitions give the timer ``n`` ticks plus the timeout
@@ -36,21 +41,42 @@ paper's own state-count formula ``K2 (n+2) + 1`` matches the timer being
 frozen until the next repeat phase.  Both are built; metrics differ only
 marginally (see ``benchmarks/bench_ablation_tick2.py``).
 
+Extensions beyond the paper's homogeneous model (all default off):
+
+* **heterogeneous nodes** (Section 3: "if the system is heterogeneous
+  ... new rates for the ticks of the repeated service and for
+  service2"): ``mu2_service`` sets node 2's service rate and ``t2`` the
+  repeat-clock rate; both default to ``mu`` / ``t``.
+* **dynamic timeout** (Section 7 future work: "a dynamic timeout
+  duration that adapts to queue length"): ``t_of_q1`` maps the node-1
+  queue length to the clock rate of ``Q1_i``; overrides ``t`` at node 1.
+* **resume instead of restart** (the open problem of Section 6: "nobody
+  has yet studied the costs and benefits of resume against restart"):
+  with ``restart_work=False`` a timed-out job *migrates* -- node 2 has no
+  ``Timer2`` and no repeat phase, just the job's (memoryless) residual
+  -- turning the system into the multi-level-feedback variant the
+  paper's introduction contrasts TAGS with.
+
 Loss accounting: a self-loop ``(arrloss, lam)`` is attached to the full
 ``Q1_K1`` derivative.  Self-loops do not alter the CTMC, but give the
 node-1 drop rate directly as an action throughput.
+
+The model classes :class:`TagsExponential` and :class:`TagsPepa` solve
+this model on the compiled engine: each ``(n, K1, K2,
+tick_during_residual, restart_work)`` shape is explored once, and every
+further rate point refills the cached space's rate column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
-from repro.ctmc import (
-    action_throughput,
-    steady_state,
-)
+from repro.ctmc import action_throughput, steady_state
+from repro.models.metrics import QueueMetrics, from_population_and_throughput
 from repro.pepa import (
     Activity,
     Choice,
@@ -59,19 +85,31 @@ from repro.pepa import (
     Model,
     Prefix,
     Rate,
-    explore,
-    to_generator,
     top,
 )
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
+from repro.pepa.compiled import TemplateMismatch, compile_model
 from repro.sweep.structure import structure_cache
 
 __all__ = [
     "TagsParameters",
+    "TagsExponential",
     "TagsPepa",
     "build_tags_model",
     "tags_pepa_metrics",
 ]
+
+
+def check_rates(**rates) -> None:
+    """Raise ``ValueError`` unless every rate is finite and positive.
+
+    ``nan`` fails every comparison, so ``min(...) <= 0`` would let it
+    through to a solver that can only diverge; ``0 < r < inf`` cannot.
+    """
+    for name, value in rates.items():
+        if not 0 < value < math.inf:
+            raise ValueError(
+                f"rates must be finite and positive, got {name}={value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -81,7 +119,9 @@ class TagsParameters:
     ``n`` is the total number of Erlang phases in the timeout clock
     (``n - 1`` ticks followed by the ``timeout`` action), so the timeout
     duration is Erlang(n, t) with mean ``n / t`` -- the convention of the
-    paper's prose and numerical results (see the module docstring).
+    paper's prose and numerical results (see the module docstring, which
+    also describes the ``mu2_service``/``t2``/``t_of_q1``/``restart_work``
+    extensions).
     """
 
     lam: float = 5.0
@@ -91,12 +131,21 @@ class TagsParameters:
     K1: int = 10
     K2: int = 10
     tick_during_residual: bool = False
+    mu2_service: float | None = None
+    t2: float | None = None
+    t_of_q1: Callable[[int], float] | None = None
+    restart_work: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.lam, self.mu, self.t) <= 0:
-            raise ValueError("rates must be positive")
         if self.n < 1 or self.K1 < 1 or self.K2 < 1:
             raise ValueError("n, K1, K2 must be >= 1")
+        check_rates(lam=self.lam, mu=self.mu, t=self.t)
+        for name in ("mu2_service", "t2"):
+            if getattr(self, name) is not None:
+                check_rates(**{name: getattr(self, name)})
+        if self.t_of_q1 is not None:
+            for q in range(1, self.K1 + 1):
+                check_rates(**{f"t_of_q1({q})": self.t_of_q1(q)})
 
     @property
     def mean_timeout(self) -> float:
@@ -120,200 +169,138 @@ def build_tags_model(params: TagsParameters) -> Model:
     """Construct the Figure 3 PEPA model."""
     lam, mu, t = params.lam, params.mu, params.t
     n, K1, K2 = params.n, params.K1, params.K2
+    mu2 = mu if params.mu2_service is None else params.mu2_service
+    t2 = t if params.t2 is None else params.t2
     defs: dict = {}
 
     # ------------------------------------------------------ queue 1
     defs["Q1_0"] = _p("arrival", lam, "Q1_1")
-    for i in range(1, K1):
+    for i in range(1, K1 + 1):
+        t1 = t if params.t_of_q1 is None else float(params.t_of_q1(i))
         defs[f"Q1_{i}"] = _choice(
-            _p("arrival", lam, f"Q1_{i + 1}"),
+            _p("arrival", lam, f"Q1_{i + 1}")
+            if i < K1
+            else _p("arrloss", lam, f"Q1_{K1}"),
             _p("service1", mu, f"Q1_{i - 1}"),
-            _p("timeout", top(), f"Q1_{i - 1}"),
-            _p("tick1", top(), f"Q1_{i}"),
+            _p("timeout", t1, f"Q1_{i - 1}"),
+            _p("tick1", t1, f"Q1_{i}"),
         )
-    defs[f"Q1_{K1}"] = _choice(
-        _p("timeout", top(), f"Q1_{K1 - 1}"),
-        _p("tick1", top(), f"Q1_{K1}"),
-        _p("service1", mu, f"Q1_{K1 - 1}"),
-        _p("arrloss", lam, f"Q1_{K1}"),
-    )
 
     # ------------------------------------------------------ timer 1
-    # n Erlang phases: Timer1_{n-1} .. Timer1_1 tick, Timer1_0 fires
+    # n Erlang phases: Timer1_{n-1} .. Timer1_1 tick, Timer1_0 enables
+    # the (queue-driven) timeout
+    reset = f"Timer1_{n - 1}"
     defs["Timer1_0"] = _choice(
-        _p("timeout", t, f"Timer1_{n - 1}"),
-        _p("service1", top(), f"Timer1_{n - 1}"),
-    ) if n > 1 else _choice(
-        _p("timeout", t, "Timer1_0"),
-        _p("service1", top(), "Timer1_0"),
+        _p("timeout", top(), reset),
+        _p("service1", top(), reset),
     )
     for i in range(1, n):
         defs[f"Timer1_{i}"] = _choice(
-            _p("tick1", t, f"Timer1_{i - 1}"),
-            _p("service1", top(), f"Timer1_{n - 1}"),
+            _p("tick1", top(), f"Timer1_{i - 1}"),
+            _p("service1", top(), reset),
         )
 
     # ------------------------------------------------------ queue 2
     defs["Q2_0"] = _p("timeout", top(), "Q2_1")
-    for i in range(1, K2):
+    for i in range(1, K2 + 1):
+        up = min(i + 1, K2)  # a timeout into a full queue 2 is dropped
+        if not params.restart_work:
+            defs[f"Q2_{i}"] = _choice(
+                _p("timeout", top(), f"Q2_{up}"),
+                _p("service2", mu2, f"Q2_{i - 1}"),
+            )
+            continue
         defs[f"Q2_{i}"] = _choice(
-            _p("timeout", top(), f"Q2_{i + 1}"),
+            _p("timeout", top(), f"Q2_{up}"),
             _p("tick2", top(), f"Q2_{i}"),
             _p("repeatservice", top(), f"Q2r_{i}"),
         )
         residual_terms = [
-            _p("timeout", top(), f"Q2r_{i + 1}"),
-            _p("service2", mu, f"Q2_{i - 1}"),
+            _p("timeout", top(), f"Q2r_{up}"),
+            _p("service2", mu2, f"Q2_{i - 1}"),
         ]
         if params.tick_during_residual:
             residual_terms.insert(1, _p("tick2", top(), f"Q2r_{i}"))
         defs[f"Q2r_{i}"] = _choice(*residual_terms)
-    defs[f"Q2_{K2}"] = _choice(
-        _p("timeout", top(), f"Q2_{K2}"),
-        _p("tick2", top(), f"Q2_{K2}"),
-        _p("repeatservice", top(), f"Q2r_{K2}"),
-    )
-    residual_terms = [
-        _p("timeout", top(), f"Q2r_{K2}"),
-        _p("service2", mu, f"Q2_{K2 - 1}"),
-    ]
-    if params.tick_during_residual:
-        residual_terms.insert(1, _p("tick2", top(), f"Q2r_{K2}"))
-    defs[f"Q2r_{K2}"] = _choice(*residual_terms)
-
-    # ------------------------------------------------------ timer 2
-    defs["Timer2_0"] = _p(
-        "repeatservice", t, f"Timer2_{n - 1}" if n > 1 else "Timer2_0"
-    )
-    for i in range(1, n):
-        defs[f"Timer2_{i}"] = _p("tick2", t, f"Timer2_{i - 1}")
 
     node1 = Cooperation(
         Constant("Q1_0"),
         Constant(f"Timer1_{n - 1}"),
         frozenset({"service1", "tick1", "timeout"}),
     )
-    node2 = Cooperation(
-        Constant("Q2_0"),
-        Constant(f"Timer2_{n - 1}"),
-        frozenset({"repeatservice", "tick2"}),
-    )
+    if params.restart_work:
+        # ------------------------------------------------------ timer 2
+        defs["Timer2_0"] = _p("repeatservice", t2, f"Timer2_{n - 1}")
+        for i in range(1, n):
+            defs[f"Timer2_{i}"] = _p("tick2", t2, f"Timer2_{i - 1}")
+        node2 = Cooperation(
+            Constant("Q2_0"),
+            Constant(f"Timer2_{n - 1}"),
+            frozenset({"repeatservice", "tick2"}),
+        )
+    else:
+        node2 = Constant("Q2_0")
     system = Cooperation(node1, node2, frozenset({"timeout"}))
     return Model(defs, system)
 
 
-def _q1_len(names) -> float:
-    for nm in names:
-        if nm.startswith("Q1_"):
-            return float(nm[3:])
-    raise AssertionError("no Q1 component in state")
+def _index(name: str) -> int:
+    """The trailing index of a derivative name (``Q2r_3`` -> 3)."""
+    return int(name.rsplit("_", 1)[1])
 
 
-def _q2_len(names) -> float:
-    for nm in names:
-        if nm.startswith("Q2_"):
-            return float(nm[3:])
-        if nm.startswith("Q2r_"):
-            return float(nm[4:])
-    raise AssertionError("no Q2 component in state")
+class CompiledTags:
+    """Solve/metrics plumbing shared by the TAGS PEPA model classes.
 
+    Subclasses are dataclasses with the fields of their parameter record
+    ``PARAMS`` (which validates them) that supply :meth:`build` (the PEPA
+    model), :meth:`_structure_key` (the parameters that shape the
+    reachability graph; rates never do, since they are validated finite
+    and positive) and :meth:`_state_fields` (how the tuple encoding of
+    :attr:`states` reads off the sequential components; columns 0 and
+    ``_Q2_COLUMN`` are the two queue lengths).
 
-def tags_pepa_metrics(params: TagsParameters) -> QueueMetrics:
-    """Explore, solve and extract the paper's metrics from the Figure 3
-    model."""
-    model = build_tags_model(params)
-    space = explore(model)
-    gen = to_generator(space)
-    pi = steady_state(gen)
-
-    q1_len, q2_len = _q1_len, _q2_len
-
-    L1 = float(pi @ space.state_reward(q1_len))
-    L2 = float(pi @ space.state_reward(q2_len))
-    x_s1 = action_throughput(gen, pi, "service1")
-    x_s2 = action_throughput(gen, pi, "service2")
-    x_to = action_throughput(gen, pi, "timeout")
-    loss1 = action_throughput(gen, pi, "arrloss")
-    # flow balance at node 2: entries = timeouts that found space = service2
-    loss2 = x_to - x_s2
-    return from_population_and_throughput(
-        mean_jobs_per_node=(L1, L2),
-        throughput=x_s1 + x_s2,
-        offered_load=params.lam,
-        loss_per_node=(loss1, loss2),
-        extra={
-            "n_states": space.n_states,
-            "timeout_throughput": x_to,
-            "service1_throughput": x_s1,
-            "service2_throughput": x_s2,
-        },
-    )
-
-
-@dataclass
-class TagsPepa:
-    """Sweepable Figure 3 PEPA model on the compiled engine.
-
-    Same parameters and metrics as :func:`tags_pepa_metrics`, packaged
-    as a model class the sweep engine can drive -- and wired to the
-    structure cache: the first instance of an ``(n, K1, K2,
-    tick_during_residual)`` shape pays one compile + vectorized
-    exploration (:mod:`repro.pepa.compiled`); every further rate point
-    (lambda, mu, t) refills the cached
-    :class:`~repro.pepa.compiled.CompiledSpace`'s rate column in ~a
-    millisecond.  Rates are validated positive, so rate changes can
-    never alter reachability and the refill's structural congruence
-    check always passes for a correct key.
-
-    ``SOLVE_ENGINE`` tags the sweep solve cache (satellite of the same
-    PR): entries computed here never collide with interpreter-path
-    records from earlier releases.
+    The generator comes from the compiled engine through the process-wide
+    structure cache: the first model of a shape compiles and explores,
+    every further one refills the shared space's rate column and
+    assembles its generator right away.  The tuple states depend only on
+    the structure and are memoised on the cached space.
     """
 
-    lam: float = 5.0
-    mu: float = 10.0
-    t: float = 51.0
-    n: int = 6
-    K1: int = 10
-    K2: int = 10
-    tick_during_residual: bool = False
-
-    SOLVE_ENGINE = "pepa-compiled-v1"
+    SOLVE_ENGINE = "pepa-compiled-v2"
+    PARAMS: type
+    _Q2_COLUMN: int
 
     def __post_init__(self) -> None:
-        self.params()  # TagsParameters validates ranges
+        self.params()  # the parameter record validates
 
-    def params(self) -> TagsParameters:
-        return TagsParameters(
-            lam=self.lam,
-            mu=self.mu,
-            t=self.t,
-            n=self.n,
-            K1=self.K1,
-            K2=self.K2,
-            tick_during_residual=self.tick_during_residual,
+    def params(self):
+        """This model's parameters as a (validated) ``PARAMS`` record."""
+        return self.PARAMS(
+            **{f.name: getattr(self, f.name) for f in fields(self.PARAMS)}
         )
 
-    def build(self) -> Model:
-        return build_tags_model(self.params())
+    def _state_fields(self) -> list:
+        """One ``(leaf, decode)`` pair per tuple column: ``decode`` maps
+        the local derivative name of sequential component ``leaf`` to
+        the column value; ``leaf=None`` makes ``decode`` a constant."""
+        raise NotImplementedError
+
+    def _extra(self) -> dict:
+        """Model-specific entries for ``QueueMetrics.extra``."""
+        return {}
 
     # ------------------------------------------------------------------
     def _space(self):
-        """Structure-cached compiled space, refilled with *this* model's
-        rates.  The cache entry is shared; callers must assemble what
-        they need (generator, rewards) before the next refill."""
-        if getattr(self, "_space_memo", None) is not None:
-            return self._space_memo
-        from repro.pepa.compiled import TemplateMismatch, compile_model
-
-        key = (
-            type(self).__qualname__,
-            self.n,
-            self.K1,
-            self.K2,
-            self.tick_during_residual,
-        )
-        model = self.build()
+        """The structure-cached compiled space carrying *this* model's
+        rates (refilled again if another model refilled it since)."""
+        model = getattr(self, "_model", None)
+        if model is None:
+            model = self._model = self.build()
+        space = getattr(self, "_space_memo", None)
+        if space is not None:
+            return space if space.model is model else space.refill(model)
+        key = self._structure_key()
         cache = structure_cache()
 
         def build_space():
@@ -345,26 +332,125 @@ class TagsPepa:
             self._pi = steady_state(self.generator)
         return self._pi
 
+    def _state_array(self) -> np.ndarray:
+        """The tuple encoding as an ``(n_states, width)`` int array."""
+        space = self._space()
+        S = space.memo.get("tags.state_array")
+        if S is None:
+            fields_ = self._state_fields()
+            S = np.empty((space.n_states, len(fields_)), dtype=np.int64)
+            for c, (leaf, decode) in enumerate(fields_):
+                if leaf is None:
+                    S[:, c] = decode
+                    continue
+                local = space.compiled.leaves[leaf].names
+                table = np.array([decode(name) for (name,) in local])
+                S[:, c] = table[space.locals[:, leaf]]
+            space.memo["tags.state_array"] = S
+        return S
+
+    @property
+    def states(self) -> list:
+        """Reachable states as tuples, in generator order."""
+        memo = self._space().memo
+        if "tags.states" not in memo:
+            memo["tags.states"] = list(map(tuple, self._state_array().tolist()))
+        return memo["tags.states"]
+
     def metrics(self) -> QueueMetrics:
         gen = self.generator
         pi = self.pi
-        space = self._space()
-        L1 = float(pi @ space.state_reward(_q1_len))
-        L2 = float(pi @ space.state_reward(_q2_len))
+        S = self._state_array()
         x_s1 = action_throughput(gen, pi, "service1")
         x_s2 = action_throughput(gen, pi, "service2")
         x_to = action_throughput(gen, pi, "timeout")
         loss1 = action_throughput(gen, pi, "arrloss")
+        # flow balance at node 2: entries = timeouts that found space = service2
         loss2 = x_to - x_s2
         return from_population_and_throughput(
-            mean_jobs_per_node=(L1, L2),
+            # float copies: contiguous, so the dot products take the same
+            # path as a reward vector's
+            mean_jobs_per_node=(
+                float(pi @ S[:, 0].astype(float)),
+                float(pi @ S[:, self._Q2_COLUMN].astype(float)),
+            ),
             throughput=x_s1 + x_s2,
             offered_load=self.lam,
             loss_per_node=(loss1, loss2),
             extra={
-                "n_states": space.n_states,
+                "n_states": gen.n_states,
                 "timeout_throughput": x_to,
                 "service1_throughput": x_s1,
                 "service2_throughput": x_s2,
+                **self._extra(),
             },
         )
+
+
+@dataclass
+class _Figure3(CompiledTags):
+    """Figure 3 model class body (see :class:`TagsExponential`)."""
+
+    lam: float = 5.0
+    mu: float = 10.0
+    t: float = 51.0
+    n: int = 6
+    K1: int = 10
+    K2: int = 10
+    tick_during_residual: bool = False
+    mu2_service: float | None = None
+    t2: float | None = None
+    t_of_q1: Callable[[int], float] | None = None
+    restart_work: bool = True
+
+    PARAMS = TagsParameters
+    _Q2_COLUMN = 2
+
+    def build(self) -> Model:
+        return build_tags_model(self.params())
+
+    def _structure_key(self) -> tuple:
+        return (
+            "tags-figure3",
+            self.n,
+            self.K1,
+            self.K2,
+            self.tick_during_residual,
+            self.restart_work,
+        )
+
+    def _state_fields(self) -> list:
+        # sequential components: Q1_i, Timer1_k, Q2_j / Q2r_j[, Timer2_k]
+        queues = [(0, _index), (1, _index), (2, _index)]
+        if not self.restart_work:
+            # no repeat phase: the head is always in residual service
+            return queues + [(None, 1), (None, self.n - 1)]
+        return queues + [(2, lambda name: int(name[2] == "r")), (3, _index)]
+
+
+class TagsExponential(_Figure3):
+    """Two-node TAGS, exponential service (the Figure 3 chain).
+
+    State tuples ``(q1, r1, q2, ph2, r2)``: ``q1`` jobs at node 1 and
+    ``r1`` node-1 clock phases left (``n-1 .. 0``; the timeout fires at
+    0); ``q2`` jobs at node 2, ``ph2`` 0 while the head repeats its
+    node-1 time and 1 in residual service, ``r2`` repeat-clock phases
+    left.  Under ``restart_work=False`` every node-2 state reads
+    ``ph2 = 1, r2 = n - 1``.  The ``mu2_service``, ``t2``, ``t_of_q1``
+    and ``restart_work`` extensions are described in the module
+    docstring.
+    """
+
+
+class TagsPepa(_Figure3):
+    """The Figure 3 model under its PEPA-builder name.
+
+    Same parameters, chain and metrics as :class:`TagsExponential`; a
+    class of its own (not an alias) so per-class instrumentation of
+    ``generator`` / ``metrics`` wraps each name once.
+    """
+
+
+def tags_pepa_metrics(params: TagsParameters) -> QueueMetrics:
+    """Solve the Figure 3 model and extract the paper's metrics."""
+    return TagsPepa(**asdict(params)).metrics()

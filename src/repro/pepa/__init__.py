@@ -50,7 +50,6 @@ from repro.pepa.wellformed import check_model, WellFormednessError, alphabet
 from repro.pepa.fluid import FluidModel, FluidGroup
 from repro.pepa.pretty import pretty_component, pretty_model
 from repro.pepa.counted import CountedModel
-from repro.pepa.kron import kron_generator
 from repro.pepa.compiled import (
     CompileError,
     CompiledModel,
@@ -90,7 +89,6 @@ __all__ = [
     "pretty_component",
     "pretty_model",
     "CountedModel",
-    "kron_generator",
     "CompileError",
     "CompiledModel",
     "CompiledSpace",

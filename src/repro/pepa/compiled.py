@@ -10,9 +10,9 @@ exploits that in two steps:
 **Compilation** (:func:`compile_model`) flattens the cooperation tree
 into sequential *leaves*, explores each leaf's small local derivative
 graph once through the shared :class:`~repro.pepa.semantics.
-TransitionContext` (the same idea as ``kron.py``'s ``_leaf_block``), and
-turns every global transition family into a *rule*: a flat cross-product
-table of participating leaf moves with
+TransitionContext` (the leaf-local blocks of a Kronecker-style assembly),
+and turns every global transition family into a *rule*: a flat
+cross-product table of participating leaf moves with
 
 * a packed mixed-radix state key (which local states enable the rule),
 * an integer code delta (how the packed global state changes), and
@@ -38,9 +38,9 @@ passive action, mixed active/passive kinds on one side -- raises
 back to the interpreter.  Reachability-dependent errors keep interpreter
 semantics: a top-level passive transition raises
 :class:`~repro.pepa.statespace.PassiveRateError` only when a reachable
-state enables it ("poison rules" checked during the BFS, unlike
-``kron.py``'s eager whole-product-space check), and ``max_states``
-raises :class:`MemoryError`.
+state enables it ("poison rules" checked during the BFS, not eagerly
+over the whole product space), and ``max_states`` raises
+:class:`MemoryError`.
 
 **Templates**: the CSR sparsity pattern of the generator depends only on
 the structure, so :meth:`CompiledSpace.refill` re-evaluates nothing but
@@ -190,7 +190,8 @@ def _leaf_table(comp, ctx: TransitionContext) -> _Leaf:
 # factors (leaf_id, leaf_action, normalised) whose cross product, with
 # rates multiplied (normalised factors contribute their row-normalised
 # passive weights), enumerates the family.  The combination rules mirror
-# kron.py's matrix algebra, kept symbolic so rates stay refillable.
+# the Kronecker-product algebra of PEPA cooperation, kept symbolic so
+# rates stay refillable.
 
 
 class _Term:
@@ -714,6 +715,9 @@ class CompiledSpace:
         self.frontier_sizes = frontier_sizes
         self._names: "list | None" = None
         self._reward_memo: dict = {}
+        # per-structure data derived by callers (e.g. a model's own state
+        # encoding); survives refills like the reward memo
+        self.memo: dict = {}
         self._gen_template: "dict | None" = None
         self.rate = self._fill()
 
@@ -764,6 +768,7 @@ class CompiledSpace:
             if [leaf.names for leaf in self.compiled.leaves] != old_names:
                 self._names = None
                 self._reward_memo.clear()
+                self.memo.clear()
             self.rate = self._fill()
             if rec.enabled:
                 rec.add("template.refill.points")
@@ -858,10 +863,14 @@ class CompiledSpace:
             )
         ):
             return None
-        row_boundary = np.concatenate(
-            ([True], ks[1:] != ks[:-1])
-        ) if ks.size else np.empty(0, dtype=bool)
-        row_starts = np.flatnonzero(row_boundary)
+        # rows of the summed (src, dst) entries: exit rates are taken over
+        # these, as Generator.from_triples does (R.sum(axis=1) reduces the
+        # summed entries), so refilled diagonals agree bitwise even when
+        # a row is long enough for numpy's pairwise summation
+        entry_rows = ks[starts]
+        row_starts = np.flatnonzero(
+            np.concatenate(([True], entry_rows[1:] != entry_rows[:-1]))
+        ) if ks.size else np.empty(0, dtype=np.int64)
         actions = {}
         for name in sorted(gen.action_rates):
             ma = np.flatnonzero(
@@ -886,7 +895,7 @@ class CompiledSpace:
             "pos": pos,
             "diag_pos": diag_pos,
             "row_starts": row_starts,
-            "rows": ks[row_starts] if ks.size else np.empty(0, np.int64),
+            "rows": entry_rows[row_starts],
             "actions": actions,
             "csr": sp_.csr_matrix,
         }
@@ -899,8 +908,9 @@ class CompiledSpace:
         vals = self.rate[t["gather"]]
         data = np.zeros(t["nnz"], dtype=np.float64)
         if vals.size:
-            data[t["pos"]] = np.add.reduceat(vals, t["starts"])
-            exit_rates = np.add.reduceat(vals, t["row_starts"])
+            entries = np.add.reduceat(vals, t["starts"])
+            data[t["pos"]] = entries
+            exit_rates = np.add.reduceat(entries, t["row_starts"])
             data[t["diag_pos"][t["rows"]]] = -exit_rates
         Q = t["csr"](
             (data, t["indices"].copy(), t["indptr"].copy()), shape=(n, n)

@@ -93,7 +93,7 @@ def cache_key(
     Any change to the model class, any constructor parameter, the solver
     method or the tolerance yields a different key.  ``engine`` is the
     model's solve-engine tag (``SOLVE_ENGINE`` class attribute, e.g.
-    ``"pepa-compiled-v1"``): bumping it when an engine's numerics change
+    ``"pepa-compiled-v2"``): bumping it when an engine's numerics change
     retires every stale disk entry instead of silently mixing results
     computed by different code paths.
     """

@@ -72,7 +72,7 @@ def solve_point(
     """Solve one parameter point and return a cacheable record.
 
     ``model_cls(**params)`` must yield an object with ``.metrics()``.
-    Models exposing a ``generator`` (the direct CTMC constructions) are
+    Models exposing a ``generator`` (the CTMC model classes) are
     solved through :func:`~repro.ctmc.steady.steady_state` with the given
     method/tolerance and optional warm start; closed-form models (e.g.
     :class:`~repro.models.random_alloc.RandomAllocation`) simply have

@@ -65,8 +65,3 @@ class TestExploration:
         gen, _, _ = bfs_generator((0,), ring(4, rate=2.5))
         assert set(gen.action_rates) == {"step"}
         assert gen.action_rates["step"].sum() == pytest.approx(4 * 2.5)
-
-    def test_shim_import_still_works(self):
-        from repro.models._bfs import bfs_generator as shim
-
-        assert shim is bfs_generator

@@ -100,6 +100,15 @@ class TestFailureModes:
         with pytest.raises(SteadyStateError, match="empty"):
             steady_state(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", ["auto", "gth", "direct", "power"])
+    def test_non_finite_generator_rejected(self, bad, method):
+        """A nan/inf rate is a caller bug: refused before any solver runs
+        (nan used to pass to the auto chain and exhaust every method)."""
+        g = Generator.from_triples(3, [0, 1, 2], [1, 2, 0], [1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            steady_state(g, method=method)
+
 
 class TestAutoFallback:
     """auto mode: try the preferred chain, record what failed, chain the

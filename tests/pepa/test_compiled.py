@@ -228,9 +228,9 @@ class TestFragmentFallback:
 
 
 class TestPassivePoison:
-    """Reachability-sensitive passive check (the kron engine's eager
-    whole-product check would differ; the compiled engine must match the
-    interpreter exactly)."""
+    """Reachability-sensitive passive check (an eager whole-product
+    check would differ; the compiled engine must match the interpreter
+    exactly)."""
 
     def test_reachable_passive_raises(self):
         m = parse_model("P = (a, infty).P;")

@@ -5,14 +5,21 @@ drop semantics), the :class:`repro.ctmc.ChainTemplate` refill contract,
 and the end-to-end guarantee the compiled engine was built for: a
 parameter sweep over rate values runs exactly one state-space
 exploration per reachability structure, and every refilled generator is
-bit-identical to a from-scratch build.
+bit-identical to a from-scratch build (a cold compile for the PEPA
+models, a plain BFS for the direct N-node chain).
 """
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.ctmc import ChainTemplate, StructureMismatch, bfs_generator
+from repro.ctmc import (
+    ChainTemplate,
+    StructureMismatch,
+    action_throughput,
+    bfs_generator,
+    steady_state,
+)
 from repro.models import (
     TagsExponential,
     TagsHyperExponential,
@@ -21,6 +28,8 @@ from repro.models import (
     tags_pepa_metrics,
 )
 from repro.models.tags_pepa import TagsParameters
+from repro.pepa import explore, to_generator
+from repro.pepa.compiled import compile_model
 from repro.sweep import StructureCache, SweepEngine, structure_cache
 
 
@@ -141,7 +150,7 @@ class TestDirectModelTemplates:
         with obs.use(obs.Recorder()) as rec:
             for lam in (2.0, 4.0, 6.0, 8.0):
                 TagsExponential(lam=lam, **SMALL).generator
-        assert len(rec.find_spans("ctmc.bfs")) == 1
+        assert len(rec.find_spans("pepa.explore.fast")) == 1
         assert rec.counter_total("sweep.structure.miss") == 1
         assert rec.counter_total("sweep.structure.hit") == 3
 
@@ -149,7 +158,7 @@ class TestDirectModelTemplates:
         with obs.use(obs.Recorder()) as rec:
             TagsExponential(lam=2.0, **SMALL).generator
             TagsExponential(lam=2.0, **dict(SMALL, K1=5)).generator
-        assert len(rec.find_spans("ctmc.bfs")) == 2
+        assert len(rec.find_spans("pepa.explore.fast")) == 2
 
     @pytest.mark.parametrize(
         "make",
@@ -172,14 +181,17 @@ class TestDirectModelTemplates:
         ids=["exp", "exp-migrate", "exp-dynamic-t", "h2", "h2-ap1", "multinode"],
     )
     def test_refilled_generator_bit_equal(self, make):
-        """Warm build (template hit) == cold build == plain bfs_generator."""
+        """Warm build (refill of a cached structure) == cold build."""
         make(3.0).generator  # populate the template
         warm_model = make(9.0)
         warm = warm_model.generator
-        fresh, _, _ = bfs_generator(
-            warm_model._initial(), warm_model._successors
-        )
-        assert_generators_equal(warm, fresh)
+        if isinstance(warm_model, TagsMultiNode):
+            cold, _, _ = bfs_generator(
+                warm_model._initial(), warm_model._successors
+            )
+        else:
+            cold = compile_model(warm_model.build()).explore().generator()
+        assert_generators_equal(warm, cold)
 
     def test_custom_repeat_cycles_opts_out(self):
         model = TagsMultiNode(
@@ -204,15 +216,32 @@ class TestPepaSweepIntegration:
         assert rec.counter_total("template.refill.points") == len(self.GRID) - 1
 
     def test_metrics_match_interpreter_pipeline(self):
-        """TagsPepa (compiled + templates) == tags_pepa_metrics (full
-        interpreter + scratch assembly), exactly."""
+        """TagsPepa (structure cache + refilled template) == a fresh
+        exploration with a scratch generator assembly, exactly: both
+        queue lengths (node 2 read through ``state_reward`` rather than
+        the tuple projection), every throughput and both losses."""
         for point in (self.GRID[0], self.GRID[-1]):
-            fast = TagsPepa(**point).metrics()
-            slow = tags_pepa_metrics(TagsParameters(**point))
-            assert fast.mean_jobs == slow.mean_jobs
-            assert fast.throughput == slow.throughput
-            assert fast.response_time == slow.response_time
-            assert fast.extra == slow.extra
+            model = TagsPepa(**point)
+            fast = model.metrics()
+            space = explore(model.build())
+            gen = to_generator(space)
+            pi = steady_state(gen)
+            # local names: Q1_i, Timer1_k, Q2_j or Q2r_j, Timer2_k
+            q1 = space.state_reward(lambda names: float(names[0].split("_")[1]))
+            q2 = space.state_reward(lambda names: float(names[2].split("_")[1]))
+            assert fast.mean_jobs_per_node == (float(pi @ q1), float(pi @ q2))
+            x = {
+                action: action_throughput(gen, pi, action)
+                for action in ("service1", "service2", "timeout", "arrloss")
+            }
+            assert fast.throughput == x["service1"] + x["service2"]
+            assert fast.extra["timeout_throughput"] == x["timeout"]
+            assert fast.extra["service1_throughput"] == x["service1"]
+            assert fast.extra["service2_throughput"] == x["service2"]
+            assert fast.loss_per_node == (
+                x["arrloss"], x["timeout"] - x["service2"]
+            )
+            assert fast.extra["n_states"] == space.n_states
 
     def test_sweep_values_match_per_point_solves(self):
         res = SweepEngine(workers=1).sweep(TagsPepa, self.GRID)

@@ -58,7 +58,9 @@ class TestDocstrings:
             "repro.pepa.statespace",
             "repro.ctmc.steady",
             "repro.ctmc.lumping",
-            "repro.models.tags_direct",
+            "repro.models.tags_pepa",
+            "repro.models.tags_hyper",
+            "repro.models.tags_multinode",
             "repro.approx.balance",
             "repro.sim.runner",
             "repro.sweep.engine",
