@@ -1,8 +1,8 @@
 """Obs overhead: the disabled path must be free, the enabled path cheap.
 
-Benchmarks the worst-instrumented hot path -- an iterative solver that
-checks the recorder every sweep and emits a full residual trace when one
-is listening -- three ways:
+Benchmarks the worst-instrumented hot path -- power iteration, the one
+solver that emits a per-iteration convergence trace when a recorder is
+listening -- three ways:
 
 * ``recorder_off``: the default :class:`~repro.obs.NullRecorder`
   (the <2% bar for disabled observability; compare against
@@ -20,7 +20,7 @@ single-command equivalent.
 import pytest
 
 from repro import obs
-from repro.ctmc.steady import steady_state_gauss_seidel
+from repro.ctmc.steady import steady_state_power
 from repro.models import TagsExponential
 from repro.sweep import SweepEngine
 
@@ -32,13 +32,13 @@ def fig3_chain():
 
 def test_recorder_off(benchmark, fig3_chain):
     assert not obs.recorder().enabled
-    benchmark(steady_state_gauss_seidel, fig3_chain)
+    benchmark(steady_state_power, fig3_chain)
 
 
 def test_recorder_on(benchmark, fig3_chain):
     def solve():
         with obs.use(obs.Recorder()):
-            steady_state_gauss_seidel(fig3_chain)
+            steady_state_power(fig3_chain)
 
     benchmark(solve)
 
@@ -62,5 +62,5 @@ def test_disabled_path_records_nothing(fig3_chain):
     """Sanity, not timing: with the null recorder no buffers grow."""
     rec = obs.recorder()
     assert not rec.enabled
-    steady_state_gauss_seidel(fig3_chain)
+    steady_state_power(fig3_chain)
     assert rec.spans == [] and rec.counters == {} and rec.traces == []

@@ -10,8 +10,6 @@ import pytest
 
 from repro.ctmc.steady import (
     steady_state_direct,
-    steady_state_gauss_seidel,
-    steady_state_gmres,
     steady_state_gth,
     steady_state_power,
 )
@@ -21,8 +19,6 @@ SOLVERS = {
     "gth": steady_state_gth,
     "direct": steady_state_direct,
     "power": steady_state_power,
-    "gauss_seidel": steady_state_gauss_seidel,
-    "gmres": steady_state_gmres,
 }
 
 

@@ -1,13 +1,11 @@
 """Sweep-engine performance on the Figure 6/7 grid.
 
-Four configurations of the same 30-point sweep (Figure 6's t-grid over the
+Three configurations of the same 30-point sweep (Figure 6's t-grid over the
 paper's lam=5, mu=10 TAGS system):
 
 * **serial-cold** -- one worker, empty cache (the seed's behaviour, except
   the seed also solved the grid *twice*, once per figure);
 * **parallel** -- the grid fanned out over a process pool;
-* **warm-started** -- iterative solver threading each point's ``pi`` into
-  the next point's solve;
 * **cached** -- an immediate re-run answered from the content-addressed
   cache.
 
@@ -89,21 +87,3 @@ def test_serial_vs_parallel_vs_cached():
         assert t_par < t_serial, (t_par, t_serial)
     else:
         print("single-CPU container: parallel speedup not asserted")
-
-
-def test_warm_start_cuts_iterations():
-    """Adjacent grid points warm-start the iterative solvers."""
-    cold_eng = SweepEngine(workers=1, method="power", warm_start=False)
-    warm_eng = SweepEngine(workers=1, method="power")
-    cold, t_cold = _timed(lambda: cold_eng.sweep(TagsExponential, GRID))
-    warm, t_warm = _timed(lambda: warm_eng.sweep(TagsExponential, GRID))
-    it_cold = sum(s.iterations for s in cold.stats)
-    it_warm = sum(s.iterations for s in warm.stats)
-    print()
-    print(f"power iterations, cold starts: {it_cold} ({t_cold:.3f} s)")
-    print(f"power iterations, warm starts: {it_warm} ({t_warm:.3f} s)")
-    assert warm.n_warm_started == len(GRID) - 1
-    assert it_warm < it_cold
-    np.testing.assert_allclose(
-        warm.values("mean_jobs"), cold.values("mean_jobs"), atol=1e-6
-    )

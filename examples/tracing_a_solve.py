@@ -7,9 +7,10 @@ Demonstrates the three observability primitives on real work:
    cache decision files spans/counters, including anything solved in
    pool workers;
 2. re-run the sweep to show cache hits in the counters;
-3. re-solve one grid point with the GMRES solver to capture a
-   per-iteration residual trace, and export everything: a JSONL event
-   log, a CSV of the iteration trace, and the console summary table.
+3. re-solve one grid point with power iteration to capture a
+   convergence trace (the step delta every 50 iterations), and export
+   everything: a JSONL event log, a CSV of the iteration trace, and the
+   console summary table.
 
 Run:  PYTHONPATH=src python examples/tracing_a_solve.py
 """
@@ -28,7 +29,7 @@ T_GRID = [2.0, 6.0, 10.0, 14.0, 18.0]  # reduced from the paper's 39 points
 
 out_dir = pathlib.Path(tempfile.mkdtemp(prefix="repro-obs-"))
 trace_file = out_dir / "figure9.jsonl"
-csv_file = out_dir / "gmres_residuals.csv"
+csv_file = out_dir / "power_deltas.csv"
 
 rec = obs.Recorder()
 with obs.use(rec):
@@ -38,7 +39,7 @@ with obs.use(rec):
     # -- 2. the same sweep again: answered from the cache -------------
     figure9(t_grid=T_GRID)
 
-    # -- 3. one solve with an iterative method, for its residual trace
+    # -- 3. one solve with power iteration, for its convergence trace
     service = h2_service_fig9()
     mu1, mu2 = service.rates
     model = TagsHyperExponential(
@@ -46,7 +47,7 @@ with obs.use(rec):
         mu1=float(mu1), mu2=float(mu2), t=T_GRID[2],
         n=FIG9_PARAMS["n"], K1=FIG9_PARAMS["K1"], K2=FIG9_PARAMS["K2"],
     )
-    steady_state(model.generator, method="gmres")
+    steady_state(model.generator, method="power")
 
 print(f"figure 9 (reduced grid): TAG response times "
       f"{[round(float(v), 3) for v in fig.series['TAG']]}")

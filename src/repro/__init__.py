@@ -28,7 +28,7 @@ Subpackages
 ``repro.experiments``
     One function per paper figure, plus report rendering.
 ``repro.sweep``
-    Parallel, cached, warm-started parameter-sweep engine (what the
+    Parallel, cached parameter-sweep engine (what the
     figure regenerations and optimisers solve through).
 ``repro.serve``
     Online dispatcher runtime: the simulator's policies as live asyncio

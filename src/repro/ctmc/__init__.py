@@ -9,8 +9,7 @@ The public entry points are:
 * :class:`~repro.ctmc.generator.Generator` -- a validated sparse CTMC
   generator matrix with labelled transition support.
 * :func:`~repro.ctmc.steady.steady_state` -- steady-state distribution with
-  a choice of solvers (GTH, direct sparse LU, power iteration,
-  Gauss-Seidel, GMRES).
+  a choice of solvers (GTH, direct sparse LU, power iteration).
 * :func:`~repro.ctmc.transient.transient_distribution` -- uniformization.
 * :mod:`~repro.ctmc.rewards` -- expected rewards, action throughputs and
   Little's-law utilities.
@@ -24,8 +23,6 @@ from repro.ctmc.steady import (
     steady_state_gth,
     steady_state_direct,
     steady_state_power,
-    steady_state_gauss_seidel,
-    steady_state_gmres,
 )
 from repro.ctmc.transient import transient_distribution, uniformized_dtmc
 from repro.ctmc.rewards import (
@@ -47,8 +44,6 @@ from repro.ctmc.passage import (
 from repro.ctmc.lumping import lump_generator, ordinary_lumping_partition
 from repro.ctmc.accumulate import expected_accumulated_reward
 from repro.ctmc.bfs import (
-    ChainTemplate,
-    StructureMismatch,
     assemble_generator,
     bfs_arrays,
     bfs_generator,
@@ -61,8 +56,6 @@ __all__ = [
     "steady_state_gth",
     "steady_state_direct",
     "steady_state_power",
-    "steady_state_gauss_seidel",
-    "steady_state_gmres",
     "transient_distribution",
     "uniformized_dtmc",
     "expected_reward",
@@ -81,6 +74,4 @@ __all__ = [
     "bfs_generator",
     "bfs_arrays",
     "assemble_generator",
-    "ChainTemplate",
-    "StructureMismatch",
 ]

@@ -6,11 +6,9 @@ successor function ``succ(state) -> [(action, rate, next_state), ...]``
 over plain tuples; :func:`bfs_generator` explores the reachable set and
 assembles a labelled :class:`~repro.ctmc.generator.Generator`.
 
-:class:`ChainTemplate` is the evaluate-many companion: it freezes the
-reachability structure of one exploration (states, transition endpoints,
-action labels) so a parameter sweep that changes only *rate values* can
-rebuild the generator without re-walking the state graph -- the direct
-analogue of :meth:`repro.pepa.compiled.CompiledSpace.refill`.
+These chains are rebuilt from scratch per instance; sweeps that only
+change rate values refill a frozen structure on the compiled PEPA engine
+instead (:meth:`repro.pepa.compiled.CompiledSpace.refill`).
 """
 
 from __future__ import annotations
@@ -28,8 +26,6 @@ __all__ = [
     "bfs_generator",
     "bfs_arrays",
     "assemble_generator",
-    "ChainTemplate",
-    "StructureMismatch",
 ]
 
 
@@ -106,8 +102,8 @@ def assemble_generator(
 
     Parallel transitions with the same action are summed (CSR
     construction sums duplicates); self-loops are kept in the per-action
-    matrices only.  First builds and template refills share this exact
-    path, so equal inputs give bit-identical generators.
+    matrices only.  Deterministic: equal inputs give bit-identical
+    generators.
     """
     act_a = np.asarray(act, dtype=object)
     action_rates = {}
@@ -138,104 +134,3 @@ def bfs_generator(
     gen = assemble_generator(len(states), src, dst, rate, act)
     return gen, states, index
 
-
-class StructureMismatch(ValueError):
-    """A refill's transition structure differs from the template's."""
-
-
-class ChainTemplate:
-    """Frozen reachability structure of one successor-function CTMC.
-
-    ``explore()`` runs the BFS once and records everything the generator
-    assembly needs (states, endpoints, labels) plus the rates it was
-    built with.  :meth:`refill` recomputes only the rate column by
-    re-enumerating ``successors`` over the *recorded* state list -- no
-    hashing, no dict growth, no reachability discovery -- and verifies
-    the structure still matches (same transitions in the same order); a
-    model whose parameters change the structure (e.g. a rate hitting
-    exactly 0 drops transitions) raises :class:`StructureMismatch` so the
-    caller can rebuild from scratch.
-    """
-
-    __slots__ = ("states", "index", "src", "dst", "act", "rate")
-
-    def __init__(self, states, index, src, dst, rate, act) -> None:
-        self.states = states
-        self.index = index
-        self.src = src
-        self.dst = dst
-        self.rate = rate
-        self.act = act
-
-    @classmethod
-    def explore(
-        cls,
-        initial,
-        successors: Callable,
-        *,
-        max_states: int = 2_000_000,
-    ) -> "ChainTemplate":
-        return cls(*bfs_arrays(initial, successors, max_states=max_states))
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
-    @property
-    def n_transitions(self) -> int:
-        return int(self.src.size)
-
-    def refill(self, successors: Callable) -> np.ndarray:
-        """Rate column of ``successors`` over the recorded structure.
-
-        The new model must enable exactly the transitions this template
-        recorded, in the same enumeration order (true whenever only rate
-        *values* changed); anything else raises
-        :class:`StructureMismatch`.
-        """
-        rec = obs.recorder()
-        with rec.span("template.refill") as sp_:
-            out = np.empty(self.src.size, dtype=np.float64)
-            k = 0
-            src, dst, act, index = self.src, self.dst, self.act, self.index
-            n = self.src.size
-            for sid, state in enumerate(self.states):
-                for action, r, nxt in successors(state):
-                    if r < 0:
-                        raise ValueError(
-                            f"negative rate {r} for {action!r} from {state!r}"
-                        )
-                    if r == 0:
-                        continue
-                    if (
-                        k >= n
-                        or src[k] != sid
-                        or act[k] != action
-                        or dst[k] != index.get(nxt, -1)
-                    ):
-                        raise StructureMismatch(
-                            f"transition {k} differs from the template "
-                            f"(state {state!r}, action {action!r})"
-                        )
-                    out[k] = float(r)
-                    k += 1
-            if k != n:
-                raise StructureMismatch(
-                    f"refill produced {k} transitions, template has {n}"
-                )
-            if rec.enabled:
-                rec.add("template.refill.points")
-            sp_.set(transitions=n)
-        return out
-
-    def generator(self, rate: "np.ndarray | None" = None) -> Generator:
-        """Assemble the generator for ``rate`` (default: the rates the
-        template was explored with)."""
-        if rate is None:
-            rate = self.rate
-        elif rate.shape != self.src.shape:
-            raise StructureMismatch(
-                f"rate vector has {rate.size} entries, template has "
-                f"{self.src.size} transitions"
-            )
-        return assemble_generator(self.n_states, self.src, self.dst, rate, self.act)

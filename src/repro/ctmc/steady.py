@@ -11,11 +11,9 @@ Several solvers are provided because they trade accuracy against scale:
     Sparse LU on the normalised system (one balance equation replaced by
     the normalisation constraint).  Default for larger chains.
 ``power``
-    Power iteration on the uniformized DTMC.
-``gauss_seidel``
-    Classic iterative sweep; useful for very large sparse chains.
-``gmres``
-    Krylov solution of the normalised system with ILU preconditioning.
+    Power iteration on the uniformized DTMC; the last resort of the
+    ``"auto"`` fallback chain, and the only solver that accepts a
+    ``pi0`` starting vector.
 
 :func:`steady_state` picks ``gth`` below :data:`GTH_CUTOFF` states and
 ``direct`` above, which is the right default for every model in this
@@ -32,11 +30,10 @@ Explicitly requested methods never fall back.
 
 Every solver files a ``steady_state`` span (attributes: method, chain
 size, iteration count where applicable) with the process-global
-:mod:`repro.obs` recorder, and the iterative solvers additionally emit a
-per-iteration convergence trace (``steady_state.power`` etc.: step-delta
-or preconditioned-residual series).  With the default
-:class:`~repro.obs.NullRecorder` all of this is skipped behind a single
-attribute check per solve.
+:mod:`repro.obs` recorder, and power iteration additionally emits a
+per-iteration convergence trace (``steady_state.power``: the step-delta
+series).  With the default :class:`~repro.obs.NullRecorder` all of this
+is skipped behind a single attribute check per solve.
 """
 
 from __future__ import annotations
@@ -57,14 +54,15 @@ __all__ = [
     "steady_state_gth",
     "steady_state_direct",
     "steady_state_power",
-    "steady_state_gauss_seidel",
-    "steady_state_gmres",
     "GTH_CUTOFF",
-    "ITERATIVE_METHODS",
+    "METHODS",
 ]
 
 GTH_CUTOFF = 2000
 """State-count threshold below which :func:`steady_state` uses GTH."""
+
+METHODS = ("auto", "direct", "gth", "power")
+"""The ``method`` names :func:`steady_state` accepts."""
 
 
 class SteadyStateError(RuntimeError):
@@ -120,10 +118,6 @@ def _check_result(pi: np.ndarray, Q: sp.csr_matrix, tol: float) -> np.ndarray:
     return pi
 
 
-ITERATIVE_METHODS = frozenset({"power", "gauss_seidel", "gmres"})
-"""Methods that accept a ``pi0`` warm-start / an iteration count."""
-
-
 def steady_state(
     generator,
     method: str = "auto",
@@ -140,25 +134,26 @@ def steady_state(
         generator matrix.  Non-finite entries raise ``ValueError`` before
         any solver runs.
     method :
-        ``"auto"`` (default), ``"gth"``, ``"direct"``, ``"power"``,
-        ``"gauss_seidel"`` or ``"gmres"``.
+        ``"auto"`` (default), ``"gth"``, ``"direct"`` or ``"power"``.
     tol :
         Residual tolerance used to verify the returned vector (relative to
         the largest exit rate).
     pi0 :
-        Optional warm-start vector (e.g. the stationary distribution of a
-        nearby parameter point).  Used by the iterative methods
-        (:data:`ITERATIVE_METHODS`); the direct methods (``gth``,
-        ``direct``) ignore it, since they do not iterate.  Validated
-        before use: wrong length or negative entries raise ``ValueError``.
+        Optional starting vector for ``power`` (e.g. the stationary
+        distribution of a nearby parameter point); the direct methods
+        (``gth``, ``direct``) ignore it, since they do not iterate.
+        Validated before use: wrong length or negative entries raise
+        ``ValueError``.
     info :
         Optional dict the solver fills with diagnostics: ``method`` always,
-        ``iterations`` for the iterative methods, ``warm_started`` when a
+        ``iterations`` for ``power``, ``warm_started`` when a
         ``pi0`` was actually consumed, and -- in ``"auto"`` mode --
         ``fallbacks``, a list of ``{"method", "error"}`` records for every
         solver that failed before one succeeded (empty on a first-try
         solve).
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {list(METHODS)}")
     Q = _as_Q(generator)
     n = Q.shape[0]
     if n == 0:
@@ -170,19 +165,13 @@ def steady_state(
     if n == 1:
         _record_info(info, method=method, iterations=0, warm_started=False)
         return np.ones(1)
-    solvers = {
-        "gth": steady_state_gth,
-        "direct": steady_state_direct,
-        "power": steady_state_power,
-        "gauss_seidel": steady_state_gauss_seidel,
-        "gmres": steady_state_gmres,
-    }
 
     def run(m: str) -> np.ndarray:
-        if m in ITERATIVE_METHODS:
-            return solvers[m](Q, tol=tol, pi0=pi0, info=info)
+        if m == "power":
+            return steady_state_power(Q, tol=tol, pi0=pi0, info=info)
         _record_info(info, method=m, iterations=None, warm_started=False)
-        return solvers[m](Q, tol=tol)
+        solver = steady_state_gth if m == "gth" else steady_state_direct
+        return solver(Q, tol=tol)
 
     if method == "auto":
         chain = (
@@ -210,8 +199,6 @@ def steady_state(
             "all auto solvers failed: "
             + "; ".join(f"{f['method']}: {f['error']}" for f in fallbacks)
         ) from first_exc
-    if method not in solvers:
-        raise ValueError(f"unknown method {method!r}; choose from {sorted(solvers)}")
     return run(method)
 
 
@@ -376,137 +363,3 @@ def steady_state_power(
         rec.trace("steady_state.power", trace, n=n)
     return pi
 
-
-def steady_state_gauss_seidel(
-    generator,
-    tol: float = 1e-8,
-    max_iter: int = 200_000,
-    pi0=None,
-    info: dict | None = None,
-) -> np.ndarray:
-    """Gauss-Seidel sweeps on ``pi Q = 0`` (solving the transposed system
-    column-state by column-state).
-
-    Implemented with a sparse triangular solve per sweep: writing
-    ``Q^T = L + D + U``, each sweep solves ``(D + L) x_{k+1} = -U x_k``.
-    ``pi0`` warm-starts the sweeps (defaults to uniform).
-    """
-    Q = _as_Q(generator)
-    QT = sp.csc_matrix(Q.T)
-    n = QT.shape[0]
-    rec = obs.recorder()
-    t0 = time.perf_counter() if rec.enabled else 0.0
-    trace = [] if rec.enabled else None
-    DL = sp.tril(QT, k=0, format="csc")
-    U = sp.triu(QT, k=1, format="csr")
-    if np.any(DL.diagonal() == 0):
-        raise SteadyStateError("zero diagonal entry; absorbing state present")
-    x = np.full(n, 1.0 / n) if pi0 is None else _check_pi0(pi0, n)
-    delta = float("inf")
-    for it in range(1, max_iter + 1):
-        rhs = -(U @ x)
-        x_new = spla.spsolve_triangular(DL, rhs, lower=True)
-        s = x_new.sum()
-        if s == 0 or not np.all(np.isfinite(x_new)):
-            raise SteadyStateError(f"Gauss-Seidel diverged at sweep {it}")
-        x_new = x_new / s
-        delta = float(np.abs(x_new - x).max())
-        if trace is not None:
-            trace.append((it, delta))
-        if delta < tol * 1e-2:
-            x = x_new
-            break
-        x = x_new
-    else:
-        residual = float(np.abs(x @ Q).max())
-        raise SteadyStateError(
-            f"Gauss-Seidel did not converge in {max_iter} sweeps: "
-            f"last sweep delta {delta:g} (target {tol * 1e-2:g}), "
-            f"achieved residual {residual:g}"
-        )
-    _record_info(
-        info, method="gauss_seidel", iterations=it, warm_started=pi0 is not None
-    )
-    x = _check_result(x, Q, tol)
-    if rec.enabled:
-        rec.record_span(
-            "steady_state",
-            t0,
-            time.perf_counter() - t0,
-            method="gauss_seidel",
-            n=n,
-            iterations=it,
-            warm_started=pi0 is not None,
-        )
-        rec.trace("steady_state.gauss_seidel", trace, n=n)
-    return x
-
-
-def steady_state_gmres(
-    generator,
-    tol: float = 1e-8,
-    pi0=None,
-    info: dict | None = None,
-) -> np.ndarray:
-    """GMRES on the normalised system with an ILU preconditioner.
-
-    ``pi0`` is passed to GMRES as the initial Krylov guess ``x0``.
-    """
-    Q = _as_Q(generator)
-    n = Q.shape[0]
-    rec = obs.recorder()
-    t0 = time.perf_counter() if rec.enabled else 0.0
-    trace = [] if rec.enabled else None
-    A = sp.lil_matrix(Q.T)
-    A[n - 1, :] = 1.0
-    A = sp.csc_matrix(A)
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    x0 = None if pi0 is None else _check_pi0(pi0, n)
-    try:
-        ilu = spla.spilu(A, drop_tol=1e-6, fill_factor=20)
-        M = spla.LinearOperator((n, n), ilu.solve)
-    except RuntimeError:
-        M = None
-    iters = [0]
-    last_norm = [float("inf")]
-
-    def count(pr_norm):
-        iters[0] += 1
-        last_norm[0] = float(pr_norm)
-        if trace is not None:
-            trace.append((iters[0], float(pr_norm)))
-
-    x, code = spla.gmres(
-        A,
-        b,
-        rtol=tol * 1e-2,
-        atol=0.0,
-        M=M,
-        x0=x0,
-        maxiter=5000,
-        callback=count,
-        callback_type="pr_norm",
-    )
-    if code != 0:
-        raise SteadyStateError(
-            f"GMRES failed to converge after {iters[0]} iterations "
-            f"(info={code}): preconditioned residual norm {last_norm[0]:g} "
-            f"(target {tol * 1e-2:g})"
-        )
-    _record_info(
-        info, method="gmres", iterations=iters[0], warm_started=pi0 is not None
-    )
-    x = _check_result(x, Q, tol)
-    if rec.enabled:
-        rec.record_span(
-            "steady_state",
-            t0,
-            time.perf_counter() - t0,
-            method="gmres",
-            n=n,
-            iterations=iters[0],
-            warm_started=pi0 is not None,
-        )
-        rec.trace("steady_state.gmres", trace, n=n)
-    return x

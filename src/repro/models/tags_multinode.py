@@ -2,7 +2,8 @@
 matter to add more nodes").
 
 The one TAGS chain with no PEPA form: it is built directly over tuple
-states with :mod:`repro.ctmc.bfs` (see :class:`TagsMultiNode`).
+states with :mod:`repro.ctmc.bfs`, once per instance (see
+:class:`TagsMultiNode`).
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ctmc import action_throughput, steady_state
-from repro.ctmc.bfs import ChainTemplate, StructureMismatch, bfs_generator
+from repro.ctmc.bfs import bfs_generator
 from repro.models.metrics import QueueMetrics, from_population_and_throughput
-from repro.sweep.structure import structure_cache
 
 __all__ = ["TagsMultiNode"]
 
@@ -51,10 +51,6 @@ class TagsMultiNode:
             raise ValueError("need one timeout rate per non-final node")
         if min(self.lam, self.mu) <= 0 or min(self.timeouts) <= 0:
             raise ValueError("rates must be positive")
-        # remember whether the cycle policy was customised before
-        # defaulting it: a custom callable has no hashable identity, so
-        # such instances opt out of the structure cache
-        self._custom_cycles = self.repeat_cycles is not None
         if self.repeat_cycles is None:
             self.repeat_cycles = lambda i: i - 1  # node index is 1-based
 
@@ -174,42 +170,12 @@ class TagsMultiNode:
                             out.append(("timeout", t, with_node(i, next_head())))
         return out
 
-    def _structure_key(self):
-        if self._custom_cycles:
-            return None
-        # lam / mu / timeouts are rate-only (validated positive); the
-        # node count, capacities, phase count and the default cycle
-        # policy determine reachability
-        return (type(self).__qualname__, self.n, self.capacities)
-
-    SOLVE_ENGINE = "chain-template-v1"
-
-    def _build(self):
-        """``(generator, states, index)``: explore once per structure
-        key, then refill by re-enumerating ``_successors`` over the
-        frozen states (rebuilding if the structure disagrees)."""
-        key = self._structure_key()
-        initial = self._initial()
-        if key is None:
-            return bfs_generator(initial, self._successors)
-
-        def build() -> ChainTemplate:
-            return ChainTemplate.explore(initial, self._successors)
-
-        cache = structure_cache()
-        tpl = cache.get_or_build(key, build)
-        try:
-            rate = tpl.refill(self._successors)
-        except StructureMismatch:
-            cache.drop(key)
-            tpl = cache.get_or_build(key, build)
-            rate = tpl.rate
-        return tpl.generator(rate), tpl.states, tpl.index
-
     @property
     def generator(self):
         if not hasattr(self, "_gen"):
-            self._gen, self._states, self._index = self._build()
+            self._gen, self._states, self._index = bfs_generator(
+                self._initial(), self._successors
+            )
             self._pi = None
         return self._gen
 

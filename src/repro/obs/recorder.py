@@ -13,7 +13,7 @@ Event kinds
 
 **Spans** are timed, nestable regions with free-form attributes::
 
-    with rec.span("steady_state", method="gmres", n=4200) as sp:
+    with rec.span("steady_state", method="power", n=4200) as sp:
         ...
         sp.set(iterations=37)       # attributes discovered mid-region
 

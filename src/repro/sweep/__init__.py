@@ -1,4 +1,4 @@
-"""Parallel, cached, warm-started parameter sweeps.
+"""Parallel, cached parameter sweeps.
 
 Every paper figure is 30-60 independent steady-state solves; threshold-
 and timeout-tuning studies need the same shape of dense grid.  This
@@ -11,10 +11,8 @@ package makes those sweeps cheap three ways:
   ``(model class, params, method, tol)`` -- in-memory LRU plus an
   optional on-disk layer -- so repeated figures and optimiser probes hit
   the cache instead of re-solving;
-* consecutive cache misses warm-start the iterative solvers with the
-  previous point's stationary vector (``pi0``);
 * :class:`StructureCache` memoizes the *reachability structure*
-  (compiled PEPA spaces, chain templates) keyed by the structure-shaping
+  (compiled PEPA spaces) keyed by the structure-shaping
   parameters only, so a rate grid explores each state space exactly once
   and re-evaluates only the generator's rate column per point.
 

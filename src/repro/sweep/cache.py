@@ -4,15 +4,17 @@ A solve is identified by a **stable hash** of ``(model class, constructor
 parameters, solver method, tolerance)`` -- not by object identity -- so the
 same parameter point is recognised across figure functions, optimiser
 probes, processes and (with the disk layer) interpreter runs.  The cached
-value is a :class:`SolveRecord`: the stationary vector (for warm-starting
-neighbouring solves) plus the derived :class:`~repro.models.metrics.
-QueueMetrics` and solver diagnostics.
+value is a :class:`SolveRecord`: the derived :class:`~repro.models.metrics.
+QueueMetrics` plus solver diagnostics.
 
 Two layers:
 
 * an in-memory LRU (``maxsize`` records, oldest-used evicted), and
-* an optional on-disk layer (``disk_dir``): one pickle file per key,
-  written atomically (tmp file + rename).  A corrupt or unreadable file is
+* an optional on-disk layer (``disk_dir``): one JSON file per key
+  (``<key>.json``), written atomically (tmp file + rename).  JSON holds
+  only numbers, strings and lists, so loading a file from a shared cache
+  directory can never run code; ``json`` round-trips every float exactly,
+  ``inf`` included.  A corrupt or unreadable file is
   treated as a miss -- the solve is simply recomputed and the file
   rewritten -- so a killed run can never poison future runs.  A file
   that *exists but fails to load* is additionally **quarantined**: moved
@@ -29,8 +31,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
-import pickle
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
+from repro.models.metrics import QueueMetrics
 
 __all__ = ["UncacheableParams", "SolveRecord", "SolveCache", "cache_key"]
 
@@ -109,15 +112,31 @@ def cache_key(
 
 @dataclass(frozen=True)
 class SolveRecord:
-    """One cached solve: stationary vector, metrics and diagnostics."""
+    """One cached solve: metrics and solver diagnostics."""
 
-    pi: "np.ndarray | None"
-    metrics: object
+    metrics: QueueMetrics
     method: str
     iterations: "int | None"
     residual: float
     wall_time: float
-    warm_started: bool = False
+
+    def to_json(self) -> str:
+        """Serialise to JSON (numpy scalars become Python numbers)."""
+        fields = dataclasses.asdict(self)
+        return json.dumps(fields, default=lambda v: v.item())
+
+    @classmethod
+    def from_json(cls, text: str) -> "SolveRecord":
+        """Rebuild a record written by :meth:`to_json`.
+
+        Raises ``ValueError``, ``KeyError``, ``TypeError`` or
+        ``AttributeError`` on anything that is not such a record.
+        """
+        fields = json.loads(text)
+        m = fields.pop("metrics")
+        for name in ("mean_jobs_per_node", "loss_per_node", "utilisation"):
+            m[name] = tuple(m[name])
+        return cls(metrics=QueueMetrics(**m), **fields)
 
 
 @dataclass
@@ -149,7 +168,7 @@ class SolveCache:
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> str:
-        return os.path.join(os.fspath(self.disk_dir), f"{key}.pkl")
+        return os.path.join(os.fspath(self.disk_dir), f"{key}.json")
 
     def get(self, key: str) -> "SolveRecord | None":
         """Return the cached record for ``key``, or None (counted as a
@@ -162,14 +181,11 @@ class SolveCache:
         if self.disk_dir is not None:
             path = self._path(key)
             try:
-                with open(path, "rb") as fh:
-                    rec = pickle.load(fh)
-                if not isinstance(rec, SolveRecord):
-                    raise pickle.UnpicklingError("not a SolveRecord")
+                with open(path, encoding="utf-8") as fh:
+                    rec = SolveRecord.from_json(fh.read())
             except FileNotFoundError:
                 rec = None  # plain miss
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                    ImportError, IndexError, ValueError):
+            except (OSError, ValueError, KeyError, TypeError, AttributeError):
                 rec = None  # corrupt: quarantine the file, then recompute
                 self._quarantine(path)
             if rec is not None:
@@ -184,7 +200,7 @@ class SolveCache:
 
         The quarantined copy preserves the bad bytes for post-mortems; a
         later :meth:`put` of the same key recomputes and rewrites the
-        live ``.pkl`` untouched by the quarantine.  Failing to move the
+        live ``.json`` untouched by the quarantine.  Failing to move the
         file (e.g. a read-only cache dir) degrades to the old
         treat-as-miss behaviour.
         """
@@ -193,7 +209,7 @@ class SolveCache:
         if rec.enabled:
             rec.add("cache.corrupt")
         try:
-            os.replace(path, path[: -len(".pkl")] + ".corrupt")
+            os.replace(path, path[: -len(".json")] + ".corrupt")
         except OSError:
             pass
 
@@ -202,11 +218,11 @@ class SolveCache:
         self._remember(key, record)
         if self.disk_dir is not None:
             os.makedirs(self.disk_dir, exist_ok=True)
-            # atomic write: a reader never sees a half-written pickle
+            # atomic write: a reader never sees a half-written file
             fd, tmp = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
             try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(record, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(record.to_json())
                 os.replace(tmp, self._path(key))
             except BaseException:
                 try:
@@ -235,7 +251,7 @@ class SolveCache:
         self.hits = self.misses = 0
         if disk and self.disk_dir is not None and os.path.isdir(self.disk_dir):
             for name in os.listdir(self.disk_dir):
-                if name.endswith((".pkl", ".corrupt")):
+                if name.endswith((".json", ".corrupt")):
                     try:
                         os.unlink(os.path.join(self.disk_dir, name))
                     except OSError:

@@ -12,12 +12,10 @@ steady-state solves over a parameter grid.  The engine runs such sweeps
 * **cached** -- every point is first looked up in a content-addressed
   :class:`~repro.sweep.cache.SolveCache`, so re-running a figure, a
   second figure over the same grid, or an optimiser re-probing a point
-  costs a dict lookup instead of a solve;
-* **warm-started** -- adjacent grid points have nearly identical
-  stationary vectors, so consecutive cache misses thread the previous
-  point's ``pi`` into the iterative solvers as ``pi0`` (chunk-local in
-  the parallel path).  Direct solvers (``gth``/``direct``) ignore the
-  hint, which keeps parallel and serial results bit-identical.
+  costs a dict lookup instead of a solve.
+
+Every point is solved from scratch by the same deterministic solver, so
+parallel and serial results are bit-identical.
 
 The grid order is always preserved in the results, regardless of worker
 scheduling, and every point carries a :class:`~repro.sweep.stats.
@@ -39,13 +37,13 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.ctmc.steady import ITERATIVE_METHODS, steady_state
+from repro.ctmc.steady import METHODS, steady_state
 from repro.obs import SpanRecord
 from repro.sweep.cache import SolveCache, SolveRecord, UncacheableParams, cache_key
 from repro.sweep.stats import PointStats, SweepResult
@@ -67,21 +65,14 @@ def solve_point(
     params: Mapping,
     method: str = "auto",
     tol: float = 1e-8,
-    pi0=None,
 ) -> SolveRecord:
     """Solve one parameter point and return a cacheable record.
 
     ``model_cls(**params)`` must yield an object with ``.metrics()``.
     Models exposing a ``generator`` (the CTMC model classes) are
     solved through :func:`~repro.ctmc.steady.steady_state` with the given
-    method/tolerance and optional warm start; closed-form models (e.g.
-    :class:`~repro.models.random_alloc.RandomAllocation`) simply have
-    their metrics evaluated.
-
-    A ``pi0`` whose length does not match the chain is dropped rather
-    than raised: grid neighbours can legitimately have different state
-    spaces (e.g. a swept buffer size), and a stale hint must not poison
-    the sweep.
+    method/tolerance; closed-form models (e.g. :class:`~repro.models.
+    random_alloc.RandomAllocation`) simply have their metrics evaluated.
     """
     start = time.perf_counter()
     model = model_cls(**params)
@@ -89,27 +80,22 @@ def solve_point(
     if gen is None:
         metrics = model.metrics()
         return SolveRecord(
-            pi=None,
             metrics=metrics,
             method="closed_form",
             iterations=None,
             residual=0.0,
             wall_time=time.perf_counter() - start,
         )
-    if pi0 is not None and len(pi0) != gen.Q.shape[0]:
-        pi0 = None
     info: dict = {}
-    pi = steady_state(gen, method=method, tol=tol, pi0=pi0, info=info)
+    pi = steady_state(gen, method=method, tol=tol, info=info)
     model._pi = pi  # models lazily solve via .pi; hand them ours
     metrics = model.metrics()
     return SolveRecord(
-        pi=pi,
         metrics=metrics,
         method=info.get("method", method),
         iterations=info.get("iterations"),
         residual=float(np.abs(pi @ gen.Q).max()),
         wall_time=time.perf_counter() - start,
-        warm_started=bool(info.get("warm_started")),
     )
 
 
@@ -118,11 +104,10 @@ def _solve_chunk(
     param_list: Sequence[Mapping],
     method: str,
     tol: float,
-    warm_start: bool,
     record: bool = False,
 ) -> "tuple[list[SolveRecord], dict | None]":
-    """Worker entry point: solve a contiguous chunk, warm-starting each
-    point from its predecessor.  Top-level so it pickles.
+    """Worker entry point: solve a chunk of points in order.  Top-level
+    so it pickles.
 
     Returns ``(records, obs_payload)``.  With ``record=True`` (the parent
     process has a live recorder) the chunk runs under a private
@@ -133,15 +118,9 @@ def _solve_chunk(
     if record:
         child = obs.Recorder()
         with obs.use(child):
-            records, _ = _solve_chunk(model_cls, param_list, method, tol, warm_start)
+            records, _ = _solve_chunk(model_cls, param_list, method, tol)
         return records, child.drain()
-    records = []
-    pi_prev = None
-    for params in param_list:
-        rec = solve_point(model_cls, params, method, tol, pi_prev)
-        records.append(rec)
-        pi_prev = rec.pi if warm_start else None
-    return records, None
+    return [solve_point(model_cls, p, method, tol) for p in param_list], None
 
 
 def _point_span(
@@ -164,7 +143,6 @@ def _point_span(
             key=key,
             method=rec.method,
             cache_hit=hit,
-            warm_started=rec.warm_started and not hit,
             iterations=rec.iterations,
             residual=rec.residual,
         ),
@@ -208,7 +186,7 @@ class ModelSpec:
 
 @dataclass
 class SweepEngine:
-    """Cached, warm-started, optionally parallel sweep executor.
+    """Cached, optionally parallel sweep executor.
 
     Parameters
     ----------
@@ -222,16 +200,14 @@ class SweepEngine:
         caching entirely (every point solves).
     method, tol :
         Defaults forwarded to :func:`~repro.ctmc.steady.steady_state`.
-    warm_start :
-        Thread each solved point's ``pi`` into the next point's solver as
-        ``pi0``.  Only the iterative methods consume the hint.
+        An unknown ``method`` raises ``ValueError`` here, before any
+        point is solved.
     """
 
     workers: "int | None" = None
     cache: "SolveCache | bool | None" = None
     method: str = "auto"
     tol: float = 1e-8
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         if self.cache is None:
@@ -240,6 +216,10 @@ class SweepEngine:
             self.cache = None
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.method not in METHODS:
+            raise ValueError(
+                f"unknown method {self.method!r}; choose from {list(METHODS)}"
+            )
 
     # ------------------------------------------------------------------
     def resolve_workers(self, workers: "int | None", n_tasks: int) -> int:
@@ -278,7 +258,7 @@ class SweepEngine:
             return None
 
     # ------------------------------------------------------------------
-    def solve(self, model_cls: type, params: Mapping, pi0=None):
+    def solve(self, model_cls: type, params: Mapping):
         """Cache-aware single-point solve.
 
         Returns ``(metrics, PointStats)``.  Useful for optimiser probes
@@ -289,7 +269,7 @@ class SweepEngine:
         rec = self.cache.get(key) if key is not None else None
         hit = rec is not None
         if rec is None:
-            rec = solve_point(model_cls, params, self.method, self.tol, pi0)
+            rec = solve_point(model_cls, params, self.method, self.tol)
             if key is not None:
                 self.cache.put(key, rec)
         recorder.add("sweep.cache.hit" if hit else "sweep.cache.miss")
@@ -302,22 +282,20 @@ class SweepEngine:
         model_cls: type,
         grid: Sequence[Mapping],
         workers: "int | None" = None,
-        warm_start: "bool | None" = None,
     ) -> SweepResult:
         """Solve every parameter point of ``grid`` (a sequence of
         constructor-kwarg mappings) and return a :class:`SweepResult`
         in grid order.
 
         Cache hits never reach a worker; only the misses are distributed.
-        With ``workers > 1`` the misses are split into contiguous chunks
-        (one per worker) so warm-start locality survives the fan-out; if
-        the pool cannot be used (unpicklable model, restricted platform)
+        With ``workers > 1`` the misses are split into contiguous chunks,
+        one task per worker, so each worker pays its process start-up and
+        imports once; if the pool cannot be used (unpicklable model, restricted platform)
         the engine falls back to the serial path.
         """
         recorder = obs.recorder()
         t_start = time.perf_counter()
         grid = [dict(p) for p in grid]
-        warm = self.warm_start if warm_start is None else bool(warm_start)
 
         with recorder.span(
             "sweep", model=model_cls.__name__, points=len(grid)
@@ -341,12 +319,10 @@ class SweepEngine:
             if misses:
                 solved = None
                 if n_workers > 1 and len(misses) > 1:
-                    solved = self._run_parallel(
-                        model_cls, grid, misses, n_workers, warm
-                    )
+                    solved = self._run_parallel(model_cls, grid, misses, n_workers)
                 if solved is None:  # serial path (or parallel fallback)
                     n_workers = 1
-                    solved = self._run_serial(model_cls, grid, misses, warm)
+                    solved = self._run_serial(model_cls, grid, misses)
                 for i, rec in zip(misses, solved):
                     records[i] = rec
                     if keys[i] is not None:
@@ -372,15 +348,15 @@ class SweepEngine:
             )
 
     # ------------------------------------------------------------------
-    def _run_serial(self, model_cls, grid, misses, warm) -> "list[SolveRecord]":
+    def _run_serial(self, model_cls, grid, misses) -> "list[SolveRecord]":
         # in-process: solver/BFS events land in the global recorder directly
         records, _ = _solve_chunk(
-            model_cls, [grid[i] for i in misses], self.method, self.tol, warm
+            model_cls, [grid[i] for i in misses], self.method, self.tol
         )
         return records
 
     def _run_parallel(
-        self, model_cls, grid, misses, n_workers, warm
+        self, model_cls, grid, misses, n_workers
     ) -> "list[SolveRecord] | None":
         """Fan the misses out over a process pool; None on failure (the
         caller then falls back to the serial path).
@@ -403,7 +379,6 @@ class SweepEngine:
                         [grid[i] for i in chunk],
                         self.method,
                         self.tol,
-                        warm,
                         recorder.enabled,
                     )
                     for chunk in chunks

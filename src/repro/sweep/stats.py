@@ -2,10 +2,9 @@
 
 Every sweep returns, alongside the metrics, one :class:`PointStats` per
 grid point: which solver ran, whether the point came out of the cache,
-whether it was warm-started, the iteration count (iterative methods only),
-the verified residual and the wall time.  :class:`SweepResult.summary`
-aggregates these so benchmarks can report "N solves, M cache hits, X s"
-without re-deriving anything.
+the iteration count (``power`` only), the verified residual and the wall
+time.  :class:`SweepResult.summary` aggregates these so benchmarks can
+report "N solves, M cache hits, X s" without re-deriving anything.
 
 Since the :mod:`repro.obs` layer, ``PointStats`` is no longer assembled
 by hand: the engine files one ``sweep.point`` span per grid point (into
@@ -29,7 +28,6 @@ class PointStats:
     key: "str | None"
     method: str
     cache_hit: bool
-    warm_started: bool
     iterations: "int | None"
     residual: float
     wall_time: float
@@ -49,7 +47,6 @@ class PointStats:
             key=a.get("key"),
             method=a["method"],
             cache_hit=a["cache_hit"],
-            warm_started=a["warm_started"],
             iterations=a.get("iterations"),
             residual=a["residual"],
             wall_time=span.duration,
@@ -84,10 +81,6 @@ class SweepResult:
         """Points that actually invoked a steady-state solver."""
         return sum(1 for s in self.stats if not s.cache_hit)
 
-    @property
-    def n_warm_started(self) -> int:
-        return sum(1 for s in self.stats if s.warm_started)
-
     def values(self, metric: str):
         """Extract one metric attribute across all points as a list."""
         return [getattr(m, metric) for m in self.metrics]
@@ -98,7 +91,6 @@ class SweepResult:
             "points": self.n_points,
             "solves": self.n_solves,
             "cache_hits": self.n_hits,
-            "warm_started": self.n_warm_started,
             "workers": self.workers,
             "wall_time": self.wall_time,
             "solve_time": sum(s.wall_time for s in self.stats if not s.cache_hit),
@@ -111,7 +103,7 @@ def format_sweep_stats(result: SweepResult, label: str = "sweep") -> str:
     s = result.summary()
     return (
         f"{label}: {s['points']} points, {s['solves']} solves, "
-        f"{s['cache_hits']} cache hits, {s['warm_started']} warm-started, "
+        f"{s['cache_hits']} cache hits, "
         f"{s['workers']} worker(s), {s['wall_time']:.3f} s wall "
         f"(residual <= {s['max_residual']:.2e})"
     )

@@ -5,17 +5,16 @@ point, so a 16-point lambda grid is 16 misses -- each of which used to
 re-explore an identical state space.  This cache keys on the **structure
 parameters only** (queue capacities, phase counts, topology flags --
 whatever the model class declares shapes its reachability graph) and
-stores the expensive frozen artefact: a
-:class:`~repro.ctmc.bfs.ChainTemplate` for direct successor-function
-models, a :class:`~repro.pepa.compiled.CompiledSpace` for PEPA models.
+stores the expensive frozen artefact, a
+:class:`~repro.pepa.compiled.CompiledSpace` for the TAGS PEPA models.
 Rate-only parameters (lambda, mu, t) never enter the key, so the whole
 grid shares one entry and exploration happens exactly once per
 structure -- the property ``tests/sweep/test_structure_cache.py`` pins
-via the ``ctmc.bfs`` / ``pepa.explore.fast`` span counts.
+via the ``pepa.explore.fast`` span count.
 
 In-memory only, deliberately: the artefacts hold live numpy arrays and
 component expressions, rebuilding one takes milliseconds-to-a-second,
-and pickling them to disk would dwarf the solve records.  Hits and
+and serialising them to disk would dwarf the solve records.  Hits and
 misses are counted on the instance and as ``sweep.structure.hit`` /
 ``sweep.structure.miss`` obs counters; each miss's build runs inside a
 ``sweep.structure.build`` span.
@@ -33,7 +32,7 @@ __all__ = ["StructureCache", "structure_cache"]
 
 
 class StructureCache:
-    """Keyed LRU of frozen model structures (templates, compiled spaces).
+    """Keyed LRU of frozen model structures (compiled PEPA spaces).
 
     Keys must be hashable and should contain *only* structure-shaping
     parameters; including a rate parameter silently degrades the cache

@@ -6,8 +6,6 @@ import pytest
 from repro.ctmc import Generator, SteadyStateError, steady_state
 from repro.ctmc.steady import (
     steady_state_direct,
-    steady_state_gauss_seidel,
-    steady_state_gmres,
     steady_state_gth,
     steady_state_power,
 )
@@ -16,8 +14,6 @@ ALL_SOLVERS = [
     steady_state_gth,
     steady_state_direct,
     steady_state_power,
-    steady_state_gauss_seidel,
-    steady_state_gmres,
 ]
 
 
@@ -90,11 +86,6 @@ class TestFailureModes:
         g = Generator.from_triples(2, [0], [1], [1.0])
         with pytest.raises(SteadyStateError):
             steady_state_gth(g)
-
-    def test_gauss_seidel_absorbing_raises(self):
-        g = Generator.from_triples(2, [0], [1], [1.0])
-        with pytest.raises(SteadyStateError):
-            steady_state_gauss_seidel(g)
 
     def test_empty_chain(self):
         with pytest.raises(SteadyStateError, match="empty"):

@@ -44,6 +44,51 @@ class TestThreeNodes:
         assert per[0] > per[1] > per[2]
 
 
+class TestPinnedMetrics:
+    """Values recorded from the structure-cached builder this model used
+    before it built every instance with one plain BFS; the build path
+    (``bfs_arrays`` + ``assemble_generator``) is unchanged, so they must
+    hold exactly."""
+
+    @pytest.mark.parametrize(
+        "params, expect",
+        [
+            (
+                dict(lam=5.0, mu=10.0, timeouts=(30.0, 15.0), n=2,
+                     capacities=(4, 4, 4)),
+                dict(
+                    n_states=3213,
+                    mean_jobs=1.605537828265064,
+                    throughput=4.9362876422065485,
+                    per_node=(0.2674694797743539, 0.8839632865138553,
+                              0.454105061976855),
+                    arrival_loss=0.004904183042611638,
+                ),
+            ),
+            (
+                dict(lam=9.0, mu=10.0, timeouts=(45.0, 22.0), n=4,
+                     capacities=(4, 4, 4)),
+                dict(
+                    n_states=20757,
+                    mean_jobs=3.313997863536725,
+                    throughput=8.246503468865953,
+                    per_node=(0.7802125136932115, 2.1316444585341525,
+                              0.4021408913093608),
+                    arrival_loss=0.16377059067917607,
+                ),
+            ),
+        ],
+        ids=["n2-lam5", "n4-lam9"],
+    )
+    def test_three_node_metrics_exact(self, params, expect):
+        m = TagsMultiNode(**params).metrics()
+        assert m.extra["n_states"] == expect["n_states"]
+        assert m.mean_jobs == expect["mean_jobs"]
+        assert m.throughput == expect["throughput"]
+        assert m.mean_jobs_per_node == expect["per_node"]
+        assert m.extra["arrival_loss"] == expect["arrival_loss"]
+
+
 class TestValidation:
     def test_needs_two_nodes(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
 """Content-addressed solve cache: keying, hit/miss semantics, disk layer."""
 
+import dataclasses
+import json
 import os
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.experiments import FIG6_PARAMS
 from repro.models import TagsExponential
+from repro.models.metrics import from_population_and_throughput
 from repro.sweep import (
     ModelSpec,
     SolveCache,
@@ -20,6 +24,16 @@ from repro.sweep.cache import _canon
 from tests.sweep._counting_model import CountingMM1K
 
 PARAMS = dict(lam=2.0, mu=5.0, K=10)
+
+
+class _WritesMarker:
+    """Unpickling this object writes a marker file."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
 @pytest.fixture(autouse=True)
@@ -145,15 +159,62 @@ class TestDiskLayer:
         m2, s2 = eng2.solve(CountingMM1K, PARAMS)
         assert CountingMM1K.builds == 1
         assert s2.cache_hit
-        assert m2.mean_jobs == m1.mean_jobs
-        np.testing.assert_array_equal(
-            eng2.cache.get(s2.key).pi, eng1.cache.get(s2.key).pi
+        assert m2 == m1
+        assert eng2.cache.get(s2.key) == eng1.cache.get(s2.key)
+
+    def test_figure6_point_round_trips_exactly(self, tmp_path):
+        """Every metric field of a Figure 6 point survives the JSON
+        layer with ``==`` (floats round-trip bit for bit)."""
+        params = dict(FIG6_PARAMS, t=52.0)
+        m1, _ = make_engine(cache=SolveCache(disk_dir=tmp_path)).solve(
+            TagsExponential, params
         )
+        m2, s2 = make_engine(cache=SolveCache(disk_dir=tmp_path)).solve(
+            TagsExponential, params
+        )
+        assert s2.cache_hit
+        for f in dataclasses.fields(m1):
+            assert getattr(m2, f.name) == getattr(m1, f.name), f.name
+        assert m2 == m1
+
+    def test_infinite_response_time_round_trips(self, tmp_path):
+        metrics = from_population_and_throughput(
+            mean_jobs_per_node=(1.5, 0.25), throughput=0.0, offered_load=3.0,
+            loss_per_node=(3.0, 0.0), extra={"n_states": np.int64(7)},
+        )
+        assert metrics.response_time == float("inf")
+        rec = SolveRecord(
+            metrics=metrics, method="gth", iterations=None,
+            residual=1e-17, wall_time=0.5,
+        )
+        SolveCache(disk_dir=tmp_path).put("k", rec)
+        back = SolveCache(disk_dir=tmp_path).get("k")
+        assert back == rec
+        assert back.metrics.response_time == float("inf")
+        assert back.metrics.mean_jobs_per_node == (1.5, 0.25)
+
+    def test_pickle_file_is_never_loaded(self, tmp_path):
+        """A planted ``<key>.pkl`` whose unpickling would run code is
+        ignored: no marker file appears and the point recomputes."""
+        marker = tmp_path / "pwned"
+        key = make_engine()._key(CountingMM1K, PARAMS)
+        with open(tmp_path / f"{key}.pkl", "wb") as fh:
+            pickle.dump(_WritesMarker(str(marker)), fh)
+
+        eng = make_engine(cache=SolveCache(disk_dir=tmp_path))
+        _, s = eng.solve(CountingMM1K, PARAMS)
+        assert not s.cache_hit and CountingMM1K.builds == 1
+        assert not marker.exists()
+        assert eng.cache.corrupt == 0
+        # control: loading the planted file would have written the marker
+        with open(tmp_path / f"{key}.pkl", "rb") as fh:
+            pickle.load(fh).close()
+        assert marker.exists()
 
     def test_corrupt_file_recomputes(self, tmp_path):
         eng1 = make_engine(cache=SolveCache(disk_dir=tmp_path))
         _, s1 = eng1.solve(CountingMM1K, PARAMS)
-        (tmp_path / f"{s1.key}.pkl").write_bytes(b"not a pickle at all")
+        (tmp_path / f"{s1.key}.json").write_bytes(b"not json at all")
 
         eng2 = make_engine(cache=SolveCache(disk_dir=tmp_path))
         _, s2 = eng2.solve(CountingMM1K, PARAMS)
@@ -164,10 +225,10 @@ class TestDiskLayer:
         _, s3 = eng3.solve(CountingMM1K, PARAMS)
         assert s3.cache_hit
 
-    def test_truncated_pickle_recomputes(self, tmp_path):
+    def test_truncated_entry_recomputes(self, tmp_path):
         eng1 = make_engine(cache=SolveCache(disk_dir=tmp_path))
         _, s1 = eng1.solve(CountingMM1K, PARAMS)
-        path = tmp_path / f"{s1.key}.pkl"
+        path = tmp_path / f"{s1.key}.json"
         path.write_bytes(path.read_bytes()[:20])
 
         eng2 = make_engine(cache=SolveCache(disk_dir=tmp_path))
@@ -177,21 +238,20 @@ class TestDiskLayer:
     def test_wrong_object_type_recomputes(self, tmp_path):
         eng1 = make_engine(cache=SolveCache(disk_dir=tmp_path))
         _, s1 = eng1.solve(CountingMM1K, PARAMS)
-        with open(tmp_path / f"{s1.key}.pkl", "wb") as fh:
-            pickle.dump({"not": "a record"}, fh)
+        (tmp_path / f"{s1.key}.json").write_text(json.dumps({"not": "a record"}))
         eng2 = make_engine(cache=SolveCache(disk_dir=tmp_path))
         _, s2 = eng2.solve(CountingMM1K, PARAMS)
         assert not s2.cache_hit and CountingMM1K.builds == 2
 
     def test_corrupt_entry_is_quarantined(self, tmp_path):
-        """A truncated pickle is moved aside to <key>.corrupt -- the bad
+        """A truncated entry is moved aside to <key>.corrupt -- the bad
         bytes survive for post-mortems -- counted on the cache and in
-        obs, and the recompute heals the live .pkl."""
+        obs, and the recompute heals the live .json."""
         from repro import obs
 
         eng1 = make_engine(cache=SolveCache(disk_dir=tmp_path))
         _, s1 = eng1.solve(CountingMM1K, PARAMS)
-        path = tmp_path / f"{s1.key}.pkl"
+        path = tmp_path / f"{s1.key}.json"
         bad_bytes = path.read_bytes()[:20]
         path.write_bytes(bad_bytes)
 
@@ -220,14 +280,14 @@ class TestDiskLayer:
         cache = SolveCache(disk_dir=tmp_path)
         eng = make_engine(cache=cache)
         _, s = eng.solve(CountingMM1K, PARAMS)
-        path = tmp_path / f"{s.key}.pkl"
+        path = tmp_path / f"{s.key}.json"
         path.write_bytes(b"junk")
         SolveCache(disk_dir=tmp_path).get(s.key)  # quarantines
         assert (tmp_path / f"{s.key}.corrupt").exists()
         cache.clear(disk=True)
         assert [
             p for p in os.listdir(tmp_path)
-            if p.endswith((".pkl", ".corrupt"))
+            if p.endswith((".json", ".corrupt"))
         ] == []
 
     def test_no_stray_tmp_files(self, tmp_path):
@@ -240,7 +300,7 @@ class TestDiskLayer:
         eng = make_engine(cache=cache)
         eng.solve(CountingMM1K, PARAMS)
         cache.clear(disk=True)
-        assert [p for p in os.listdir(tmp_path) if p.endswith(".pkl")] == []
+        assert [p for p in os.listdir(tmp_path) if p.endswith(".json")] == []
         eng.solve(CountingMM1K, PARAMS)
         assert CountingMM1K.builds == 2
 
@@ -269,9 +329,9 @@ class TestModelSpec:
         eng = make_engine()
         _, s = eng.solve(CountingMM1K, PARAMS)
         rec = eng.cache.get(s.key)
-        clone = pickle.loads(pickle.dumps(rec))
+        clone = pickle.loads(pickle.dumps(rec))  # pool workers ship records
         assert isinstance(clone, SolveRecord)
-        np.testing.assert_array_equal(clone.pi, rec.pi)
+        assert clone == rec
 
 
 class TestEngineTag:

@@ -1,5 +1,6 @@
-"""Sweep engine: parallel determinism, warm-start plumbing, worker
-resolution, and the figure-level shared-solve guarantee."""
+"""Sweep engine: parallel determinism, per-point stats, method
+validation, worker resolution, and the figure-level shared-solve
+guarantee."""
 
 import numpy as np
 import pytest
@@ -44,32 +45,8 @@ class TestDeterminism:
             ref, _ = SweepEngine(workers=1).solve(TagsExponential, p)
             assert ref.mean_jobs == m.mean_jobs
 
-    def test_warm_start_stays_within_tolerance(self):
-        """Iterative warm-started sweeps agree with GTH within tol."""
-        ref = SweepEngine(workers=1, method="gth").sweep(
-            TagsExponential, fig6_grid()
-        )
-        warm = SweepEngine(workers=1, method="gauss_seidel").sweep(
-            TagsExponential, fig6_grid()
-        )
-        np.testing.assert_allclose(
-            warm.values("mean_jobs"), ref.values("mean_jobs"), atol=1e-6
-        )
-        assert warm.n_warm_started == len(T_GRID) - 1
 
-
-class TestWarmStartPlumbing:
-    def test_iterations_drop_with_warm_start(self):
-        dense = [dict(FIG6_SMALL, t=float(t)) for t in np.arange(40.0, 61.0, 2.0)]
-        cold = SweepEngine(
-            workers=1, method="power", warm_start=False
-        ).sweep(TagsExponential, dense)
-        warm = SweepEngine(workers=1, method="power").sweep(TagsExponential, dense)
-        assert sum(s.iterations for s in warm.stats) < sum(
-            s.iterations for s in cold.stats
-        )
-        assert cold.n_warm_started == 0
-
+class TestPointStats:
     def test_stats_fields(self):
         res = SweepEngine(workers=1).sweep(TagsExponential, fig6_grid())
         for s in res.stats:
@@ -80,13 +57,16 @@ class TestWarmStartPlumbing:
         assert summary["points"] == summary["solves"] == len(T_GRID)
         assert summary["cache_hits"] == 0
 
-    def test_mixed_state_spaces_drop_stale_pi0(self):
-        """Sweeping a parameter that changes the state space must not
-        poison warm starts (the hint is silently dropped)."""
-        grid = [dict(FIG6_SMALL, K1=k, t=50.0) for k in (3, 4, 5)]
-        res = SweepEngine(workers=1, method="power").sweep(TagsExponential, grid)
-        assert res.n_points == 3
-        assert all(s.residual < 1e-7 for s in res.stats)
+
+class TestMethodValidation:
+    @pytest.mark.parametrize("method", ["gmres", "gauss_seidel"])
+    def test_unknown_method_rejected_at_construction(self, method):
+        """A bad method fails when the engine is built, not after a
+        parallel sweep has spun its pool down and rerun serially."""
+        with pytest.raises(ValueError, match="unknown method") as exc:
+            SweepEngine(method=method)
+        for name in ("auto", "direct", "gth", "power"):
+            assert repr(name) in str(exc.value)
 
 
 class TestWorkerResolution:

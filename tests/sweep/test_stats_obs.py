@@ -27,20 +27,19 @@ class TestFromSpan:
     def test_round_trip(self):
         span = obs.SpanRecord(
             name="sweep.point", t0=1.0, duration=0.25,
-            attrs=dict(index=3, key="k", method="gth", cache_hit=False,
-                       warm_started=True, iterations=17, residual=1e-9),
+            attrs=dict(index=3, key="k", method="power", cache_hit=False,
+                       iterations=17, residual=1e-9),
         )
         stats = PointStats.from_span(span)
         assert stats == PointStats(
-            index=3, key="k", method="gth", cache_hit=False,
-            warm_started=True, iterations=17, residual=1e-9, wall_time=0.25,
+            index=3, key="k", method="power", cache_hit=False,
+            iterations=17, residual=1e-9, wall_time=0.25,
         )
 
     def test_optional_fields_default(self):
         span = obs.SpanRecord(
             name="sweep.point", t0=0.0, duration=0.0,
-            attrs=dict(index=0, method="gth", cache_hit=True,
-                       warm_started=False, residual=0.0),
+            attrs=dict(index=0, method="gth", cache_hit=True, residual=0.0),
         )
         stats = PointStats.from_span(span)
         assert stats.key is None and stats.iterations is None

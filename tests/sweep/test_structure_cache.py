@@ -1,29 +1,20 @@
 """Structure-level caching: explore once per structure, refill per point.
 
 Covers the :class:`repro.sweep.StructureCache` itself (LRU, counters,
-drop semantics), the :class:`repro.ctmc.ChainTemplate` refill contract,
-and the end-to-end guarantee the compiled engine was built for: a
-parameter sweep over rate values runs exactly one state-space
-exploration per reachability structure, and every refilled generator is
-bit-identical to a from-scratch build (a cold compile for the PEPA
-models, a plain BFS for the direct N-node chain).
+drop semantics) and the end-to-end guarantee the compiled engine was
+built for: a parameter sweep over rate values runs exactly one
+state-space exploration per reachability structure, and every refilled
+generator is bit-identical to a cold compile.
 """
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.ctmc import (
-    ChainTemplate,
-    StructureMismatch,
-    action_throughput,
-    bfs_generator,
-    steady_state,
-)
+from repro.ctmc import action_throughput, steady_state
 from repro.models import (
     TagsExponential,
     TagsHyperExponential,
-    TagsMultiNode,
     TagsPepa,
     tags_pepa_metrics,
 )
@@ -93,55 +84,6 @@ class TestStructureCache:
         assert len(rec.find_spans("sweep.structure.build")) == 1
 
 
-SUCC_RATE = {"fast": 7.0, "slow": 2.0}
-
-
-def ring_successors(rate):
-    def succ(state):
-        return [("step", rate, ((state[0] + 1) % 4,))]
-
-    return succ
-
-
-class TestChainTemplate:
-    def test_refill_matches_fresh(self):
-        tpl = ChainTemplate.explore((0,), ring_successors(7.0))
-        rate = tpl.refill(ring_successors(2.0))
-        fresh, _, _ = bfs_generator((0,), ring_successors(2.0))
-        assert_generators_equal(tpl.generator(rate), fresh)
-
-    def test_default_rates_roundtrip(self):
-        tpl = ChainTemplate.explore((0,), ring_successors(7.0))
-        fresh, _, _ = bfs_generator((0,), ring_successors(7.0))
-        assert_generators_equal(tpl.generator(), fresh)
-
-    def test_structure_mismatch_on_extra_transition(self):
-        tpl = ChainTemplate.explore((0,), ring_successors(7.0))
-
-        def branching(state):
-            return [
-                ("step", 1.0, ((state[0] + 1) % 4,)),
-                ("jump", 1.0, ((state[0] + 2) % 4,)),
-            ]
-
-        with pytest.raises(StructureMismatch):
-            tpl.refill(branching)
-
-    def test_structure_mismatch_on_dropped_transition(self):
-        tpl = ChainTemplate.explore((0,), ring_successors(7.0))
-
-        def gated(state):
-            return [("step", 1.0 if state[0] == 0 else 0.0, ((state[0] + 1) % 4,))]
-
-        with pytest.raises(StructureMismatch):
-            tpl.refill(gated)
-
-    def test_rate_vector_shape_checked(self):
-        tpl = ChainTemplate.explore((0,), ring_successors(7.0))
-        with pytest.raises(StructureMismatch):
-            tpl.generator(np.ones(tpl.n_transitions + 1))
-
-
 SMALL = dict(mu=10.0, t=51.0, n=3, K1=4, K2=4)
 
 
@@ -175,32 +117,16 @@ class TestDirectModelTemplates:
             lambda lam: TagsHyperExponential(
                 lam=lam, n=2, K1=3, K2=3, alpha_prime=1.0
             ),
-            lambda lam: TagsMultiNode(lam=lam, n=2, capacities=(3, 3, 3),
-                                      timeouts=(51.0, 31.0)),
         ],
-        ids=["exp", "exp-migrate", "exp-dynamic-t", "h2", "h2-ap1", "multinode"],
+        ids=["exp", "exp-migrate", "exp-dynamic-t", "h2", "h2-ap1"],
     )
     def test_refilled_generator_bit_equal(self, make):
         """Warm build (refill of a cached structure) == cold build."""
         make(3.0).generator  # populate the template
         warm_model = make(9.0)
         warm = warm_model.generator
-        if isinstance(warm_model, TagsMultiNode):
-            cold, _, _ = bfs_generator(
-                warm_model._initial(), warm_model._successors
-            )
-        else:
-            cold = compile_model(warm_model.build()).explore().generator()
+        cold = compile_model(warm_model.build()).explore().generator()
         assert_generators_equal(warm, cold)
-
-    def test_custom_repeat_cycles_opts_out(self):
-        model = TagsMultiNode(
-            lam=3.0, n=2, capacities=(3, 3), timeouts=(51.0,),
-            repeat_cycles=lambda i: 2 * i,
-        )
-        before = len(structure_cache())
-        model.generator
-        assert len(structure_cache()) == before  # uncacheable: no entry
 
 
 class TestPepaSweepIntegration:
