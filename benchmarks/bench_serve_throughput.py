@@ -52,6 +52,8 @@ def run_and_count(make_runtime, t_end):
 
 
 def report(benchmark, state):
+    if benchmark.stats is None:  # --benchmark-disable smoke runs
+        return
     mean = benchmark.stats.stats.mean
     benchmark.extra_info["decisions"] = state["decisions"]
     benchmark.extra_info["decisions_per_sec"] = state["decisions"] / mean

@@ -44,11 +44,6 @@ class OptimisationResult:
     grid_t: np.ndarray
     grid_values: np.ndarray
 
-    @property
-    def mean_timeout(self) -> float | None:
-        """n/t when the caller records n in ``extra``; None otherwise."""
-        return None
-
 
 def optimise_timeout(
     model_factory: "Callable | ModelSpec",

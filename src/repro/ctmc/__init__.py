@@ -44,6 +44,7 @@ from repro.ctmc.passage import (
 from repro.ctmc.lumping import lump_generator, ordinary_lumping_partition
 from repro.ctmc.accumulate import expected_accumulated_reward
 from repro.ctmc.bfs import (
+    TupleChain,
     assemble_generator,
     bfs_arrays,
     bfs_generator,
@@ -71,6 +72,7 @@ __all__ = [
     "lump_generator",
     "ordinary_lumping_partition",
     "expected_accumulated_reward",
+    "TupleChain",
     "bfs_generator",
     "bfs_arrays",
     "assemble_generator",

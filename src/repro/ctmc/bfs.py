@@ -1,10 +1,13 @@
 """Breadth-first CTMC construction over tuple-encoded states.
 
-Chains built directly over tuple states (the N-node TAGS extension, the
-shortest-queue / round-robin / MMPP chains, tagged-job chains) define a
-successor function ``succ(state) -> [(action, rate, next_state), ...]``
-over plain tuples; :func:`bfs_generator` explores the reachable set and
-assembles a labelled :class:`~repro.ctmc.generator.Generator`.
+Chains without a PEPA form define a successor function
+``succ(state) -> [(action, rate, next_state), ...]`` over plain tuples;
+:func:`bfs_generator` explores the reachable set and assembles a
+labelled :class:`~repro.ctmc.generator.Generator`.  The model classes
+built this way (shortest queue, round robin, the MMPP chains and N-node
+TAGS) subclass :class:`TupleChain`, which owns the lazy
+``generator``/``states``/``pi`` protocol the sweep engine drives; the
+tagged-job chains call :func:`bfs_generator` directly.
 
 These chains are rebuilt from scratch per instance; sweeps that only
 change rate values refill a frozen structure on the compiled PEPA engine
@@ -21,8 +24,11 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.ctmc import Generator
+from repro.ctmc.rewards import action_throughput
+from repro.ctmc.steady import steady_state
 
 __all__ = [
+    "TupleChain",
     "bfs_generator",
     "bfs_arrays",
     "assemble_generator",
@@ -134,3 +140,54 @@ def bfs_generator(
     gen = assemble_generator(len(states), src, dst, rate, act)
     return gen, states, index
 
+
+class TupleChain:
+    """A model class whose CTMC is explored from tuple states.
+
+    Subclasses supply ``_initial()`` and ``_successors(state)``; the
+    chain is built by one :func:`bfs_generator` call on first access.
+    ``pi`` is solved once and memoised; a vector already stored in
+    ``_pi`` (the sweep engine hands in its own solve) is used as is.
+    """
+
+    _pi = None
+
+    def _initial(self):
+        raise NotImplementedError
+
+    def _successors(self, state):
+        raise NotImplementedError
+
+    @property
+    def generator(self) -> Generator:
+        if not hasattr(self, "_gen"):
+            self._gen, self._states, _ = bfs_generator(
+                self._initial(), self._successors
+            )
+        return self._gen
+
+    @property
+    def states(self) -> list:
+        _ = self.generator
+        return self._states
+
+    @property
+    def n_states(self) -> int:
+        return self.generator.n_states
+
+    @property
+    def pi(self) -> np.ndarray:
+        if self._pi is None:
+            self._pi = steady_state(self.generator)
+        return self._pi
+
+    def mean(self, f) -> float:
+        """Steady-state expectation of ``f(state)``."""
+        return float(self.pi @ np.array([f(s) for s in self.states], dtype=float))
+
+    def throughput(self, action: str) -> float:
+        """Steady-state rate of ``action``; 0.0 if the chain never fires
+        it."""
+        if action not in self.generator.action_rates:
+            return 0.0
+        return action_throughput(self.generator, self.pi, action)

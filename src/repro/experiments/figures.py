@@ -150,18 +150,26 @@ def figure7(t_grid=FIG6_T_GRID) -> FigureData:
 # Figure 8: response time vs arrival rate, TAGS optimised per lambda
 # ----------------------------------------------------------------------
 
+def _best_integer_t(model_cls, params: dict, t_range, metric: str) -> int:
+    """The integer timeout rate in ``t_range`` minimising ``metric``
+    (maximising it for throughput), as one engine sweep: repeated calls
+    and the figures' re-solves at the optimum hit the cache."""
+    t_range = list(t_range)
+    grid = [dict(params, t=float(t)) for t in t_range]
+    res = default_engine().sweep(model_cls, grid)
+    vals = np.asarray(res.values(metric), dtype=float)
+    if metric == "throughput":
+        vals = -vals
+    return t_range[int(np.argmin(vals))]
+
+
 def optimal_integer_t(
     lam: float, metric: str = "mean_jobs", t_range=range(25, 70), **overrides
 ) -> int:
     """Queue-length-optimal integer timeout rate (the paper's Fig 8
-    procedure).  The integer grid is one engine sweep, so repeated calls
-    (and the figure's re-solve at the optimum) hit the cache."""
-    params = {**FIG6_PARAMS, **overrides}
-    params["lam"] = float(lam)
-    t_range = list(t_range)
-    grid = [dict(params, t=float(t)) for t in t_range]
-    res = default_engine().sweep(TagsExponential, grid)
-    return t_range[int(np.argmin(res.values(metric)))]
+    procedure)."""
+    params = {**FIG6_PARAMS, **overrides, "lam": float(lam)}
+    return _best_integer_t(TagsExponential, params, t_range, metric)
 
 
 def figure8(lambdas=FIG8_LAMBDAS) -> FigureData:
@@ -203,14 +211,18 @@ def figure8(lambdas=FIG8_LAMBDAS) -> FigureData:
 # Figures 9-10: H2 service, sweep timeout rate
 # ----------------------------------------------------------------------
 
-def _tags_h2_sweep(t_grid, service, lam, **overrides):
+def _h2_params(service, lam: float) -> dict:
+    """``TagsHyperExponential`` parameters (all but ``t``) for an H2
+    ``service`` at arrival rate ``lam``, with the paper's n and buffers."""
     mu1, mu2 = service.rates
-    alpha = float(service.probs[0])
-    params = dict(
-        lam=float(lam), alpha=alpha, mu1=float(mu1), mu2=float(mu2),
+    return dict(
+        lam=float(lam), alpha=float(service.probs[0]), mu1=float(mu1), mu2=float(mu2),
         n=FIG9_PARAMS["n"], K1=FIG9_PARAMS["K1"], K2=FIG9_PARAMS["K2"],
     )
-    params.update(overrides)
+
+
+def _tags_h2_sweep(t_grid, service, lam, **overrides):
+    params = {**_h2_params(service, lam), **overrides}
     grid = [dict(params, t=float(t)) for t in t_grid]
     return default_engine().sweep(TagsHyperExponential, grid).metrics
 
@@ -266,19 +278,9 @@ def optimal_integer_t_h2(
     Figures 11 and 12 call this per alpha with different metrics; the
     underlying solves are identical, so the second figure's searches are
     pure cache hits."""
-    mu1, mu2 = service.rates
-    alpha = float(service.probs[0])
-    params = dict(
-        lam=float(lam), alpha=alpha, mu1=float(mu1), mu2=float(mu2),
-        n=6, K1=10, K2=10,
+    return _best_integer_t(
+        TagsHyperExponential, _h2_params(service, lam), t_range, metric
     )
-    t_range = list(t_range)
-    grid = [dict(params, t=float(t)) for t in t_range]
-    res = default_engine().sweep(TagsHyperExponential, grid)
-    vals = np.asarray(res.values(metric), dtype=float)
-    if metric == "throughput":
-        vals = -vals
-    return t_range[int(np.argmin(vals))]
 
 
 def _figure11_12(metric: str, name: str, ylabel: str, alphas) -> FigureData:
@@ -288,14 +290,9 @@ def _figure11_12(metric: str, name: str, ylabel: str, alphas) -> FigureData:
     tag, jsq, rnd, opts = [], [], [], []
     for a in alphas:
         service = h2_service_fig11(float(a))
-        mu1, mu2 = service.rates
         t_opt = optimal_integer_t_h2(service, lam, metric=metric)
         opts.append(t_opt)
-        m = _solve(
-            TagsHyperExponential,
-            lam=lam, alpha=float(a), mu1=float(mu1), mu2=float(mu2),
-            t=float(t_opt), n=6, K1=10, K2=10,
-        )
+        m = _solve(TagsHyperExponential, **_h2_params(service, lam), t=float(t_opt))
         tag.append(getattr(m, metric))
         jsq.append(getattr(_solve(ShortestQueue, lam=lam, service=service, K=10), metric))
         rnd.append(getattr(_solve(RandomAllocation, lam=lam, service=service, K=10), metric))

@@ -4,8 +4,9 @@ The TAGS models are PEPA models faithful to the paper's figures (built
 programmatically, analysable with :mod:`repro.pepa`), and their model
 classes solve them on the compiled engine (:mod:`repro.pepa.compiled`):
 each chain has one construction, explored once per structure and
-refilled per rate point.  Chains without a PEPA form are built directly
-over tuple states (:mod:`repro.ctmc.bfs`).
+refilled per rate point.  The baselines and the chains without a PEPA
+form are built directly over tuple states on one base,
+:class:`repro.ctmc.bfs.TupleChain`.
 
 Modules
 -------
@@ -15,16 +16,21 @@ Modules
 ``tags_hyper``     Figure 5 (H2-service TAGS) PEPA builder and
                    ``TagsHyperExponential``.
 ``tags_figure4``   the Figure 4 (per-place alternative) PEPA model.
-``tags_multinode`` direct CTMC of the N-node TAGS extension.
+``tags_multinode`` direct (tuple-chain) CTMC of the N-node TAGS extension.
 ``random_alloc``   Appendix A weighted random allocation (exp analytic,
                    H2 via M/PH/1/K).
-``shortest_queue`` Appendix B shortest-queue strategy (PEPA + direct,
-                   exp and H2 service).
+``shortest_queue`` Appendix B shortest-queue strategy: the Appendix B
+                   PEPA model (oracle) and the direct tuple chain over
+                   head-phase states (H2 service; exponential is the
+                   one-phase case).
+``round_robin``    round robin on the same head-phase queue pair.
+``bursty``         MMPP2 arrivals; TAGS and JSQ tuple chains under them.
 ``tags_breakdown`` breakdown/repair-extended TAGS (node-2 failure), the
                    CTMC ground truth for ``repro.faults`` injection.
 ``mm1k``           analytic M/M/1/K formulas.
 ``mph1k``          M/PH/1/K matrix model.
-``metrics``        the shared metric record all solvers return.
+``metrics``        the shared metric record all solvers return, and the
+                   finite-positive rate check (``check_rates``).
 """
 
 from repro.models.metrics import QueueMetrics

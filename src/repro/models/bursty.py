@@ -15,13 +15,16 @@ load.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.ctmc import action_throughput, steady_state
-from repro.ctmc.bfs import bfs_generator
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
+from repro.ctmc.bfs import TupleChain
+from repro.models.metrics import (
+    QueueMetrics,
+    check_rates,
+    from_population_and_throughput,
+)
+from repro.models.shortest_queue import _jsq_moves, _service_phases
 
 __all__ = ["MMPP2", "TagsMMPP", "ShortestQueueMMPP"]
 
@@ -37,10 +40,12 @@ class MMPP2:
     switch10: float
 
     def __post_init__(self) -> None:
-        if self.rate0 < 0 or self.rate1 < 0 or self.rate0 + self.rate1 == 0:
-            raise ValueError("need non-negative rates, at least one positive")
-        if self.switch01 <= 0 or self.switch10 <= 0:
-            raise ValueError("switching rates must be positive")
+        rates = (self.rate0, self.rate1)
+        if not all(0 <= r < math.inf for r in rates) or sum(rates) == 0:
+            raise ValueError(
+                "need finite non-negative rates, at least one positive"
+            )
+        check_rates(switch01=self.switch01, switch10=self.switch10)
 
     @property
     def mean_rate(self) -> float:
@@ -70,40 +75,19 @@ class MMPP2:
         return self.switch01 if phase == 0 else self.switch10
 
 
-class _MMPPBase:
-    """Shared plumbing: the arrival phase is state component 0."""
-
-    arrivals: MMPP2
-
-    def _build(self):
-        raise NotImplementedError
-
-    @property
-    def generator(self):
-        if not hasattr(self, "_gen"):
-            self._gen, self._states, self._index = self._build()
-            self._pi = None
-        return self._gen
-
-    @property
-    def states(self):
-        _ = self.generator
-        return self._states
-
-    @property
-    def n_states(self) -> int:
-        return self.generator.n_states
-
-    @property
-    def pi(self) -> np.ndarray:
-        _ = self.generator
-        if self._pi is None:
-            self._pi = steady_state(self._gen)
-        return self._pi
+def _modulated(arrivals: MMPP2, moves, s: tuple) -> list:
+    """Successors of ``s = (phase, *rest)`` under MMPP arrivals: the phase
+    switches, and ``moves(rest, lam)`` -- the Poisson-arrival chain at
+    the phase's rate -- moves the rest."""
+    phase, rest = s[0], s[1:]
+    out = [("switch", arrivals.switch(phase), (1 - phase,) + rest)]
+    lam = arrivals.rate(phase)
+    out.extend((a, r, (phase,) + nxt) for a, r, nxt in moves(rest, lam))
+    return out
 
 
 @dataclass
-class TagsMMPP(_MMPPBase):
+class TagsMMPP(TupleChain):
     """Two-node TAGS (exponential service) under MMPP arrivals.
 
     State: ``(phase, q1, r1, q2, ph2, r2)`` -- the Figure 3 chain with the
@@ -120,73 +104,63 @@ class TagsMMPP(_MMPPBase):
     def __post_init__(self) -> None:
         if self.arrivals is None:
             raise ValueError("arrivals (an MMPP2) is required")
-        if min(self.mu, self.t) <= 0:
-            raise ValueError("rates must be positive")
+        check_rates(mu=self.mu, t=self.t)
         if self.n < 1 or self.K1 < 1 or self.K2 < 1:
             raise ValueError("n, K1, K2 must be >= 1")
 
+    def _initial(self):
+        return (0, 0, self.n - 1, 0, 0, self.n - 1)
+
     def _successors(self, s):
-        phase, q1, r1, q2, ph2, r2 = s
-        mu, t, n = self.mu, self.t, self.n
-        lam = self.arrivals.rate(phase)
-        out = [("switch", self.arrivals.switch(phase),
-                (1 - phase, q1, r1, q2, ph2, r2))]
-        top = n - 1
-        if lam > 0:
-            if q1 < self.K1:
-                out.append(("arrival", lam, (phase, q1 + 1, r1, q2, ph2, r2)))
-            else:
-                out.append(("arrloss", lam, s))
+        return _modulated(self.arrivals, self._figure3_moves, s)
+
+    def _figure3_moves(self, s, lam):
+        """The Figure 3 chain over ``(q1, r1, q2, ph2, r2)`` at Poisson
+        rate ``lam``."""
+        q1, r1, q2, ph2, r2 = s
+        mu, t = self.mu, self.t
+        top = self.n - 1
+        out = []
+        if q1 < self.K1:
+            out.append(("arrival", lam, (q1 + 1, r1, q2, ph2, r2)))
+        else:
+            out.append(("arrloss", lam, s))
         if q1 >= 1:
-            out.append(("service1", mu, (phase, q1 - 1, top, q2, ph2, r2)))
+            out.append(("service1", mu, (q1 - 1, top, q2, ph2, r2)))
             if r1 >= 1:
-                out.append(("tick1", t, (phase, q1, r1 - 1, q2, ph2, r2)))
+                out.append(("tick1", t, (q1, r1 - 1, q2, ph2, r2)))
+            elif q2 < self.K2:
+                out.append(("timeout", t, (q1 - 1, top, q2 + 1, ph2, r2)))
             else:
-                if q2 < self.K2:
-                    out.append(
-                        ("timeout", t, (phase, q1 - 1, top, q2 + 1, ph2, r2))
-                    )
-                else:
-                    out.append(("timeout", t, (phase, q1 - 1, top, q2, ph2, r2)))
+                out.append(("timeout", t, (q1 - 1, top, q2, ph2, r2)))
         if q2 >= 1:
-            if ph2 == 0:
-                if r2 >= 1:
-                    out.append(("tick2", t, (phase, q1, r1, q2, 0, r2 - 1)))
-                else:
-                    out.append(("repeatservice", t, (phase, q1, r1, q2, 1, top)))
+            if ph2 == 1:
+                out.append(("service2", mu, (q1, r1, q2 - 1, 0, top)))
+            elif r2 >= 1:
+                out.append(("tick2", t, (q1, r1, q2, 0, r2 - 1)))
             else:
-                out.append(("service2", mu, (phase, q1, r1, q2 - 1, 0, top)))
+                out.append(("repeatservice", t, (q1, r1, q2, 1, top)))
         return out
 
-    def _build(self):
-        initial = (0, 0, self.n - 1, 0, 0, self.n - 1)
-        return bfs_generator(initial, self._successors)
-
     def metrics(self) -> QueueMetrics:
-        pi = self.pi
-        q1 = np.array([s[1] for s in self.states], dtype=float)
-        q2 = np.array([s[3] for s in self.states], dtype=float)
-        x1 = action_throughput(self._gen, pi, "service1")
-        x2 = action_throughput(self._gen, pi, "service2")
-        x_to = action_throughput(self._gen, pi, "timeout")
-        try:
-            loss1 = action_throughput(self._gen, pi, "arrloss")
-        except KeyError:
-            loss1 = 0.0
+        x2 = self.throughput("service2")
         return from_population_and_throughput(
-            mean_jobs_per_node=(float(pi @ q1), float(pi @ q2)),
-            throughput=x1 + x2,
+            mean_jobs_per_node=(self.mean(lambda s: s[1]), self.mean(lambda s: s[3])),
+            throughput=self.throughput("service1") + x2,
             offered_load=self.arrivals.mean_rate,
-            loss_per_node=(loss1, x_to - x2),
+            loss_per_node=(self.throughput("arrloss"), self.throughput("timeout") - x2),
             extra={"n_states": self.n_states, "burstiness": self.arrivals.burstiness},
         )
 
 
 @dataclass
-class ShortestQueueMMPP(_MMPPBase):
-    """JSQ over two finite queues under MMPP arrivals.
+class ShortestQueueMMPP(TupleChain):
+    """JSQ over two finite queues (exponential service) under MMPP
+    arrivals.
 
-    State: ``(phase, n1, n2)``.
+    State: ``(phase, n1, ph1, n2, ph2)`` -- the
+    :class:`~repro.models.shortest_queue.ShortestQueue` chain (one service
+    phase, so ``ph1 = ph2 = 0``) with the modulating phase prepended.
     """
 
     arrivals: MMPP2 = None
@@ -196,51 +170,24 @@ class ShortestQueueMMPP(_MMPPBase):
     def __post_init__(self) -> None:
         if self.arrivals is None:
             raise ValueError("arrivals (an MMPP2) is required")
-        if self.mu <= 0 or self.K < 1:
-            raise ValueError("bad mu or K")
+        if self.K < 1:
+            raise ValueError("K must be >= 1")
+        self._draws, self._rates = _service_phases(self.mu)
+
+    def _initial(self):
+        return (0, 0, 0, 0, 0)
 
     def _successors(self, s):
-        phase, n1, n2 = s
-        lam = self.arrivals.rate(phase)
-        out = [("switch", self.arrivals.switch(phase), (1 - phase, n1, n2))]
-        if lam > 0:
-            if n1 < n2:
-                dest = [(1.0, 0)]
-            elif n2 < n1:
-                dest = [(1.0, 1)]
-            else:
-                dest = [(0.5, 0), (0.5, 1)]
-            for w, d in dest:
-                nq = (n1, n2)[d]
-                if nq < self.K:
-                    nxt = (
-                        (phase, n1 + 1, n2) if d == 0 else (phase, n1, n2 + 1)
-                    )
-                    out.append(("arrival", lam * w, nxt))
-                else:
-                    out.append(("arrloss", lam * w, s))
-        if n1 >= 1:
-            out.append(("service", self.mu, (phase, n1 - 1, n2)))
-        if n2 >= 1:
-            out.append(("service", self.mu, (phase, n1, n2 - 1)))
-        return out
+        return _modulated(self.arrivals, self._jsq, s)
 
-    def _build(self):
-        return bfs_generator((0, 0, 0), self._successors)
+    def _jsq(self, q, lam):
+        return _jsq_moves(q, lam, self.K, self._draws, self._rates)
 
     def metrics(self) -> QueueMetrics:
-        pi = self.pi
-        q1 = np.array([s[1] for s in self.states], dtype=float)
-        q2 = np.array([s[2] for s in self.states], dtype=float)
-        x = action_throughput(self._gen, pi, "service")
-        try:
-            loss = action_throughput(self._gen, pi, "arrloss")
-        except KeyError:
-            loss = 0.0
         return from_population_and_throughput(
-            mean_jobs_per_node=(float(pi @ q1), float(pi @ q2)),
-            throughput=x,
+            mean_jobs_per_node=(self.mean(lambda s: s[1]), self.mean(lambda s: s[3])),
+            throughput=self.throughput("service"),
             offered_load=self.arrivals.mean_rate,
-            loss_per_node=(loss,),
+            loss_per_node=(self.throughput("arrloss"),),
             extra={"n_states": self.n_states, "burstiness": self.arrivals.burstiness},
         )

@@ -9,7 +9,21 @@ node 2 (the latter represent wasted work, Section 1's key observation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def check_rates(**rates) -> None:
+    """Raise ``ValueError`` unless every rate is finite and positive.
+
+    ``nan`` fails every comparison, so ``min(...) <= 0`` would let it
+    through to a solver that can only diverge; ``0 < r < inf`` cannot.
+    """
+    for name, value in rates.items():
+        if not 0 < value < math.inf:
+            raise ValueError(
+                f"rates must be finite and positive, got {name}={value!r}"
+            )
 
 
 @dataclass(frozen=True)

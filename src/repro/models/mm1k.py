@@ -11,7 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
+from repro.models.metrics import (
+    QueueMetrics,
+    check_rates,
+    from_population_and_throughput,
+)
 
 __all__ = ["MM1K"]
 
@@ -26,8 +30,7 @@ class MM1K:
     K: int
 
     def __post_init__(self) -> None:
-        if self.lam <= 0 or self.mu <= 0:
-            raise ValueError("rates must be positive")
+        check_rates(lam=self.lam, mu=self.mu)
         if self.K < 1:
             raise ValueError("K must be >= 1")
 

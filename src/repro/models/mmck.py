@@ -14,7 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
+from repro.models.metrics import (
+    QueueMetrics,
+    check_rates,
+    from_population_and_throughput,
+)
 
 __all__ = ["MMcK", "erlang_b", "erlang_c"]
 
@@ -29,8 +33,7 @@ class MMcK:
     K: int
 
     def __post_init__(self) -> None:
-        if self.lam <= 0 or self.mu <= 0:
-            raise ValueError("rates must be positive")
+        check_rates(lam=self.lam, mu=self.mu)
         if self.c < 1:
             raise ValueError("need at least one server")
         if self.K < self.c:

@@ -17,7 +17,11 @@ import numpy as np
 from repro.ctmc import Generator, action_throughput, expected_reward, steady_state
 from repro.ctmc.generator import TransitionBatch
 from repro.dists.phase_type import PhaseType
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
+from repro.models.metrics import (
+    QueueMetrics,
+    check_rates,
+    from_population_and_throughput,
+)
 
 __all__ = ["MPH1K"]
 
@@ -37,8 +41,7 @@ class MPH1K:
     """
 
     def __init__(self, lam: float, service: PhaseType, K: int) -> None:
-        if lam <= 0:
-            raise ValueError("lam must be positive")
+        check_rates(lam=lam)
         if K < 1:
             raise ValueError("K must be >= 1")
         if service.atom_at_zero > 1e-12:

@@ -15,7 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dists.phase_type import PhaseType
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
+from repro.models.metrics import (
+    QueueMetrics,
+    check_rates,
+    from_population_and_throughput,
+)
 from repro.models.mm1k import MM1K
 from repro.models.mph1k import MPH1K
 
@@ -40,8 +44,7 @@ class RandomAllocation:
     def __post_init__(self) -> None:
         if not (0 < self.split < 1):
             raise ValueError("split must be in (0, 1)")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        check_rates(lam=self.lam)
         lam1 = self.lam * self.split
         lam2 = self.lam * (1.0 - self.split)
         if isinstance(self.service, PhaseType):

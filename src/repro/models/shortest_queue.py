@@ -6,22 +6,24 @@ The incoming Poisson stream joins the queue with fewer jobs; ties are split
 -- the structural reason the paper gives for TAGS beating JSQ under
 heavy-tailed demand (Section 5).
 
-``ShortestQueue`` builds the chain directly for exponential or H2 service;
-:func:`build_jsq_pepa_model` emits the Appendix B PEPA model (switch
-component tracking the queue-length difference), cross-validated in the
-tests.
+``ShortestQueue`` builds the chain directly over head-phase states
+(:class:`~repro.ctmc.bfs.TupleChain`); exponential service is the
+one-phase case of the H2 chain.  :func:`build_jsq_pepa_model` emits the
+Appendix B PEPA model (switch component tracking the queue-length
+difference), the oracle the tests cross-validate it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.ctmc import action_throughput, steady_state
+from repro.ctmc.bfs import TupleChain
 from repro.dists.families import HyperExponential
-from repro.ctmc.bfs import bfs_generator
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
+from repro.models.metrics import (
+    QueueMetrics,
+    check_rates,
+    from_population_and_throughput,
+)
 from repro.pepa import (
     Activity,
     Choice,
@@ -36,15 +38,82 @@ from repro.pepa import (
 __all__ = ["ShortestQueue", "build_jsq_pepa_model"]
 
 
+def _service_phases(service) -> tuple:
+    """``(draws, rates)`` of a float or H2 service: ``draws`` pairs each
+    phase a new head job can start in with its probability, ``rates`` is
+    the per-phase service rate.  Exponential service is one phase."""
+    if isinstance(service, HyperExponential):
+        if len(service.probs) != 2:
+            raise ValueError("only H2 (two-phase) service is supported")
+        a = float(service.probs[0])
+        rates = tuple(float(r) for r in service.rates)
+        draws = ((0, a), (1, 1 - a))
+    else:
+        rates = (float(service),)
+        draws = ((0, 1.0),)
+    check_rates(**{f"mu{i + 1}": r for i, r in enumerate(rates)})
+    return draws, rates
+
+
+def _with(q: tuple, d: int, n: int, ph: int) -> tuple:
+    """The queue pair ``q = (n1, ph1, n2, ph2)`` with queue ``d`` set."""
+    return q[: 2 * d] + (n, ph) + q[2 * d + 2 :]
+
+
+def _join(q: tuple, d: int, draws) -> list:
+    """``[(prob, q')]``: a job joins queue ``d`` (not full); it draws its
+    phase if it reaches the server at once."""
+    n, ph = q[2 * d], q[2 * d + 1]
+    if n == 0:
+        return [(p, _with(q, d, 1, phase)) for phase, p in draws]
+    return [(1.0, _with(q, d, n + 1, ph))]
+
+
+def _serve(q: tuple, draws, rates) -> list:
+    """``[(rate, q')]``: a busy queue's head completes; the next head
+    draws its phase."""
+    out = []
+    for d in (0, 1):
+        n, ph = q[2 * d], q[2 * d + 1]
+        if n == 1:
+            out.append((rates[ph], _with(q, d, 0, 0)))
+        elif n > 1:
+            out.extend(
+                (rates[ph] * p, _with(q, d, n - 1, phase)) for phase, p in draws
+            )
+    return out
+
+
+def _jsq_moves(q: tuple, lam: float, K: int, draws, rates) -> list:
+    """Successors of the JSQ queue pair ``q`` under Poisson(``lam``)
+    arrivals."""
+    n1, n2 = q[0], q[2]
+    if n1 < n2:
+        dest = ((1.0, 0),)
+    elif n2 < n1:
+        dest = ((1.0, 1),)
+    else:
+        dest = ((0.5, 0), (0.5, 1))
+    out = []
+    for w, d in dest:
+        if q[2 * d] >= K:
+            out.append(("arrloss", lam * w, q))
+        else:
+            out.extend(("arrival", lam * w * p, nxt) for p, nxt in _join(q, d, draws))
+    out.extend(("service", r, nxt) for r, nxt in _serve(q, draws, rates))
+    return out
+
+
 @dataclass
-class ShortestQueue:
+class ShortestQueue(TupleChain):
     """JSQ over two finite homogeneous queues.
 
     ``service`` is a float (exponential rate) or a two-phase
-    :class:`~repro.dists.families.HyperExponential`; with H2 service each
-    busy queue's head carries its phase (drawn Bernoulli(alpha) whenever a
-    new job reaches the server), the same head-phase encoding as the TAGS
-    H2 model.
+    :class:`~repro.dists.families.HyperExponential`.  State
+    ``(n1, ph1, n2, ph2)``: each busy queue's head carries its phase
+    (drawn whenever a new job reaches the server, 0 when idle), the same
+    head-phase encoding as the TAGS H2 model; exponential service has the
+    one phase 0.
     """
 
     lam: float
@@ -52,147 +121,23 @@ class ShortestQueue:
     K: int = 10
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        check_rates(lam=self.lam)
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if isinstance(self.service, HyperExponential):
-            if len(self.service.probs) != 2:
-                raise ValueError("only H2 (two-phase) service is supported")
-            self._h2 = True
-        else:
-            self._h2 = False
-            if float(self.service) <= 0:
-                raise ValueError("service rate must be positive")
+        self._draws, self._rates = _service_phases(self.service)
 
-    # ------------------------------------------------------------------
-    def _successors_exp(self, s):
-        n1, n2 = s
-        lam, mu, K = self.lam, float(self.service), self.K
-        out = []
-        # arrival routing
-        if n1 < n2:
-            dest = [(1.0, 0)]
-        elif n2 < n1:
-            dest = [(1.0, 1)]
-        else:
-            dest = [(0.5, 0), (0.5, 1)]
-        for w, d in dest:
-            n = (n1, n2)[d]
-            if n < K:
-                nxt = (n1 + 1, n2) if d == 0 else (n1, n2 + 1)
-                out.append(("arrival", lam * w, nxt))
-            else:
-                out.append(("arrloss", lam * w, s))
-        if n1 >= 1:
-            out.append(("service", mu, (n1 - 1, n2)))
-        if n2 >= 1:
-            out.append(("service", mu, (n1, n2 - 1)))
-        return out
+    def _initial(self):
+        return (0, 0, 0, 0)
 
-    def _successors_h2(self, s):
-        # state: (n1, ph1, n2, ph2); ph in {0 short, 1 long}, 0 when idle
-        n1, ph1, n2, ph2 = s
-        lam, K = self.lam, self.K
-        a = float(self.service.probs[0])
-        mu = (float(self.service.rates[0]), float(self.service.rates[1]))
-        out = []
-        if n1 < n2:
-            dest = [(1.0, 0)]
-        elif n2 < n1:
-            dest = [(1.0, 1)]
-        else:
-            dest = [(0.5, 0), (0.5, 1)]
-        for w, d in dest:
-            n = (n1, n2)[d]
-            if n >= K:
-                out.append(("arrloss", lam * w, s))
-            elif n == 0:
-                # job starts service immediately: draw its phase
-                for phase, p in ((0, a), (1, 1 - a)):
-                    if d == 0:
-                        out.append(("arrival", lam * w * p, (1, phase, n2, ph2)))
-                    else:
-                        out.append(("arrival", lam * w * p, (n1, ph1, 1, phase)))
-            else:
-                if d == 0:
-                    out.append(("arrival", lam * w, (n1 + 1, ph1, n2, ph2)))
-                else:
-                    out.append(("arrival", lam * w, (n1, ph1, n2 + 1, ph2)))
-
-        def depart(which: int):
-            if which == 0:
-                if n1 == 1:
-                    out.append(("service", mu[ph1], (0, 0, n2, ph2)))
-                else:
-                    out.append(("service", mu[ph1] * a, (n1 - 1, 0, n2, ph2)))
-                    out.append(
-                        ("service", mu[ph1] * (1 - a), (n1 - 1, 1, n2, ph2))
-                    )
-            else:
-                if n2 == 1:
-                    out.append(("service", mu[ph2], (n1, ph1, 0, 0)))
-                else:
-                    out.append(("service", mu[ph2] * a, (n1, ph1, n2 - 1, 0)))
-                    out.append(
-                        ("service", mu[ph2] * (1 - a), (n1, ph1, n2 - 1, 1))
-                    )
-
-        if n1 >= 1:
-            depart(0)
-        if n2 >= 1:
-            depart(1)
-        return out
-
-    # ------------------------------------------------------------------
-    @property
-    def generator(self):
-        if not hasattr(self, "_gen"):
-            if self._h2:
-                self._gen, self._states, self._index = bfs_generator(
-                    (0, 0, 0, 0), self._successors_h2
-                )
-            else:
-                self._gen, self._states, self._index = bfs_generator(
-                    (0, 0), self._successors_exp
-                )
-            self._pi = None
-        return self._gen
-
-    @property
-    def states(self):
-        _ = self.generator
-        return self._states
-
-    @property
-    def n_states(self) -> int:
-        return self.generator.n_states
-
-    @property
-    def pi(self) -> np.ndarray:
-        _ = self.generator
-        if self._pi is None:
-            self._pi = steady_state(self._gen)
-        return self._pi
+    def _successors(self, s):
+        return _jsq_moves(s, self.lam, self.K, self._draws, self._rates)
 
     def metrics(self) -> QueueMetrics:
-        pi = self.pi
-        if self._h2:
-            q1 = np.array([s[0] for s in self.states], dtype=float)
-            q2 = np.array([s[2] for s in self.states], dtype=float)
-        else:
-            q1 = np.array([s[0] for s in self.states], dtype=float)
-            q2 = np.array([s[1] for s in self.states], dtype=float)
-        x = action_throughput(self._gen, pi, "service")
-        try:
-            loss = action_throughput(self._gen, pi, "arrloss")
-        except KeyError:
-            loss = 0.0
         return from_population_and_throughput(
-            mean_jobs_per_node=(float(pi @ q1), float(pi @ q2)),
-            throughput=x,
+            mean_jobs_per_node=(self.mean(lambda s: s[0]), self.mean(lambda s: s[2])),
+            throughput=self.throughput("service"),
             offered_load=self.lam,
-            loss_per_node=(loss,),
+            loss_per_node=(self.throughput("arrloss"),),
             extra={"n_states": self.n_states},
         )
 
@@ -220,13 +165,11 @@ def build_jsq_pepa_model(lam: float, mu: float, K: int) -> Model:
     The switch component ``S_j`` tracks ``len(queue1) - len(queue2)``
     (j in -K..K): positive difference routes arrivals to queue 2, negative
     to queue 1, zero splits ``lam/2`` each.  A blocked arrival (both
-    queues full) is modelled by the queues refusing ``arr``; to keep the
-    loss observable an ``arrloss`` self-loop fires while both are full
-    (encoded in the full-full switch refinement below is unnecessary --
-    loss is computed as ``lam - throughput`` by the caller).
+    queues full) is modelled by the queues refusing ``arr``.  The model
+    has no ``arrloss`` action: the loss rate is ``lam`` minus the
+    ``serv1``/``serv2`` throughput.
     """
-    if lam <= 0 or mu <= 0:
-        raise ValueError("rates must be positive")
+    check_rates(lam=lam, mu=mu)
     if K < 1:
         raise ValueError("K must be >= 1")
     defs: dict = {}

@@ -40,8 +40,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from repro.dists.residual import h2_residual_mixing
-from repro.models.metrics import QueueMetrics
-from repro.models.tags_pepa import CompiledTags, _choice, _index, _p, check_rates
+from repro.models.metrics import QueueMetrics, check_rates
+from repro.models.tags_pepa import CompiledTags, _choice, _index, _p
 from repro.pepa import Constant, Cooperation, Model, top
 
 __all__ = [

@@ -1,26 +1,27 @@
 """N-node TAGS with exponential service (paper Section 3: "a simple
 matter to add more nodes").
 
-The one TAGS chain with no PEPA form: it is built directly over tuple
-states with :mod:`repro.ctmc.bfs`, once per instance (see
-:class:`TagsMultiNode`).
+A TAGS chain with no PEPA form (the other is
+:class:`~repro.models.bursty.TagsMMPP`): it is built directly over tuple
+states as a :class:`~repro.ctmc.bfs.TupleChain`, once per instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.ctmc import action_throughput, steady_state
-from repro.ctmc.bfs import bfs_generator
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
+from repro.ctmc.bfs import TupleChain
+from repro.models.metrics import (
+    QueueMetrics,
+    check_rates,
+    from_population_and_throughput,
+)
 
 __all__ = ["TagsMultiNode"]
 
 
 @dataclass
-class TagsMultiNode:
+class TagsMultiNode(TupleChain):
     """N-node TAGS chain with exponential service (paper Section 3: "a
     simple matter to add more nodes").
 
@@ -49,8 +50,8 @@ class TagsMultiNode:
             raise ValueError("need at least two nodes")
         if len(self.timeouts) != self.N - 1:
             raise ValueError("need one timeout rate per non-final node")
-        if min(self.lam, self.mu) <= 0 or min(self.timeouts) <= 0:
-            raise ValueError("rates must be positive")
+        check_rates(lam=self.lam, mu=self.mu)
+        check_rates(**{f"t{i + 1}": t for i, t in enumerate(self.timeouts)})
         if self.repeat_cycles is None:
             self.repeat_cycles = lambda i: i - 1  # node index is 1-based
 
@@ -170,50 +171,15 @@ class TagsMultiNode:
                             out.append(("timeout", t, with_node(i, next_head())))
         return out
 
-    @property
-    def generator(self):
-        if not hasattr(self, "_gen"):
-            self._gen, self._states, self._index = bfs_generator(
-                self._initial(), self._successors
-            )
-            self._pi = None
-        return self._gen
-
-    @property
-    def states(self):
-        _ = self.generator
-        return self._states
-
-    @property
-    def n_states(self) -> int:
-        return self.generator.n_states
-
-    @property
-    def pi(self) -> np.ndarray:
-        _ = self.generator
-        if self._pi is None:
-            self._pi = steady_state(self._gen)
-        return self._pi
-
     def metrics(self) -> QueueMetrics:
-        pi = self.pi
-        per_node = []
-        for i in range(self.N):
-            q = np.array([s[i][0] for s in self.states], dtype=float)
-            per_node.append(float(pi @ q))
-        x_s1 = action_throughput(self._gen, pi, "service1")
-        try:
-            x_s2 = action_throughput(self._gen, pi, "service2")
-        except KeyError:
-            x_s2 = 0.0
-        try:
-            loss1 = action_throughput(self._gen, pi, "arrloss")
-        except KeyError:
-            loss1 = 0.0
-        throughput = x_s1 + x_s2
         return from_population_and_throughput(
-            mean_jobs_per_node=tuple(per_node),
-            throughput=throughput,
+            mean_jobs_per_node=tuple(
+                self.mean(lambda s, i=i: s[i][0]) for i in range(self.N)
+            ),
+            throughput=self.throughput("service1") + self.throughput("service2"),
             offered_load=self.lam,
-            extra={"n_states": self.n_states, "arrival_loss": loss1},
+            extra={
+                "n_states": self.n_states,
+                "arrival_loss": self.throughput("arrloss"),
+            },
         )

@@ -69,14 +69,17 @@ further rate point refills the cached space's rate column.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from repro.ctmc import action_throughput, steady_state
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
+from repro.models.metrics import (
+    QueueMetrics,
+    check_rates,
+    from_population_and_throughput,
+)
 from repro.pepa import (
     Activity,
     Choice,
@@ -97,19 +100,6 @@ __all__ = [
     "build_tags_model",
     "tags_pepa_metrics",
 ]
-
-
-def check_rates(**rates) -> None:
-    """Raise ``ValueError`` unless every rate is finite and positive.
-
-    ``nan`` fails every comparison, so ``min(...) <= 0`` would let it
-    through to a solver that can only diverge; ``0 < r < inf`` cannot.
-    """
-    for name, value in rates.items():
-        if not 0 < value < math.inf:
-            raise ValueError(
-                f"rates must be finite and positive, got {name}={value!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -124,9 +124,11 @@ class TestFigure8:
         return figure8()
 
     def test_optimal_t_close_to_paper(self, fig8):
-        """Paper: optimal t = 51, 49, 45, 42 for lam = 5, 7, 9, 11."""
+        """Paper: optimal t = 51, 49, 45, 42 for lam = 5, 7, 9, 11; ours,
+        the integer argmin of mean jobs over t = 25..69, are within one."""
         paper = np.array([51, 49, 45, 42], dtype=float)
         np.testing.assert_allclose(fig8.series["optimal t"], paper, atol=1.0)
+        assert fig8.series["optimal t"].tolist() == [51.0, 48.0, 46.0, 42.0]
 
     def test_response_time_increases_with_load(self, fig8):
         for label in ("TAG (optimal t)", "random", "shortest queue"):
@@ -193,6 +195,12 @@ class TestFigure10:
 
 
 class TestFigures11And12:
+    def test_optimal_t_pinned(self, fig11, fig12):
+        """The integer argmin of response time / argmax of throughput over
+        t = 2, 4, .., 78 at ALPHAS, exactly."""
+        assert fig11.series["optimal t"].tolist() == [28.0, 28.0, 42.0]
+        assert fig12.series["optimal t"].tolist() == [38.0, 38.0, 48.0]
+
     def test_tag_response_increases_with_alpha(self, fig11):
         """Paper: 'the response time increases ... under TAG as alpha
         increases'."""
