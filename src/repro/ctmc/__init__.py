@@ -14,6 +14,9 @@ The public entry points are:
 * :mod:`~repro.ctmc.rewards` -- expected rewards, action throughputs and
   Little's-law utilities.
 * :mod:`~repro.ctmc.structure` -- reachability / irreducibility checks.
+* :class:`~repro.ctmc.bfs.Chain` -- the solve protocol of the stationary
+  model classes; :func:`~repro.ctmc.bfs.assemble_generator` -- the one
+  labelled-generator assembler.
 """
 
 from repro.ctmc.generator import Generator
@@ -44,6 +47,7 @@ from repro.ctmc.passage import (
 from repro.ctmc.lumping import lump_generator, ordinary_lumping_partition
 from repro.ctmc.accumulate import expected_accumulated_reward
 from repro.ctmc.bfs import (
+    Chain,
     TupleChain,
     assemble_generator,
     bfs_arrays,
@@ -72,6 +76,7 @@ __all__ = [
     "lump_generator",
     "ordinary_lumping_partition",
     "expected_accumulated_reward",
+    "Chain",
     "TupleChain",
     "bfs_generator",
     "bfs_arrays",

@@ -1,13 +1,19 @@
-"""Breadth-first CTMC construction over tuple-encoded states.
+"""Stationary CTMC model classes and breadth-first construction.
+
+:class:`Chain` is the solve protocol of every stationary CTMC model
+class: a subclass supplies ``generator``, the base owns ``n_states``,
+the memoised ``pi`` and ``throughput(action)``.  The TAGS PEPA model
+classes (breakdown chain included), the Figure 4 counted chain and the
+tuple chains all solve through it.
 
 Chains without a PEPA form define a successor function
 ``succ(state) -> [(action, rate, next_state), ...]`` over plain tuples;
-:func:`bfs_generator` explores the reachable set and assembles a
-labelled :class:`~repro.ctmc.generator.Generator`.  The model classes
-built this way (shortest queue, round robin, the MMPP chains and N-node
-TAGS) subclass :class:`TupleChain`, which owns the lazy
-``generator``/``states``/``pi`` protocol the sweep engine drives; the
-tagged-job chains call :func:`bfs_generator` directly.
+:func:`bfs_generator` explores the reachable set and
+:func:`assemble_generator`, the repo's one labelled-generator
+assembler, builds the chain.  The model classes built this way
+(shortest queue, round robin, the MMPP chains and N-node TAGS) subclass
+:class:`TupleChain`; the tagged-job chains call :func:`bfs_generator`
+directly, seeded with every start state.
 
 These chains are rebuilt from scratch per instance; sweeps that only
 change rate values refill a frozen structure on the compiled PEPA engine
@@ -17,7 +23,7 @@ instead (:meth:`repro.pepa.compiled.CompiledSpace.refill`).
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +34,7 @@ from repro.ctmc.rewards import action_throughput
 from repro.ctmc.steady import steady_state
 
 __all__ = [
+    "Chain",
     "TupleChain",
     "bfs_generator",
     "bfs_arrays",
@@ -39,14 +46,18 @@ def bfs_arrays(
     initial,
     successors: Callable,
     *,
+    seeds: Iterable = (),
     max_states: int = 2_000_000,
 ):
     """Explore from ``initial``; return the raw transition arrays.
 
     ``(states, index, src, dst, rate, act)`` with ``states[0] ==
-    initial``.  Zero-rate transitions are skipped, negative rates raise
-    ``ValueError``, and transitions are recorded in enumeration order
-    (per-action aggregation happens in :func:`assemble_generator`).
+    initial``.  Once the queue empties, exploration continues from the
+    first of ``seeds`` not yet reached, so the result covers everything
+    reachable from any start state.  Zero-rate transitions are skipped,
+    negative rates raise ``ValueError``, and transitions are recorded in
+    enumeration order (per-action aggregation happens in
+    :func:`assemble_generator`).
 
     Each exploration files a ``ctmc.bfs`` span (state/transition counts)
     and ``ctmc.bfs.states``/``ctmc.bfs.transitions`` counters with the
@@ -62,8 +73,15 @@ def bfs_arrays(
     rate: list = []
     act: list = []
 
+    pending = iter(seeds)
     head = 0
-    while head < len(states):
+    while True:
+        if head == len(states):
+            seed = next((s for s in pending if s not in index), None)
+            if seed is None:
+                break
+            index[seed] = head
+            states.append(seed)
         sid = head
         state = states[head]
         head += 1
@@ -102,18 +120,19 @@ def assemble_generator(
     src: np.ndarray,
     dst: np.ndarray,
     rate: np.ndarray,
-    act: list,
+    act: Sequence,
 ) -> Generator:
     """Assemble a labelled :class:`Generator` from transition arrays.
 
-    Parallel transitions with the same action are summed (CSR
-    construction sums duplicates); self-loops are kept in the per-action
-    matrices only.  Deterministic: equal inputs give bit-identical
-    generators.
+    ``act[i]`` labels transition ``i``; ``None`` marks an unlabelled
+    transition, which enters ``Q`` but no per-action matrix.  Parallel
+    transitions with the same action are summed (CSR construction sums
+    duplicates); self-loops are kept in the per-action matrices only.
+    Deterministic: equal inputs give bit-identical generators.
     """
     act_a = np.asarray(act, dtype=object)
     action_rates = {}
-    for a in sorted(set(act)):
+    for a in sorted({a for a in act if a is not None}):
         mask = act_a == a
         action_rates[a] = sp.csr_matrix(
             (rate[mask], (src[mask], dst[mask])), shape=(n, n)
@@ -125,9 +144,11 @@ def bfs_generator(
     initial,
     successors: Callable,
     *,
+    seeds: Iterable = (),
     max_states: int = 2_000_000,
 ):
-    """Explore from ``initial`` and build the generator.
+    """Explore from ``initial`` (then any unreached ``seeds``) and build
+    the generator.
 
     Returns ``(generator, states, index)`` where ``states`` is the list of
     reachable tuples (``states[0] == initial``) and ``index`` the reverse
@@ -135,22 +156,46 @@ def bfs_generator(
     are kept in the per-action matrices only.
     """
     states, index, src, dst, rate, act = bfs_arrays(
-        initial, successors, max_states=max_states
+        initial, successors, seeds=seeds, max_states=max_states
     )
     gen = assemble_generator(len(states), src, dst, rate, act)
     return gen, states, index
 
 
-class TupleChain:
-    """A model class whose CTMC is explored from tuple states.
+class Chain:
+    """A model class solved as one stationary CTMC.
 
-    Subclasses supply ``_initial()`` and ``_successors(state)``; the
-    chain is built by one :func:`bfs_generator` call on first access.
-    ``pi`` is solved once and memoised; a vector already stored in
-    ``_pi`` (the sweep engine hands in its own solve) is used as is.
+    Subclasses supply the ``generator`` property.  ``pi`` is solved once
+    and memoised; a vector already stored in ``_pi`` (the sweep engine
+    hands in its own solve) is used as is.
     """
 
     _pi = None
+
+    @property
+    def n_states(self) -> int:
+        return self.generator.n_states
+
+    @property
+    def pi(self) -> np.ndarray:
+        if self._pi is None:
+            self._pi = steady_state(self.generator)
+        return self._pi
+
+    def throughput(self, action: str) -> float:
+        """Steady-state rate of ``action``; 0.0 if the chain never fires
+        it."""
+        if action not in self.generator.action_rates:
+            return 0.0
+        return action_throughput(self.generator, self.pi, action)
+
+
+class TupleChain(Chain):
+    """A :class:`Chain` explored from tuple states.
+
+    Subclasses supply ``_initial()`` and ``_successors(state)``; the
+    chain is built by one :func:`bfs_generator` call on first access.
+    """
 
     def _initial(self):
         raise NotImplementedError
@@ -171,23 +216,6 @@ class TupleChain:
         _ = self.generator
         return self._states
 
-    @property
-    def n_states(self) -> int:
-        return self.generator.n_states
-
-    @property
-    def pi(self) -> np.ndarray:
-        if self._pi is None:
-            self._pi = steady_state(self.generator)
-        return self._pi
-
     def mean(self, f) -> float:
         """Steady-state expectation of ``f(state)``."""
         return float(self.pi @ np.array([f(s) for s in self.states], dtype=float))
-
-    def throughput(self, action: str) -> float:
-        """Steady-state rate of ``action``; 0.0 if the chain never fires
-        it."""
-        if action not in self.generator.action_rates:
-            return 0.0
-        return action_throughput(self.generator, self.pi, action)

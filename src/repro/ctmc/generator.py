@@ -17,7 +17,7 @@ pairs are summed, matching the multi-transition-system semantics of PEPA
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,26 +59,21 @@ class TransitionBatch:
 
     def to_generator(self, n_states: int | None = None) -> "Generator":
         """Assemble the accumulated triples into a :class:`Generator`."""
+        from repro.ctmc.bfs import assemble_generator  # bfs imports us
+
         n = n_states if n_states is not None else self.n_states
         if n is None:
             if not self._src:
                 raise ValueError("cannot infer state count from an empty batch")
             n = int(max(int(s.max()) for s in self._src if s.size) + 1)
             n = max(n, int(max(int(d.max()) for d in self._dst if d.size) + 1))
-        by_action: dict[str, list[int]] = {}
-        for idx, act in enumerate(self._action):
-            if act is not None:
-                by_action.setdefault(act, []).append(idx)
-        action_rates = {}
-        for act, idxs in by_action.items():
-            s = np.concatenate([self._src[i] for i in idxs])
-            d = np.concatenate([self._dst[i] for i in idxs])
-            r = np.concatenate([self._rate[i] for i in idxs])
-            action_rates[act] = sp.csr_matrix((r, (s, d)), shape=(n, n))
         src = np.concatenate(self._src) if self._src else np.empty(0, np.int64)
         dst = np.concatenate(self._dst) if self._dst else np.empty(0, np.int64)
         rate = np.concatenate(self._rate) if self._rate else np.empty(0, np.float64)
-        return Generator.from_triples(n, src, dst, rate, action_rates=action_rates)
+        act = np.repeat(
+            np.asarray(self._action, dtype=object), [s.size for s in self._src]
+        )
+        return assemble_generator(n, src, dst, rate, act)
 
 
 class Generator:
@@ -220,11 +215,3 @@ class Generator:
             f"actions={sorted(self.action_rates)})"
         )
 
-
-def _as_distribution(p: Iterable[float], n: int) -> np.ndarray:
-    p = np.asarray(list(p) if not isinstance(p, np.ndarray) else p, dtype=float)
-    if p.shape != (n,):
-        raise ValueError(f"distribution has shape {p.shape}, expected ({n},)")
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("not a probability distribution")
-    return np.maximum(p, 0.0)

@@ -6,7 +6,9 @@ classes solve them on the compiled engine (:mod:`repro.pepa.compiled`):
 each chain has one construction, explored once per structure and
 refilled per rate point.  The baselines and the chains without a PEPA
 form are built directly over tuple states on one base,
-:class:`repro.ctmc.bfs.TupleChain`.
+:class:`repro.ctmc.bfs.TupleChain`.  Every stationary model class solves
+through :class:`repro.ctmc.bfs.Chain` (memoised ``pi``,
+``throughput(action)``).
 
 Modules
 -------
@@ -26,7 +28,8 @@ Modules
 ``round_robin``    round robin on the same head-phase queue pair.
 ``bursty``         MMPP2 arrivals; TAGS and JSQ tuple chains under them.
 ``tags_breakdown`` breakdown/repair-extended TAGS (node-2 failure), the
-                   CTMC ground truth for ``repro.faults`` injection.
+                   CTMC ground truth for ``repro.faults`` injection,
+                   solved on the compiled engine like Figure 3.
 ``mm1k``           analytic M/M/1/K formulas.
 ``mph1k``          M/PH/1/K matrix model.
 ``metrics``        the shared metric record all solvers return, and the

@@ -133,10 +133,7 @@ class MPH1K:
 
     @property
     def loss_rate(self) -> float:
-        try:
-            return action_throughput(self.generator, self.pi, "loss")
-        except KeyError:  # K unreachable? cannot happen, but be safe
-            return 0.0
+        return action_throughput(self.generator, self.pi, "loss")
 
     @property
     def utilisation(self) -> float:

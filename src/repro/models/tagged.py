@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ctmc import Generator, transient_distribution
+from repro.ctmc import transient_distribution
 from repro.ctmc.bfs import bfs_generator
 from repro.ctmc.passage import conditional_absorption_times
 from repro.models.tags_hyper import TagsHyperExponential
@@ -54,33 +54,16 @@ class _TaggedBase:
 
     Subclasses supply ``_successors(state)`` and ``_initial_weights()``
     (a dict ``state -> probability`` by PASTA, conditioned on acceptance).
+    Every start state seeds one exploration, so start states the most
+    likely one cannot reach are covered too.
     """
 
     def _setup(self) -> None:
         self._initial = self._initial_weights()
         seeds = sorted(self._initial, key=self._initial.get, reverse=True)
-        gen, states, index = bfs_generator(seeds[0], self._successors)
-        if any(s not in index for s in seeds):
-            # rare disconnected starting pockets: rebuild over the union
-            all_states = list(states)
-            seen = set(index)
-            for s in seeds:
-                if s in seen:
-                    continue
-                _, extra, _ = bfs_generator(s, self._successors)
-                for e in extra:
-                    if e not in seen:
-                        seen.add(e)
-                        all_states.append(e)
-            idx = {s: i for i, s in enumerate(all_states)}
-            src, dst, rate = [], [], []
-            for s in all_states:
-                for _a, r, nxt in self._successors(s):
-                    src.append(idx[s])
-                    dst.append(idx[nxt])
-                    rate.append(r)
-            gen = Generator.from_triples(len(all_states), src, dst, rate)
-            states, index = all_states, idx
+        gen, states, index = bfs_generator(
+            seeds[0], self._successors, seeds=seeds[1:]
+        )
         self.generator = gen
         self.states = states
         self.index = index
@@ -156,11 +139,14 @@ class TaggedJobAnalysis(_TaggedBase):
     model: TagsExponential
 
     def __post_init__(self) -> None:
-        if self.model.t_of_q1 is not None:
-            raise NotImplementedError(
-                "tagged analysis is implemented for static timeouts"
-            )
         m = self.model
+        # the node-2 successors below restart work and freeze the repeat
+        # clock during the residual service
+        if m.t_of_q1 is not None or m.tick_during_residual or not m.restart_work:
+            raise NotImplementedError(
+                "tagged analysis is implemented for static timeouts, "
+                "restarted work and tick_during_residual=False"
+            )
         self._mu2 = m.mu if m.mu2_service is None else m.mu2_service
         self._t2 = m.t if m.t2 is None else m.t2
         self._setup()
@@ -262,6 +248,10 @@ class TaggedJobAnalysisH2(_TaggedBase):
     model: TagsHyperExponential
 
     def __post_init__(self) -> None:
+        if self.model.tick_during_residual:
+            raise NotImplementedError(
+                "tagged analysis is implemented for tick_during_residual=False"
+            )
         self._setup()
 
     # ------------------------------------------------------------------

@@ -45,9 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ctmc import action_throughput, steady_state
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
-from repro.models.tags_pepa import TagsParameters, build_tags_model
+from repro.models.metrics import check_rates
+from repro.models.tags_pepa import (
+    FIGURE3_FIELDS,
+    CompiledTags,
+    TagsParameters,
+    build_tags_model,
+)
 from repro.pepa import (
     Activity,
     Choice,
@@ -56,8 +60,6 @@ from repro.pepa import (
     Model,
     Prefix,
     Rate,
-    explore,
-    to_generator,
     top,
 )
 
@@ -106,8 +108,8 @@ def build_tags_breakdown_model(
     return Model(defs, system)
 
 
-@dataclass(frozen=True)
-class TagsBreakdown:
+@dataclass
+class TagsBreakdown(CompiledTags):
     """Two-node exponential TAGS with node-2 breakdown/repair.
 
     ``fail`` / ``repair`` are the node-2 crash and repair rates (their
@@ -115,6 +117,9 @@ class TagsBreakdown:
     ``permanently_down`` pins the breaker down from time zero, the
     regime whose node-1 marginal is exactly M/M/1/K1.  The queueing
     parameters mirror :class:`~repro.models.tags_pepa.TagsParameters`.
+    State tuples are the Figure 3 ``(q1, r1, q2, ph2, r2)`` plus ``up``
+    (1 while the breaker is ``Avail``); ``metrics()`` and
+    ``node1_marginal()`` share one solve.
     """
 
     lam: float = 5.0
@@ -128,16 +133,12 @@ class TagsBreakdown:
     permanently_down: bool = False
     tick_during_residual: bool = False
 
-    def params(self) -> TagsParameters:
-        return TagsParameters(
-            lam=self.lam,
-            mu=self.mu,
-            t=self.t,
-            n=self.n,
-            K1=self.K1,
-            K2=self.K2,
-            tick_during_residual=self.tick_during_residual,
-        )
+    PARAMS = TagsParameters
+    _Q2_COLUMN = 2
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_rates(fail=self.fail, repair=self.repair)
 
     def build(self) -> Model:
         return build_tags_breakdown_model(
@@ -147,6 +148,25 @@ class TagsBreakdown:
             permanently_down=self.permanently_down,
         )
 
+    def _structure_key(self) -> tuple:
+        return (
+            "tags-breakdown",
+            self.n,
+            self.K1,
+            self.K2,
+            self.tick_during_residual,
+            self.permanently_down,
+        )
+
+    def _state_fields(self) -> list:
+        # the breaker is the fifth sequential component
+        return FIGURE3_FIELDS + [(4, lambda name: int(name == "Avail"))]
+
+    def _extra(self) -> dict:
+        # stationary probability of the breaker being up
+        up = self._state_array()[:, 5].astype(float)
+        return {"availability": float(self.pi @ up)}
+
     @property
     def availability(self) -> float:
         """Analytic node-2 availability (1 when never failing is not an
@@ -155,69 +175,6 @@ class TagsBreakdown:
             return 0.0
         return self.repair / (self.fail + self.repair)
 
-    # ------------------------------------------------------------------
-    def _solve(self):
-        model = self.build()
-        space = explore(model)
-        gen = to_generator(space)
-        pi = steady_state(gen)
-        return space, gen, pi
-
-    def metrics(self) -> QueueMetrics:
-        """Solve and extract the paper's metrics plus failure extras.
-
-        ``extra`` carries ``availability`` (stationary probability of
-        the breaker being up -- equal to the analytic ratio), the usual
-        throughput decomposition, and the state count.
-        """
-        space, gen, pi = self._solve()
-
-        def q1_len(names) -> float:
-            for nm in names:
-                if nm.startswith("Q1_"):
-                    return float(nm[3:])
-            raise AssertionError("no Q1 component in state")
-
-        def q2_len(names) -> float:
-            for nm in names:
-                if nm.startswith("Q2_"):
-                    return float(nm[3:])
-                if nm.startswith("Q2r_"):
-                    return float(nm[4:])
-            raise AssertionError("no Q2 component in state")
-
-        def up(names) -> float:
-            return 1.0 if "Avail" in names else 0.0
-
-        def throughput_of(action: str) -> float:
-            # permanently down, service2/timeout are unreachable and the
-            # generator holds no rate matrix for them: throughput is 0
-            if action not in gen.action_rates:
-                return 0.0
-            return action_throughput(gen, pi, action)
-
-        L1 = float(pi @ space.state_reward(q1_len))
-        L2 = float(pi @ space.state_reward(q2_len))
-        avail = float(pi @ space.state_reward(up))
-        x_s1 = throughput_of("service1")
-        x_s2 = throughput_of("service2")
-        x_to = throughput_of("timeout")
-        loss1 = throughput_of("arrloss")
-        loss2 = x_to - x_s2
-        return from_population_and_throughput(
-            mean_jobs_per_node=(L1, L2),
-            throughput=x_s1 + x_s2,
-            offered_load=self.lam,
-            loss_per_node=(loss1, loss2),
-            extra={
-                "n_states": space.n_states,
-                "availability": avail,
-                "timeout_throughput": x_to,
-                "service1_throughput": x_s1,
-                "service2_throughput": x_s2,
-            },
-        )
-
     def node1_marginal(self) -> np.ndarray:
         """Stationary distribution of the queue-1 length.
 
@@ -225,16 +182,5 @@ class TagsBreakdown:
         ``MM1K(lam, mu, K1).distribution()`` exactly (to solver
         tolerance): blocked timeouts make node 1 a birth-death chain.
         """
-        space, _, pi = self._solve()
-        marginal = np.zeros(self.K1 + 1)
-
-        def add(names, p):
-            for nm in names:
-                if nm.startswith("Q1_"):
-                    marginal[int(nm[3:])] += p
-                    return
-            raise AssertionError("no Q1 component in state")
-
-        for idx in range(space.n_states):
-            add(space.local_names(idx), float(pi[idx]))
-        return marginal
+        S = self._state_array()
+        return np.bincount(S[:, 0], weights=self.pi, minlength=self.K1 + 1)

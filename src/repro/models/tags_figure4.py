@@ -32,39 +32,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ctmc import action_throughput, steady_state
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
-from repro.pepa import (
-    Activity,
-    Choice,
-    Constant,
-    FluidGroup,
-    Model,
-    Prefix,
-    Rate,
-    top,
+from repro.ctmc import Generator
+from repro.ctmc.bfs import Chain
+from repro.models.metrics import (
+    QueueMetrics,
+    check_rates,
+    from_population_and_throughput,
 )
+from repro.models.tags_pepa import _choice, _p
+from repro.pepa import Constant, FluidGroup, Model, top
 from repro.pepa.counted import CountedModel
 from repro.pepa.fluid import FluidModel
 
 __all__ = ["Figure4Model"]
 
 
-def _p(action, rate, target):
-    r = rate if isinstance(rate, Rate) else Rate(rate)
-    return Prefix(Activity(action, r), Constant(target))
-
-
-def _choice(*terms):
-    comp = terms[0]
-    for t in terms[1:]:
-        comp = Choice(comp, t)
-    return comp
-
-
 @dataclass
-class Figure4Model:
-    """Per-place encoding of the two-node TAGS system."""
+class Figure4Model(Chain):
+    """Per-place encoding of the two-node TAGS system; the chain is the
+    counted quotient CTMC (:meth:`counted`), explored and solved once."""
 
     lam: float = 5.0
     mu: float = 10.0
@@ -74,8 +60,7 @@ class Figure4Model:
     K2: int = 10
 
     def __post_init__(self) -> None:
-        if min(self.lam, self.mu, self.t) <= 0:
-            raise ValueError("rates must be positive")
+        check_rates(lam=self.lam, mu=self.mu, t=self.t)
         if self.n < 1 or self.K1 < 1 or self.K2 < 1:
             raise ValueError("n, K1, K2 must be >= 1")
 
@@ -149,27 +134,33 @@ class Figure4Model:
     def counted(self) -> CountedModel:
         return CountedModel(self.pepa_model(), self._groups(), self._SYNCED)
 
+    @property
+    def generator(self) -> Generator:
+        if not hasattr(self, "_gen"):
+            self._counted = self.counted()
+            self._gen, self._states, _ = self._counted.explore()
+        return self._gen
+
     def metrics(self) -> QueueMetrics:
         """Exact metrics of the counted quotient CTMC."""
-        cm = self.counted()
-        gen, states, _ = cm.explore()
-        pi = steady_state(gen)
+        _ = self.generator  # explores once, keeping the counted model
+        cm, states, pi = self._counted, self._states, self.pi
         q1 = cm.count_reward("q1_places", "Q1_1")
         q2a = cm.count_reward("q2_places", "Q2_1")
         q2b = cm.count_reward("q2_places", "Q2r")
         L1 = float(pi @ np.array([q1(s) for s in states]))
         L2 = float(pi @ np.array([q2a(s) + q2b(s) for s in states]))
-        x1 = action_throughput(gen, pi, "service1")
-        x2 = action_throughput(gen, pi, "service2")
-        x_arr = action_throughput(gen, pi, "arrival")
+        x1 = self.throughput("service1")
+        x2 = self.throughput("service2")
+        x_arr = self.throughput("arrival")
         return from_population_and_throughput(
             mean_jobs_per_node=(L1, L2),
             throughput=x1 + x2,
             offered_load=self.lam,
             extra={
-                "n_states": gen.n_states,
+                "n_states": self.n_states,
                 "accepted_rate": x_arr,
-                "timeout_throughput": action_throughput(gen, pi, "timeout"),
+                "timeout_throughput": self.throughput("timeout"),
             },
         )
 

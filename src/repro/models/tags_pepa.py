@@ -74,7 +74,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.ctmc import action_throughput, steady_state
+from repro.ctmc.bfs import Chain
 from repro.models.metrics import (
     QueueMetrics,
     check_rates,
@@ -239,8 +239,19 @@ def _index(name: str) -> int:
     return int(name.rsplit("_", 1)[1])
 
 
-class CompiledTags:
-    """Solve/metrics plumbing shared by the TAGS PEPA model classes.
+# the Figure 3 tuple columns (q1, r1, q2, ph2, r2) read off the sequential
+# components Q1_i, Timer1_k, Q2_j / Q2r_j, Timer2_k
+FIGURE3_FIELDS = [
+    (0, _index),
+    (1, _index),
+    (2, _index),
+    (2, lambda name: int(name[2] == "r")),
+    (3, _index),
+]
+
+
+class CompiledTags(Chain):
+    """Build/metrics plumbing shared by the TAGS PEPA model classes.
 
     Subclasses are dataclasses with the fields of their parameter record
     ``PARAMS`` (which validates them) that supply :meth:`build` (the PEPA
@@ -254,7 +265,8 @@ class CompiledTags:
     structure cache: the first model of a shape compiles and explores,
     every further one refills the shared space's rate column and
     assembles its generator right away.  The tuple states depend only on
-    the structure and are memoised on the cached space.
+    the structure and are memoised on the cached space; ``pi`` and the
+    throughputs come from the :class:`~repro.ctmc.bfs.Chain` base.
     """
 
     SOLVE_ENGINE = "pepa-compiled-v2"
@@ -265,9 +277,14 @@ class CompiledTags:
         self.params()  # the parameter record validates
 
     def params(self):
-        """This model's parameters as a (validated) ``PARAMS`` record."""
+        """This model's parameters as a (validated) ``PARAMS`` record;
+        fields the class lacks keep the record's defaults."""
         return self.PARAMS(
-            **{f.name: getattr(self, f.name) for f in fields(self.PARAMS)}
+            **{
+                f.name: getattr(self, f.name)
+                for f in fields(self.PARAMS)
+                if hasattr(self, f.name)
+            }
         )
 
     def _state_fields(self) -> list:
@@ -312,16 +329,6 @@ class CompiledTags:
             self._gen = self._space().generator()
         return self._gen
 
-    @property
-    def n_states(self) -> int:
-        return self.generator.n_states
-
-    @property
-    def pi(self) -> np.ndarray:
-        if getattr(self, "_pi", None) is None:
-            self._pi = steady_state(self.generator)
-        return self._pi
-
     def _state_array(self) -> np.ndarray:
         """The tuple encoding as an ``(n_states, width)`` int array."""
         space = self._space()
@@ -348,13 +355,12 @@ class CompiledTags:
         return memo["tags.states"]
 
     def metrics(self) -> QueueMetrics:
-        gen = self.generator
         pi = self.pi
         S = self._state_array()
-        x_s1 = action_throughput(gen, pi, "service1")
-        x_s2 = action_throughput(gen, pi, "service2")
-        x_to = action_throughput(gen, pi, "timeout")
-        loss1 = action_throughput(gen, pi, "arrloss")
+        x_s1 = self.throughput("service1")
+        x_s2 = self.throughput("service2")
+        x_to = self.throughput("timeout")
+        loss1 = self.throughput("arrloss")
         # flow balance at node 2: entries = timeouts that found space = service2
         loss2 = x_to - x_s2
         return from_population_and_throughput(
@@ -368,7 +374,7 @@ class CompiledTags:
             offered_load=self.lam,
             loss_per_node=(loss1, loss2),
             extra={
-                "n_states": gen.n_states,
+                "n_states": self.n_states,
                 "timeout_throughput": x_to,
                 "service1_throughput": x_s1,
                 "service2_throughput": x_s2,
@@ -410,12 +416,11 @@ class _Figure3(CompiledTags):
         )
 
     def _state_fields(self) -> list:
-        # sequential components: Q1_i, Timer1_k, Q2_j / Q2r_j[, Timer2_k]
-        queues = [(0, _index), (1, _index), (2, _index)]
         if not self.restart_work:
-            # no repeat phase: the head is always in residual service
-            return queues + [(None, 1), (None, self.n - 1)]
-        return queues + [(2, lambda name: int(name[2] == "r")), (3, _index)]
+            # no repeat phase (and no Timer2): the head is always in
+            # residual service
+            return FIGURE3_FIELDS[:3] + [(None, 1), (None, self.n - 1)]
+        return FIGURE3_FIELDS
 
 
 class TagsExponential(_Figure3):

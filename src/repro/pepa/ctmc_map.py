@@ -11,9 +11,7 @@ remain observable.
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
-
+from repro.ctmc.bfs import assemble_generator
 from repro.ctmc.generator import Generator
 from repro.pepa.statespace import StateSpace
 
@@ -22,14 +20,6 @@ __all__ = ["to_generator"]
 
 def to_generator(space: StateSpace) -> Generator:
     """Build a :class:`~repro.ctmc.generator.Generator` from ``space``."""
-    n = space.n_states
-    action_arr = np.asarray(space.action, dtype=object)
-    action_rates = {}
-    for act in sorted(space.actions()):
-        mask = action_arr == act
-        action_rates[act] = sp.csr_matrix(
-            (space.rate[mask], (space.src[mask], space.dst[mask])), shape=(n, n)
-        )
-    return Generator.from_triples(
-        n, space.src, space.dst, space.rate, action_rates=action_rates
+    return assemble_generator(
+        space.n_states, space.src, space.dst, space.rate, space.action
     )

@@ -28,7 +28,7 @@ of queue places cooperating with server and timer processes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -172,10 +172,6 @@ class FluidModel:
         for gi, g in enumerate(self.groups):
             out.extend(f"{g.name}.{d}" for d in self._deriv_names[gi])
         return out
-
-    def _group_slice(self, gi: int) -> slice:
-        start = self._offsets[gi]
-        return slice(start, start + len(self._derivatives[gi]))
 
     # ------------------------------------------------------------------
     def _rhs(self, _t: float, x: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ctmc import steady_state
-from repro.ctmc.bfs import bfs_generator
+from repro.ctmc.bfs import assemble_generator, bfs_generator
 
 
 def ring(n, rate=1.0):
@@ -65,3 +65,29 @@ class TestExploration:
         gen, _, _ = bfs_generator((0,), ring(4, rate=2.5))
         assert set(gen.action_rates) == {"step"}
         assert gen.action_rates["step"].sum() == pytest.approx(4 * 2.5)
+
+    def test_seeds_continue_exploration(self):
+        """Two disjoint rings: the seed's ring follows the initial's,
+        and a seed already reached is not re-added."""
+
+        def succ(s):
+            ring_id, i = s
+            return [("step", 1.0, (ring_id, (i + 1) % 3))]
+
+        gen, states, index = bfs_generator(
+            (0, 0), succ, seeds=[(0, 2), (1, 1), (1, 0)]
+        )
+        assert states == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 0)]
+        assert index == {s: i for i, s in enumerate(states)}
+        assert gen.action_rates["step"].sum() == pytest.approx(6.0)
+
+
+class TestAssembleGenerator:
+    def test_unlabelled_transitions_enter_q_only(self):
+        src = np.array([0, 1, 1])
+        dst = np.array([1, 0, 0])
+        rate = np.array([2.0, 1.0, 0.5])
+        gen = assemble_generator(2, src, dst, rate, ["go", None, "back"])
+        np.testing.assert_allclose(gen.dense(), [[-2.0, 2.0], [1.5, -1.5]])
+        assert set(gen.action_rates) == {"go", "back"}
+        assert gen.action_rates["back"][1, 0] == 0.5

@@ -120,3 +120,12 @@ class TestTransitionBatch:
         g = b.to_generator(2)
         assert g.action_rates["loop"][0, 0] == 7.0
         assert g.dense()[0, 0] == -1.0
+
+    def test_unlabelled_batch_enters_q_only(self):
+        b = TransitionBatch()
+        b.add(0, 1, 2.0)
+        b.add([1, 1], [0, 0], [1.0, 2.0], action="back")
+        g = b.to_generator(2)
+        np.testing.assert_allclose(g.dense(), two_state_Q())
+        assert set(g.action_rates) == {"back"}
+        assert g.action_rates["back"][1, 0] == 3.0

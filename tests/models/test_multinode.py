@@ -47,8 +47,8 @@ class TestThreeNodes:
 class TestPinnedMetrics:
     """Values recorded from the structure-cached builder this model used
     before it built every instance with one plain BFS; the build path
-    (``bfs_arrays`` + ``assemble_generator``) is unchanged, so they must
-    hold exactly."""
+    (``bfs_arrays`` + ``assemble_generator``, the one labelled-generator
+    assembler) assembles the same generator, so they must hold exactly."""
 
     @pytest.mark.parametrize(
         "params, expect",

@@ -4,8 +4,8 @@ the suite (Little's-law decomposition must hold exactly)."""
 import numpy as np
 import pytest
 
-from repro.models import TagsExponential
-from repro.models.tagged import TaggedJobAnalysis
+from repro.models import TagsExponential, TagsHyperExponential
+from repro.models.tagged import TaggedJobAnalysis, TaggedJobAnalysisH2
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +122,59 @@ class TestValidation:
         tagged = TaggedJobAnalysis(m)
         probs = tagged.outcome_probabilities()
         assert sum(probs.values()) == pytest.approx(1.0)
+
+
+_EXP = dict(lam=5, mu=10, t=20, n=3, K1=4, K2=4)
+_H2 = dict(lam=5, alpha=0.9, mu1=20, mu2=2, t=20, n=3, K1=4, K2=4)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TaggedJobAnalysis(TagsExponential(**_EXP)),
+        lambda: TaggedJobAnalysis(
+            TagsExponential(**_EXP, mu2_service=4, t2=20)
+        ),
+        lambda: TaggedJobAnalysisH2(TagsHyperExponential(**_H2)),
+        lambda: TaggedJobAnalysisH2(
+            TagsHyperExponential(**_H2, alpha_prime=0.0)
+        ),
+        lambda: TaggedJobAnalysisH2(
+            TagsHyperExponential(**_H2, alpha_prime=1.0)
+        ),
+    ],
+    ids=["exp", "exp-heterogeneous", "h2", "h2-alpha-prime-0", "h2-alpha-prime-1"],
+)
+def test_decomposition_matches_chain_on_every_accepted_variant(make):
+    """lam_acc * sum_o P[o] E[T | o] is the chain's L on every variant
+    the analyses accept, including the degenerate alpha_prime that
+    drops a repeatservice branch (zero-rate transitions never enter
+    the tagged chain)."""
+    tagged = make()
+    m = tagged.model.metrics()
+    accepted = m.offered_load - m.loss_per_node[0]
+    probs = tagged.outcome_probabilities()
+    means = tagged.mean_response_by_outcome()
+    L = accepted * sum(probs[k] * means[k] for k in probs if probs[k] > 0)
+    assert L == pytest.approx(m.mean_jobs, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TaggedJobAnalysis(
+            TagsExponential(**_EXP, tick_during_residual=True)
+        ),
+        lambda: TaggedJobAnalysis(TagsExponential(**_EXP, restart_work=False)),
+        lambda: TaggedJobAnalysisH2(
+            TagsHyperExponential(**_H2, tick_during_residual=True)
+        ),
+    ],
+    ids=["exp-tick-during-residual", "exp-resume", "h2-tick-during-residual"],
+)
+def test_unsupported_node2_variants_raise(make):
+    """The tagged node-2 successors restart work and freeze the repeat
+    clock in the residual; the variants that do otherwise are refused
+    rather than answered wrongly."""
+    with pytest.raises(NotImplementedError):
+        make()

@@ -14,6 +14,7 @@ Figure 3 model.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.models import MM1K, TagsBreakdown, TagsExponential
 
 # small state space keeps the whole module fast
@@ -73,3 +74,70 @@ class TestStructure:
             TagsBreakdown(fail=0.0, repair=0.05, **SMALL).build()
         with pytest.raises(ValueError, match="rates"):
             TagsBreakdown(fail=0.01, repair=-1.0, **SMALL).build()
+
+    def test_metrics_and_marginal_share_one_solve(self):
+        model = TagsBreakdown(fail=0.02, repair=0.1, **SMALL)
+        with obs.use(obs.Recorder()) as rec:
+            model.metrics()
+            model.node1_marginal()
+        assert len(rec.find_spans("steady_state")) == 1
+
+
+PIN_SHAPE = dict(lam=5.0, mu=10.0, t=51.0, n=3, K1=4, K2=4)
+
+
+class TestPinnedValues:
+    """Values recorded from the chain built by exploring the breakdown
+    PEPA model afresh and parsing its state names on every call; the
+    compiled-engine construction reads the same chain, so they hold
+    exactly."""
+
+    @pytest.mark.parametrize(
+        "params, expect",
+        [
+            (
+                dict(fail=0.02, repair=0.1),
+                dict(
+                    n_states=442,
+                    mean_jobs=1.0405577248692892,
+                    throughput=4.940440909504393,
+                    availability=0.8333333333333334,
+                    loss_rate=0.059559090495606704,
+                    marginal=[
+                        0.7468722449214261,
+                        0.18755982702669294,
+                        0.045708450495518825,
+                        0.014187571793983889,
+                        0.005671905762378189,
+                    ],
+                ),
+            ),
+            (
+                dict(permanently_down=True),
+                dict(
+                    n_states=13,
+                    mean_jobs=0.8387096774193549,
+                    throughput=4.838709677419355,
+                    availability=0.0,
+                    loss_rate=0.16129032258064502,
+                    marginal=[
+                        0.5161290322580645,
+                        0.25806451612903225,
+                        0.12903225806451613,
+                        0.06451612903225806,
+                        0.03225806451612904,
+                    ],
+                ),
+            ),
+        ],
+        ids=["intermittent", "permanently-down"],
+    )
+    def test_pinned(self, params, expect):
+        model = TagsBreakdown(**params, **PIN_SHAPE)
+        m = model.metrics()
+        assert m.extra["n_states"] == expect["n_states"]
+        assert m.mean_jobs == expect["mean_jobs"]
+        assert m.throughput == expect["throughput"]
+        assert m.extra["availability"] == expect["availability"]
+        assert m.loss_rate == expect["loss_rate"]
+        assert model.node1_marginal().tolist() == expect["marginal"]

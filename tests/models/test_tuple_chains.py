@@ -18,11 +18,13 @@ from repro.models import (
     MM1K,
     MMPP2,
     MPH1K,
+    Figure4Model,
     MMcK,
     RandomAllocation,
     RoundRobin,
     ShortestQueue,
     ShortestQueueMMPP,
+    TagsBreakdown,
     TagsMMPP,
     TagsMultiNode,
 )
@@ -134,6 +136,12 @@ NON_FINITE = {
     "MMPP2.rate1": lambda x: MMPP2(2.0, x, 0.5, 1.0),
     "MMPP2.switch01": lambda x: MMPP2(2.0, 14.0, x, 1.0),
     "MMPP2.switch10": lambda x: MMPP2(2.0, 14.0, 0.5, x),
+    "Figure4Model.lam": lambda x: Figure4Model(lam=x),
+    "Figure4Model.mu": lambda x: Figure4Model(mu=x),
+    "Figure4Model.t": lambda x: Figure4Model(t=x),
+    "TagsBreakdown.lam": lambda x: TagsBreakdown(lam=x),
+    "TagsBreakdown.fail": lambda x: TagsBreakdown(fail=x),
+    "TagsBreakdown.repair": lambda x: TagsBreakdown(repair=x),
 }
 
 
