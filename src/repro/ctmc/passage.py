@@ -73,6 +73,49 @@ def mean_first_passage_times(generator, targets) -> np.ndarray:
     return out
 
 
+def _absorption(g: Generator, classes):
+    """``(B, T, lu)``: the absorption probabilities, the transient states
+    that can reach a class, and the LU factor of ``Q_TT`` on them
+    (``None`` when ``T`` is empty).
+
+    ``Q_TT`` is factored once and every class's right-hand side is solved
+    against it in one call.
+    """
+    n = g.n_states
+    classes = [np.asarray(sorted(set(int(i) for i in c)), np.int64) for c in classes]
+    all_abs = np.concatenate(classes) if classes else np.empty(0, np.int64)
+    if len(np.unique(all_abs)) != all_abs.size:
+        raise ValueError("absorbing classes must be disjoint")
+    mask = np.ones(n, dtype=bool)
+    mask[all_abs] = False
+    # a state that cannot reach any class is never absorbed (B = 0);
+    # leaving such states out keeps Q_TT nonsingular
+    mask &= _backward_reachable(g.Q, all_abs)
+    T = np.flatnonzero(mask)
+    B = np.zeros((n, len(classes)))
+    for c, ids in enumerate(classes):
+        B[ids, c] = 1.0
+    if T.size == 0:
+        return B, T, None
+    QT = g.Q[T]
+    lu = spla.splu(sp.csc_matrix(QT[:, T]))
+    rhs = np.zeros((T.size, len(classes)))
+    for c, ids in enumerate(classes):
+        rhs[:, c] = -np.asarray(QT[:, ids].sum(axis=1)).ravel()
+    B[T] = np.clip(_solve_nonzero(lu, rhs), 0.0, 1.0)
+    return B, T, lu
+
+
+def _solve_nonzero(lu, rhs: np.ndarray) -> np.ndarray:
+    """``lu.solve`` on the nonzero columns of ``rhs``; zero columns
+    (a class no transient state enters) stay zero."""
+    out = np.zeros_like(rhs)
+    cols = np.flatnonzero(rhs.any(axis=0))
+    if cols.size:
+        out[:, cols] = lu.solve(rhs[:, cols])
+    return out
+
+
 def absorption_probabilities(generator, classes) -> np.ndarray:
     """``P[absorbed in classes[c]]`` from every state.
 
@@ -83,28 +126,7 @@ def absorption_probabilities(generator, classes) -> np.ndarray:
     absorption forever (a closed recurrent class outside every target)
     yield rows summing to < 1.
     """
-    g = _as_gen(generator)
-    n = g.n_states
-    classes = [np.asarray(sorted(set(int(i) for i in c)), np.int64) for c in classes]
-    all_abs = np.concatenate(classes) if classes else np.empty(0, np.int64)
-    if len(np.unique(all_abs)) != all_abs.size:
-        raise ValueError("absorbing classes must be disjoint")
-    mask = np.ones(n, dtype=bool)
-    mask[all_abs] = False
-    T = np.flatnonzero(mask)
-    out = np.zeros((n, len(classes)))
-    for c, ids in enumerate(classes):
-        out[ids, c] = 1.0
-    if T.size == 0:
-        return out
-    QTT = sp.csc_matrix(g.Q[T][:, T])
-    for c, ids in enumerate(classes):
-        rhs = -np.asarray(g.Q[T][:, ids].sum(axis=1)).ravel()
-        if not rhs.any():
-            continue
-        b = spla.spsolve(QTT, rhs)
-        out[T, c] = np.clip(b, 0.0, 1.0)
-    return out
+    return _absorption(_as_gen(generator), classes)[0]
 
 
 def conditional_absorption_times(generator, classes):
@@ -116,27 +138,16 @@ def conditional_absorption_times(generator, classes):
     start i, absorbed in classes[c]]`` (``nan`` where ``B`` is zero).
 
     Computed from ``H[i, c] = E[tau * 1{absorbed in c}]`` which satisfies
-    ``Q_TT H = -B_T`` on the transient states, then ``M = H / B``.  This
-    is what turns a tagged-job chain into per-outcome response times:
-    "how long do the jobs that *complete* take, versus the ones that are
-    eventually dropped?".
+    ``Q_TT H = -B_T`` on the transient states, then ``M = H / B``; both
+    systems share one factor of ``Q_TT``.  This is what turns a
+    tagged-job chain into per-outcome response times: "how long do the
+    jobs that *complete* take, versus the ones that are eventually
+    dropped?".
     """
-    g = _as_gen(generator)
-    n = g.n_states
-    B = absorption_probabilities(g, classes)
-    classes = [np.asarray(sorted(set(int(i) for i in c)), np.int64) for c in classes]
-    all_abs = np.concatenate(classes) if classes else np.empty(0, np.int64)
-    mask = np.ones(n, dtype=bool)
-    mask[all_abs] = False
-    T = np.flatnonzero(mask)
-    H = np.zeros((n, len(classes)))
+    B, T, lu = _absorption(_as_gen(generator), classes)
+    H = np.zeros_like(B)
     if T.size:
-        QTT = sp.csc_matrix(g.Q[T][:, T])
-        for c in range(len(classes)):
-            rhs = -B[T, c]
-            if not rhs.any():
-                continue
-            H[T, c] = spla.spsolve(QTT, rhs)
+        H[T] = _solve_nonzero(lu, -B[T])
     with np.errstate(divide="ignore", invalid="ignore"):
         M = np.where(B > 0, H / np.where(B > 0, B, 1.0), np.nan)
     return B, M

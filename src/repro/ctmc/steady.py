@@ -8,8 +8,11 @@ Several solvers are provided because they trade accuracy against scale:
     numerically exact to rounding even for stiff chains, but it densifies:
     O(n^3) time, O(n^2) memory.  Default for small chains.
 ``direct``
-    Sparse LU on the normalised system (one balance equation replaced by
-    the normalisation constraint).  Default for larger chains.
+    Sparse LU on the anchored system (one state's probability fixed, its
+    balance equation dropped).  Default for larger chains.  The
+    fill-reducing order is computed once per sparsity pattern and kept
+    in a small process-local cache, so a sweep whose points refill the
+    rates of one structure orders once and only factors per point.
 ``power``
     Power iteration on the uniformized DTMC; the last resort of the
     ``"auto"`` fallback chain, and the only solver that accepts a
@@ -29,7 +32,8 @@ dict under ``fallbacks`` (method + error) and counted as a
 Explicitly requested methods never fall back.
 
 Every solver files a ``steady_state`` span (attributes: method, chain
-size, iteration count where applicable) with the process-global
+size, achieved residual, LU fill and ordering or iteration count where
+applicable) with the process-global
 :mod:`repro.obs` recorder, and power iteration additionally emits a
 per-iteration convergence trace (``steady_state.power``: the step-delta
 series).  With the default :class:`~repro.obs.NullRecorder` all of this
@@ -38,8 +42,11 @@ is skipped behind a single attribute check per solve.
 
 from __future__ import annotations
 
+import hashlib
+import threading
 import time
-import warnings
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,6 +63,7 @@ __all__ = [
     "steady_state_power",
     "GTH_CUTOFF",
     "METHODS",
+    "SOLVER_REVISION",
 ]
 
 GTH_CUTOFF = 2000
@@ -63,6 +71,14 @@ GTH_CUTOFF = 2000
 
 METHODS = ("auto", "direct", "gth", "power")
 """The ``method`` names :func:`steady_state` accepts."""
+
+SOLVER_REVISION = "lu-mmd-v1"
+"""Tag of the solvers' numerics, folded into every solve-cache key:
+results that differ at rounding level between solver revisions must not
+be served from one disk cache."""
+
+_PLAN_CACHE_SIZE = 16
+"""Sparsity patterns whose LU plan :func:`steady_state_direct` keeps."""
 
 
 class SteadyStateError(RuntimeError):
@@ -103,19 +119,23 @@ def _record_info(info, **fields) -> None:
         info.update(fields)
 
 
-def _check_result(pi: np.ndarray, Q: sp.csr_matrix, tol: float) -> np.ndarray:
+def _check_result(
+    pi: np.ndarray, Q: sp.csr_matrix, tol: float
+) -> "tuple[np.ndarray, float]":
+    """Clip, normalise and verify a candidate; return it with its
+    achieved residual ``max|pi Q|``."""
     pi = np.maximum(pi, 0.0)
     total = pi.sum()
     if not np.isfinite(total) or total <= 0:
         raise SteadyStateError("solver produced a non-normalisable vector")
     pi = pi / total
-    residual = np.abs(pi @ Q).max()
+    residual = float(np.abs(pi @ Q).max())
     scale = max(1.0, float(np.abs(Q.diagonal()).max(initial=1.0)))
     if residual > tol * scale:
         raise SteadyStateError(
             f"steady-state residual too large: {residual:g} (tol {tol * scale:g})"
         )
-    return pi
+    return pi, residual
 
 
 def steady_state(
@@ -145,12 +165,14 @@ def steady_state(
         Validated before use: wrong length or negative entries raise
         ``ValueError``.
     info :
-        Optional dict the solver fills with diagnostics: ``method`` always,
-        ``iterations`` for ``power``, ``warm_started`` when a
-        ``pi0`` was actually consumed, and -- in ``"auto"`` mode --
-        ``fallbacks``, a list of ``{"method", "error"}`` records for every
-        solver that failed before one succeeded (empty on a first-try
-        solve).
+        Optional dict the solver fills with diagnostics: ``method`` and
+        ``residual`` (the achieved ``max|pi Q|``) always, ``iterations``
+        for ``power``, ``warm_started`` when a ``pi0`` was actually
+        consumed, ``fill`` (nonzeros of the LU factors) and ``ordering``
+        (``"mmd"`` or ``"colamd"``) for ``direct``, and -- in ``"auto"``
+        mode -- ``fallbacks``, a list of ``{"method", "error"}`` records
+        for every solver that failed before one succeeded (empty on a
+        first-try solve).  Fields a method does not produce are ``None``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {list(METHODS)}")
@@ -163,15 +185,21 @@ def steady_state(
         # and the auto chain would otherwise grind through all of them
         raise ValueError("generator has non-finite entries")
     if n == 1:
-        _record_info(info, method=method, iterations=0, warm_started=False)
+        _record_info(
+            info, method=method, iterations=0, warm_started=False,
+            residual=0.0, fill=None, ordering=None,
+        )
         return np.ones(1)
 
     def run(m: str) -> np.ndarray:
+        _record_info(
+            info, method=m, iterations=None, warm_started=False,
+            residual=None, fill=None, ordering=None,
+        )
         if m == "power":
             return steady_state_power(Q, tol=tol, pi0=pi0, info=info)
-        _record_info(info, method=m, iterations=None, warm_started=False)
         solver = steady_state_gth if m == "gth" else steady_state_direct
-        return solver(Q, tol=tol)
+        return solver(Q, tol=tol, info=info)
 
     if method == "auto":
         chain = (
@@ -202,11 +230,14 @@ def steady_state(
     return run(method)
 
 
-def steady_state_gth(generator, tol: float = 1e-8) -> np.ndarray:
+def steady_state_gth(
+    generator, tol: float = 1e-8, info: dict | None = None
+) -> np.ndarray:
     """GTH elimination (subtraction-free state reduction).
 
     Numerically the most robust option; O(n^3) time and dense O(n^2)
-    storage, so only suitable for small chains.
+    storage, so only suitable for small chains.  ``info`` receives the
+    achieved ``residual``.
     """
     Q = _as_Q(generator)
     n = Q.shape[0]
@@ -238,40 +269,151 @@ def steady_state_gth(generator, tol: float = 1e-8) -> np.ndarray:
     pi[0] = 1.0
     for k in range(1, n):
         pi[k] = (pi[:k] @ A[:k, k]) / s_elim[k]
-    pi = _check_result(pi, Q, tol)
+    pi, residual = _check_result(pi, Q, tol)
+    _record_info(info, residual=residual)
     if rec.enabled:
         rec.record_span(
-            "steady_state", t0, time.perf_counter() - t0, method="gth", n=n
+            "steady_state",
+            t0,
+            time.perf_counter() - t0,
+            method="gth",
+            n=n,
+            residual=residual,
         )
     return pi
 
 
-def steady_state_direct(generator, tol: float = 1e-8) -> np.ndarray:
-    """Sparse LU via state elimination.
+@dataclass(frozen=True)
+class _LUPlan:
+    """The ordered anchored system of one sparsity pattern.
 
-    Fixing ``pi[n-1] = 1`` (up to normalisation), the balance equations for
-    the remaining states read ``A^T y = -c`` where ``A`` is the generator
-    with the last row and column deleted and ``c`` the last row's
-    off-diagonal part.  Unlike replacing an equation with the (dense)
-    normalisation row, this keeps the factorisation sparse -- a row of
-    ones causes catastrophic fill-in in SuperLU (measured ~50x slower on
-    the paper's 10^4-state chains).
+    The plan anchors the first state (the models' initial, empty state:
+    a likely one, so the reduced system is well conditioned) and solves
+    ``M y = -c`` for ``M = A^T`` (``A``: the generator without its first
+    row and column) and ``c`` the first row's off-diagonal part.  It
+    factors ``B = M[q][:, q]``, whose CSC structure is ``indptr`` /
+    ``indices`` and whose values are ``Q.data[gather]``; ``c``'s rates
+    ``Q.data[rhs_src]`` sit at ``rhs_dst`` of the permuted right-hand
+    side, and the solution of ``B z = rhs`` is ``pi[states] = z``.
     """
-    Q = _as_Q(generator)
+
+    states: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray
+    rhs_src: np.ndarray
+    rhs_dst: np.ndarray
+
+
+# shared by every caller in the process: a plan depends on the sparsity
+# pattern alone, so whether one is cached changes a solve's time, never
+# its result
+_plans: "OrderedDict[tuple, _LUPlan]" = OrderedDict()
+_plans_lock = threading.Lock()
+
+
+def _build_plan(Q: sp.csr_matrix) -> _LUPlan:
+    """Order ``Q``'s anchored system and build its gather map.
+
+    The order is SuperLU's minimum degree on ``M^T + M``, taken from an
+    incomplete factor that drops every off-diagonal entry (its column
+    order equals the full factor's at a fraction of the cost).
+    """
     n = Q.shape[0]
+    # number Q's entries 1..nnz (a 0 would read as a structural zero):
+    # sliced and permuted, the numbers say where each entry comes from
+    pos = sp.csr_matrix(
+        (np.arange(1, Q.nnz + 1), Q.indices, Q.indptr), shape=Q.shape
+    )[1:, 1:]
+    # A's CSR arrays are M = A^T's CSC arrays
+    pos = sp.csc_matrix((pos.data, pos.indices, pos.indptr), shape=(n - 1, n - 1))
+    M = sp.csc_matrix((Q.data[pos.data - 1], pos.indices, pos.indptr), shape=pos.shape)
+    perm = spla.spilu(
+        M,
+        permc_spec="MMD_AT_PLUS_A",
+        drop_tol=1e300,
+        fill_factor=1,
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    ).perm_c
+    q = np.argsort(perm)
+    B = sp.csc_matrix(pos[q][:, q])
+    B.sort_indices()
+    first = np.arange(Q.indptr[0], Q.indptr[1])
+    first = first[Q.indices[first] != 0]
+    return _LUPlan(
+        states=q + 1,
+        indptr=B.indptr,
+        indices=B.indices,
+        gather=B.data - 1,
+        rhs_src=first,
+        rhs_dst=perm[Q.indices[first] - 1],
+    )
+
+
+def _plan(Q: sp.csr_matrix) -> _LUPlan:
+    """The cached plan for ``Q``'s sparsity pattern, built on a miss."""
+    digest = hashlib.blake2b(Q.indptr.tobytes(), digest_size=16)
+    digest.update(Q.indices.tobytes())
+    key = (Q.shape[0], Q.nnz, digest.hexdigest())
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+            return plan
+    plan = _build_plan(Q)
     rec = obs.recorder()
-    t0 = time.perf_counter() if rec.enabled else 0.0
+    if rec.enabled:
+        rec.add("steady.order")
+    with _plans_lock:
+        _plans[key] = plan
+        while len(_plans) > _PLAN_CACHE_SIZE:
+            _plans.popitem(last=False)
+    return plan
+
+
+def _solve_planned(Q: sp.csr_matrix) -> "tuple[np.ndarray, int]":
+    """Unnormalised ``pi`` (first state = 1) and the LU fill, from the
+    pattern's cached order and an unpivoted factor."""
+    plan = _plan(Q)
+    m = plan.states.size
+    B = sp.csc_matrix(
+        (Q.data[plan.gather], plan.indices, plan.indptr), shape=(m, m)
+    )
+    lu = spla.splu(
+        B,
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    rhs = np.zeros(m)
+    rhs[plan.rhs_dst] = -Q.data[plan.rhs_src]
+    pi = np.empty(m + 1)
+    pi[0] = 1.0
+    pi[plan.states] = lu.solve(rhs)
+    return pi, int(lu.nnz)
+
+
+def _solve_colamd(
+    Q: sp.csr_matrix, tol: float
+) -> "tuple[np.ndarray, float, int, bool]":
+    """SuperLU with its own COLAMD order and partial pivoting, anchored at
+    the last state and, if that fails the residual check, re-anchored at
+    the most likely one.  Returns ``(pi, residual, fill, reanchored)``."""
+    n = Q.shape[0]
+    fill = 0
 
     def solve_anchored(anchor: int) -> np.ndarray:
+        nonlocal fill
         keep = np.arange(n) != anchor
         A = sp.csc_matrix(Q[keep][:, keep].T)
         c = np.asarray(Q[anchor, :].todense()).ravel()[keep]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", spla.MatrixRankWarning)
-            try:
-                y = spla.spsolve(A, -c)
-            except RuntimeError as exc:  # singular factor
-                raise SteadyStateError(f"sparse LU failed: {exc}") from exc
+        try:
+            lu = spla.splu(A, permc_spec="COLAMD")
+        except RuntimeError as exc:  # singular factor
+            raise SteadyStateError(f"sparse LU failed: {exc}") from exc
+        fill = int(lu.nnz)
+        y = lu.solve(-c)
         if not np.all(np.isfinite(y)):
             raise SteadyStateError("sparse LU produced non-finite entries")
         pi = np.empty(n)
@@ -280,9 +422,8 @@ def steady_state_direct(generator, tol: float = 1e-8) -> np.ndarray:
         return pi
 
     pi = solve_anchored(n - 1)
-    reanchored = False
     try:
-        pi = _check_result(pi, Q, tol)
+        return (*_check_result(pi, Q, tol), fill, False)
     except SteadyStateError:
         # anchoring a tiny-probability state loses accuracy on stiff
         # chains; re-anchor at the (estimated) most likely state -- by
@@ -290,8 +431,56 @@ def steady_state_direct(generator, tol: float = 1e-8) -> np.ndarray:
         anchor = int(np.argmax(np.abs(pi)))
         if anchor == n - 1:  # first anchor dominated: nothing to learn
             raise
-        pi = _check_result(solve_anchored(anchor), Q, tol)
-        reanchored = True
+        return (*_check_result(solve_anchored(anchor), Q, tol), fill, True)
+
+
+def steady_state_direct(
+    generator, tol: float = 1e-8, info: dict | None = None
+) -> np.ndarray:
+    """Sparse LU via state elimination.
+
+    Fixing one state's ``pi`` to 1 (up to normalisation), the balance
+    equations of the others read ``A^T y = -c``, where ``A`` is the
+    generator with that state's row and column deleted and ``c`` its
+    row's off-diagonal part.  Unlike replacing an equation with the
+    (dense) normalisation row, this keeps the factorisation sparse -- a
+    row of ones causes catastrophic fill-in in SuperLU (measured ~50x
+    slower on the paper's 10^4-state chains).
+
+    The first state is the anchor.  A symmetric minimum-degree order of
+    ``A^T`` is computed once per sparsity pattern and cached
+    (process-local, the last ``_PLAN_CACHE_SIZE`` patterns, keyed by
+    size, nnz and a digest of ``indptr``/``indices``) together with the
+    map that gathers the permuted system from ``Q.data``.  Every solve,
+    the first included, factors the permuted matrix in that order
+    without pivoting, so a point's result does not depend on which
+    points were solved before it.  Pivoting is not needed in exact
+    arithmetic: ``A^T`` is a nonsingular column-diagonally-dominant
+    M-matrix for an irreducible chain.  In floating point a pivot can
+    lose its sign when the anchor is a very unlikely state, so a raise
+    from the order or the factor, or a result failing the residual
+    check, falls back to SuperLU's COLAMD order with partial pivoting,
+    anchored at the last state and re-anchored at the most likely one
+    if needed.  ``info`` receives ``residual``, ``fill`` (SuperLU's
+    stored L + U nonzeros) and ``ordering`` (``"mmd"``, or ``"colamd"``
+    on the fallback).
+    """
+    Q = _as_Q(generator)
+    n = Q.shape[0]
+    rec = obs.recorder()
+    t0 = time.perf_counter() if rec.enabled else 0.0
+    if not Q.has_canonical_format:
+        Q = Q.copy()
+        Q.sum_duplicates()
+    reanchored = False
+    try:
+        pi, fill = _solve_planned(Q)
+        pi, residual = _check_result(pi, Q, tol)
+        ordering = "mmd"
+    except (RuntimeError, ValueError):  # SteadyStateError included
+        pi, residual, fill, reanchored = _solve_colamd(Q, tol)
+        ordering = "colamd"
+    _record_info(info, residual=residual, fill=fill, ordering=ordering)
     if rec.enabled:
         rec.record_span(
             "steady_state",
@@ -300,6 +489,9 @@ def steady_state_direct(generator, tol: float = 1e-8) -> np.ndarray:
             method="direct",
             n=n,
             reanchored=reanchored,
+            residual=residual,
+            fill=fill,
+            ordering=ordering,
         )
     return pi
 
@@ -349,7 +541,8 @@ def steady_state_power(
             f"achieved residual {residual:g}"
         )
     _record_info(info, method="power", iterations=it, warm_started=pi0 is not None)
-    pi = _check_result(pi, Q, tol)
+    pi, residual = _check_result(pi, Q, tol)
+    _record_info(info, residual=residual)
     if rec.enabled:
         rec.record_span(
             "steady_state",
@@ -359,6 +552,7 @@ def steady_state_power(
             n=n,
             iterations=it,
             warm_started=pi0 is not None,
+            residual=residual,
         )
         rec.trace("steady_state.power", trace, n=n)
     return pi

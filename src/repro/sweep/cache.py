@@ -1,11 +1,12 @@
 """Content-addressed caching of steady-state solves.
 
 A solve is identified by a **stable hash** of ``(model class, constructor
-parameters, solver method, tolerance)`` -- not by object identity -- so the
-same parameter point is recognised across figure functions, optimiser
-probes, processes and (with the disk layer) interpreter runs.  The cached
-value is a :class:`SolveRecord`: the derived :class:`~repro.models.metrics.
-QueueMetrics` plus solver diagnostics.
+parameters, solver method, tolerance, solver revision)`` -- not by object
+identity -- so the same parameter point is recognised across figure
+functions, optimiser probes, processes and (with the disk layer)
+interpreter runs.  The cached value is a :class:`SolveRecord`: the
+derived :class:`~repro.models.metrics.QueueMetrics` plus solver
+diagnostics.
 
 Two layers:
 
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
+from repro.ctmc.steady import SOLVER_REVISION
 from repro.models.metrics import QueueMetrics
 
 __all__ = ["UncacheableParams", "SolveRecord", "SolveCache", "cache_key"]
@@ -98,7 +100,9 @@ def cache_key(
     model's solve-engine tag (``SOLVE_ENGINE`` class attribute, e.g.
     ``"pepa-compiled-v2"``): bumping it when an engine's numerics change
     retires every stale disk entry instead of silently mixing results
-    computed by different code paths.
+    computed by different code paths.  :data:`~repro.ctmc.steady.
+    SOLVER_REVISION` rides along the same way for the steady-state
+    solvers themselves, so a record written by an older solver is a miss.
     """
     token = (
         f"{model_cls.__module__}.{model_cls.__qualname__}",
@@ -106,6 +110,7 @@ def cache_key(
         str(method),
         repr(float(tol)),
         None if engine is None else str(engine),
+        SOLVER_REVISION,
     )
     return hashlib.sha256(repr(token).encode()).hexdigest()
 

@@ -94,7 +94,7 @@ def solve_point(
         metrics=metrics,
         method=info.get("method", method),
         iterations=info.get("iterations"),
-        residual=float(np.abs(pi @ gen.Q).max()),
+        residual=info["residual"],
         wall_time=time.perf_counter() - start,
     )
 

@@ -10,6 +10,7 @@ from repro.ctmc import (
     mean_first_passage_times,
 )
 from repro.ctmc.generator import TransitionBatch
+from repro.ctmc.passage import conditional_absorption_times
 
 
 def birth_death(lam, mu, K):
@@ -104,6 +105,19 @@ class TestAbsorptionProbabilities:
         B = absorption_probabilities(g, [[0], [2]])
         np.testing.assert_allclose(B.sum(axis=1), 1.0)
         assert B[1, 1] == pytest.approx(0.75)
+
+    def test_closed_class_outside_targets(self):
+        """State 0 leaves at rate 2, half into the absorbing state 1 and
+        half into the closed class {2, 3}: rows sum to < 1, and states
+        that can never be absorbed get 0 (were nan)."""
+        g = Generator.from_triples(
+            4, [0, 0, 2, 3], [1, 2, 3, 2], [1.0, 1.0, 2.0, 3.0]
+        )
+        B, M = conditional_absorption_times(g, [[1]])
+        np.testing.assert_allclose(B[:, 0], [0.5, 1.0, 0.0, 0.0])
+        assert M[0, 0] == pytest.approx(0.5)
+        assert np.isnan(M[2:, 0]).all()
+        np.testing.assert_array_equal(absorption_probabilities(g, [[1]]), B)
 
     def test_overlapping_classes_rejected(self):
         g = birth_death(1.0, 1.0, 2)

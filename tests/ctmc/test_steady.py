@@ -193,3 +193,140 @@ class TestCrossSolverAgreement:
         ref = steady_state_gth(g)
         for solver in ALL_SOLVERS[1:]:
             np.testing.assert_allclose(solver(g), ref, atol=1e-6)
+
+
+class TestOrderedDirect:
+    """``steady_state_direct`` orders once per sparsity pattern and
+    factors every point, the first included, the same way."""
+
+    T_GRID = (20.0, 35.0, 50.0, 65.0, 80.0)
+
+    @pytest.fixture
+    def fresh_plans(self, monkeypatch):
+        from collections import OrderedDict
+
+        import repro.ctmc.steady as steady_mod
+
+        monkeypatch.setattr(steady_mod, "_plans", OrderedDict())
+        return steady_mod
+
+    @staticmethod
+    def _fig3(t):
+        from repro.experiments import FIG6_PARAMS
+        from repro.models import TagsExponential
+
+        return TagsExponential(**FIG6_PARAMS, t=t).generator
+
+    def test_result_independent_of_solve_order(self, monkeypatch):
+        from collections import OrderedDict
+
+        import repro.ctmc.steady as steady_mod
+
+        a, b = self._fig3(20.0), self._fig3(80.0)
+        assert a.n_states > steady_mod.GTH_CUTOFF
+
+        def in_fresh_cache(first, second):
+            monkeypatch.setattr(steady_mod, "_plans", OrderedDict())
+            return steady_state_direct(first), steady_state_direct(second)
+
+        pa, pb = in_fresh_cache(a, b)
+        pb2, pa2 = in_fresh_cache(b, a)
+        assert np.array_equal(pa, pa2)
+        assert np.array_equal(pb, pb2)
+
+    def test_order_computed_once_per_pattern(self, fresh_plans, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        from repro import obs
+        from repro.experiments import FIG6_PARAMS
+        from repro.models import TagsExponential
+        from repro.sweep import SweepEngine
+
+        calls = []
+        spilu = spla.spilu
+
+        def counting_spilu(*args, **kw):
+            calls.append(1)
+            return spilu(*args, **kw)
+
+        monkeypatch.setattr(spla, "spilu", counting_spilu)
+        grid = [dict(FIG6_PARAMS, t=t) for t in self.T_GRID]
+        with obs.use(obs.Recorder()) as rec:
+            SweepEngine(workers=1, cache=False).sweep(TagsExponential, grid)
+        spans = rec.find_spans("steady_state")
+        assert len(spans) == len(self.T_GRID)
+        assert {s.attrs["ordering"] for s in spans} == {"mmd"}
+        assert len(calls) == 1
+        assert rec.counter("steady.order") == 1
+        assert len(fresh_plans._plans) == 1
+
+    def test_info_reports_fill_ordering_and_residual(self, fresh_plans):
+        g = self._fig3(50.0)
+        info = {}
+        pi = steady_state(g, method="direct", info=info)
+        assert info["ordering"] == "mmd"
+        assert info["fill"] > g.Q.nnz
+        assert info["residual"] == float(np.abs(pi @ g.Q).max())
+
+    def test_stiff_chain_falls_back_to_colamd(self):
+        # the mass sits at the last state; the anchor (the first state)
+        # has pi ~ 1e-24, and the unpivoted factor misses the residual
+        g = birth_death(1e3, 1e-3, 4)
+        info = {}
+        pi = steady_state_direct(g, info=info)
+        assert info["ordering"] == "colamd"
+        assert info["fill"] > 0
+        np.testing.assert_allclose(pi, mm1k_exact(1e3, 1e-3, 4), atol=1e-9)
+
+    def test_ordering_failure_falls_back(self, fresh_plans, monkeypatch):
+        def broken(Q):
+            raise RuntimeError("no order")
+
+        monkeypatch.setattr(fresh_plans, "_build_plan", broken)
+        info = {}
+        pi = steady_state_direct(birth_death(3.0, 4.0, 300), info=info)
+        assert info["ordering"] == "colamd"
+        np.testing.assert_allclose(pi, mm1k_exact(3.0, 4.0, 300), atol=1e-7)
+
+    @pytest.mark.parametrize("method", ["gth", "power"])
+    def test_other_methods_report_residual(self, method):
+        g = birth_death(2.0, 5.0, 10)
+        info = {}
+        pi = steady_state(g, method=method, info=info)
+        assert info["residual"] == float(np.abs(pi @ g.Q).max())
+        assert info["fill"] is None and info["ordering"] is None
+
+    def test_threads_share_the_plan_cache(self, fresh_plans):
+        """More threads than cores and more patterns than cache slots:
+        every solve still meets its closed form."""
+        import sys
+        import threading
+
+        sizes = [50 + k for k in range(fresh_plans._PLAN_CACHE_SIZE + 4)]
+        errors = []
+
+        def work(offset):
+            try:
+                for K in sizes[offset:] + sizes[:offset]:
+                    pi = steady_state_direct(birth_death(3.0, 4.0, K))
+                    np.testing.assert_allclose(
+                        pi, mm1k_exact(3.0, 4.0, K), atol=1e-9
+                    )
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(k,)) for k in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(fresh_plans._plans) == fresh_plans._PLAN_CACHE_SIZE

@@ -83,7 +83,7 @@ PINS = [
     ),
     (
         lambda: TagsMMPP(MMPP2(2, 14, 0.5, 1)),
-        8662, 2.046106652025264, 5.935534821914731, 0.06446517808526941,
+        8662, 2.0461066520252413, 5.935534821914718, 0.06446517808528185,
     ),
 ]
 

@@ -1,6 +1,7 @@
 """Content-addressed solve cache: keying, hit/miss semantics, disk layer."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -371,6 +372,42 @@ class TestEngineTag:
         assert eng._key(Plain, dict(lam=5.0)) == cache_key(
             Plain, dict(lam=5.0), eng.method, eng.tol, engine=None
         )
+
+    def test_solver_revision_changes_key(self, monkeypatch):
+        import repro.sweep.cache as cache_mod
+
+        before = cache_key(**self.BASE)
+        monkeypatch.setattr(cache_mod, "SOLVER_REVISION", "older-solver")
+        assert cache_key(**self.BASE) != before
+
+    def test_record_under_pre_revision_key_is_a_miss(self, tmp_path):
+        """A disk record keyed the way keys were built before the solver
+        revision joined the token (same fields, no revision) is never
+        served: the point is solved afresh."""
+        eng = make_engine(cache=SolveCache(disk_dir=tmp_path))
+        token = (
+            f"{CountingMM1K.__module__}.{CountingMM1K.__qualname__}",
+            _canon(dict(PARAMS)),
+            str(eng.method),
+            repr(float(eng.tol)),
+            getattr(CountingMM1K, "SOLVE_ENGINE", None),
+        )
+        old_key = hashlib.sha256(repr(token).encode()).hexdigest()
+        stale = SolveRecord(
+            metrics=from_population_and_throughput(
+                mean_jobs_per_node=(9.0,), throughput=1.0, offered_load=1.0
+            ),
+            method="direct",
+            iterations=None,
+            residual=0.0,
+            wall_time=0.0,
+        )
+        SolveCache(disk_dir=tmp_path).put(old_key, stale)
+        assert eng._key(CountingMM1K, PARAMS) != old_key
+        m, stats = eng.solve(CountingMM1K, PARAMS)
+        assert not stats.cache_hit
+        assert CountingMM1K.builds == 1
+        assert m.mean_jobs != stale.metrics.mean_jobs
 
     def test_engine_bump_invalidates_cache_entry(self, monkeypatch):
         eng = make_engine()
