@@ -4,7 +4,7 @@ A 16-point lambda sweep of the Figure 3 model at the paper's size
 (n = 6, K1 = K2 = 10, 4331 states).  The interpreter pipeline re-walks
 the process-algebra semantics at every grid point; the compiled engine
 (:mod:`repro.pepa.compiled`) explores the structure once, then refills
-the rate column and the frozen CSR sparsity pattern per point.
+the rate column and fills the kept CSR generator pattern per point.
 
 Gate: the compiled sweep must be at least 2x faster end-to-end (both
 sides include the linear solve, which is the shared floor) while
@@ -18,7 +18,7 @@ import numpy as np
 from repro.ctmc import action_throughput, steady_state
 from repro.models import TagsPepa, build_tags_model
 from repro.models.tags_pepa import TagsParameters
-from repro.pepa import explore, to_generator
+from repro.pepa import explore_interpreter, to_generator
 from repro.pepa.compiled import compile_model
 from repro.sweep import structure_cache
 
@@ -35,9 +35,7 @@ def _q2_len(names) -> float:
 
 
 def _interpreter_point(lam: float):
-    space = explore(
-        build_tags_model(TagsParameters(lam=lam)), engine="interpreter"
-    )
+    space = explore_interpreter(build_tags_model(TagsParameters(lam=lam)))
     gen = to_generator(space)
     pi = steady_state(gen)
     L = float(pi @ space.state_reward(_q1_len)) + float(

@@ -7,7 +7,10 @@ uniformization, reward structures and structural (graph) analysis.
 The public entry points are:
 
 * :class:`~repro.ctmc.generator.Generator` -- a validated sparse CTMC
-  generator matrix with labelled transition support.
+  generator matrix with labelled transition support;
+  :class:`~repro.ctmc.generator.GeneratorPattern` and
+  :func:`~repro.ctmc.generator.assemble_generator` -- the one assembler
+  from transitions (CSR pattern built once, filled per rate vector).
 * :func:`~repro.ctmc.steady.steady_state` -- steady-state distribution with
   a choice of solvers (GTH, direct sparse LU, power iteration).
 * :func:`~repro.ctmc.transient.transient_distribution` -- uniformization.
@@ -15,11 +18,10 @@ The public entry points are:
   Little's-law utilities.
 * :mod:`~repro.ctmc.structure` -- reachability / irreducibility checks.
 * :class:`~repro.ctmc.bfs.Chain` -- the solve protocol of the stationary
-  model classes; :func:`~repro.ctmc.bfs.assemble_generator` -- the one
-  labelled-generator assembler.
+  model classes.
 """
 
-from repro.ctmc.generator import Generator
+from repro.ctmc.generator import Generator, GeneratorPattern, assemble_generator
 from repro.ctmc.steady import (
     SteadyStateError,
     steady_state,
@@ -49,13 +51,13 @@ from repro.ctmc.accumulate import expected_accumulated_reward
 from repro.ctmc.bfs import (
     Chain,
     TupleChain,
-    assemble_generator,
     bfs_arrays,
     bfs_generator,
 )
 
 __all__ = [
     "Generator",
+    "GeneratorPattern",
     "SteadyStateError",
     "steady_state",
     "steady_state_gth",

@@ -9,27 +9,28 @@ tuple chains all solve through it.
 Chains without a PEPA form define a successor function
 ``succ(state) -> [(action, rate, next_state), ...]`` over plain tuples;
 :func:`bfs_generator` explores the reachable set and
-:func:`assemble_generator`, the repo's one labelled-generator
-assembler, builds the chain.  The model classes built this way
-(shortest queue, round robin, the MMPP chains and N-node TAGS) subclass
-:class:`TupleChain`; the tagged-job chains call :func:`bfs_generator`
-directly, seeded with every start state.
+:func:`~repro.ctmc.generator.assemble_generator` builds the chain.  The
+model classes built this way (shortest queue, round robin, the MMPP
+chains and N-node TAGS) subclass :class:`TupleChain`; the tagged-job
+chains call :func:`bfs_generator` directly, seeded with every start
+state.
 
-These chains are rebuilt from scratch per instance; sweeps that only
-change rate values refill a frozen structure on the compiled PEPA engine
-instead (:meth:`repro.pepa.compiled.CompiledSpace.refill`).
+These chains are rebuilt from scratch per instance (one generator
+pattern built and filled once); sweeps that only change rate values
+refill a frozen structure on the compiled PEPA engine instead
+(:meth:`repro.pepa.compiled.CompiledSpace.refill`), which keeps its
+pattern.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import obs
-from repro.ctmc import Generator
+from repro.ctmc.generator import Generator, assemble_generator
 from repro.ctmc.rewards import action_throughput
 from repro.ctmc.steady import steady_state
 
@@ -38,7 +39,6 @@ __all__ = [
     "TupleChain",
     "bfs_generator",
     "bfs_arrays",
-    "assemble_generator",
 ]
 
 
@@ -57,7 +57,7 @@ def bfs_arrays(
     reachable from any start state.  Zero-rate transitions are skipped,
     negative rates raise ``ValueError``, and transitions are recorded in
     enumeration order (per-action aggregation happens in
-    :func:`assemble_generator`).
+    :func:`~repro.ctmc.generator.assemble_generator`).
 
     Each exploration files a ``ctmc.bfs`` span (state/transition counts)
     and ``ctmc.bfs.states``/``ctmc.bfs.transitions`` counters with the
@@ -115,31 +115,6 @@ def bfs_arrays(
     return states, index, src_a, dst_a, rate_a, act
 
 
-def assemble_generator(
-    n: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    rate: np.ndarray,
-    act: Sequence,
-) -> Generator:
-    """Assemble a labelled :class:`Generator` from transition arrays.
-
-    ``act[i]`` labels transition ``i``; ``None`` marks an unlabelled
-    transition, which enters ``Q`` but no per-action matrix.  Parallel
-    transitions with the same action are summed (CSR construction sums
-    duplicates); self-loops are kept in the per-action matrices only.
-    Deterministic: equal inputs give bit-identical generators.
-    """
-    act_a = np.asarray(act, dtype=object)
-    action_rates = {}
-    for a in sorted({a for a in act if a is not None}):
-        mask = act_a == a
-        action_rates[a] = sp.csr_matrix(
-            (rate[mask], (src[mask], dst[mask])), shape=(n, n)
-        )
-    return Generator.from_triples(n, src, dst, rate, action_rates=action_rates)
-
-
 def bfs_generator(
     initial,
     successors: Callable,
@@ -152,8 +127,7 @@ def bfs_generator(
 
     Returns ``(generator, states, index)`` where ``states`` is the list of
     reachable tuples (``states[0] == initial``) and ``index`` the reverse
-    map.  Parallel transitions with the same action are summed; self-loops
-    are kept in the per-action matrices only.
+    map.
     """
     states, index, src, dst, rate, act = bfs_arrays(
         initial, successors, seeds=seeds, max_states=max_states

@@ -8,10 +8,15 @@ property on construction and keeps (optionally) a per-action decomposition
 ``Q = sum_a R_a + diagonal`` so that action throughputs can be computed for
 process-algebra derived chains.
 
-Construction is vectorised: callers accumulate ``(src, dst, rate)`` triples
-(NumPy arrays or Python lists) and build once.  Duplicate ``(src, dst)``
-pairs are summed, matching the multi-transition-system semantics of PEPA
-(two distinct activities between the same pair of states add their rates).
+Every generator built from transitions goes through one assembler:
+:class:`GeneratorPattern` sorts a transition structure once and
+:meth:`~GeneratorPattern.fill` sums a rate vector into it.
+:func:`assemble_generator`, :meth:`Generator.from_triples` and
+:meth:`TransitionBatch.to_generator` build and fill once; the compiled
+PEPA engine keeps its pattern across rate refills.  Parallel transitions
+on one ``(src, dst)`` pair are summed, matching the multi-transition-system
+semantics of PEPA (two distinct activities between the same pair of
+states add their rates).
 """
 
 from __future__ import annotations
@@ -22,7 +27,117 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Generator", "TransitionBatch"]
+__all__ = ["Generator", "GeneratorPattern", "TransitionBatch", "assemble_generator"]
+
+
+def stable_groups(idx: np.ndarray, *keys: np.ndarray):
+    """Sort transitions ``idx`` stably by ``keys`` (most significant
+    first); return them with each one's group id (equal keys share one)
+    and the first transition of every group."""
+    order = idx[np.lexsort(tuple(k[idx] for k in reversed(keys)))]
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        ks = k[order]
+        new[1:] |= ks[1:] != ks[:-1]
+    return order, np.cumsum(new) - 1, order[new]
+
+
+def _indptr(rows: np.ndarray, n: int, dtype) -> np.ndarray:
+    """CSR row pointer of entries in the sorted ``rows``."""
+    return np.searchsorted(rows, np.arange(n + 1)).astype(dtype)
+
+
+class GeneratorPattern:
+    """The CSR layout of one transition structure, filled per rate vector.
+
+    ``act[i]`` indexes transition ``i``'s label in ``actions``; ``-1``
+    (all of them when ``act`` is ``None``) leaves it unlabelled: in
+    ``Q``, in no action matrix.  The semantics are SciPy's COO assembly:
+    parallel transitions add up in input order, a self-loop counts in its
+    action matrix only, a row without exits stores no diagonal, and
+    ``Q`` drops entries that sum to zero (action matrices keep them).
+    """
+
+    def __init__(self, n, src, dst, act=None, actions: Sequence[str] = ()):
+        n = int(n)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        act = np.full(src.shape, -1) if act is None else np.asarray(act, np.int64)
+        if not (src.ndim == 1 and src.shape == dst.shape == act.shape):
+            raise ValueError("src/dst/act must be 1-d arrays of one length")
+        if src.size and (
+            min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n
+        ):
+            raise ValueError(f"transition endpoint outside [0, {n})")
+        if act.size and (act.min() < -1 or act.max() >= len(actions)):
+            raise ValueError("action code outside the action list")
+        self.n = n
+        self.size = src.size
+        # the index dtype SciPy itself would pick, so it never re-casts
+        idx_t = np.int32 if n + src.size < 2**31 else np.int64
+        # Q: off-diagonal transitions summed per (src, dst), merged in
+        # column order with a diagonal slot for each row that has an exit
+        self._q_order, self._q_group, first = stable_groups(
+            np.flatnonzero(src != dst), src, dst
+        )
+        rows, cols = src[first], dst[first]
+        self._row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        r = np.concatenate((rows, rows[self._row_starts]))
+        c = np.concatenate((cols, rows[self._row_starts]))
+        self._perm = np.lexsort((c, r))
+        self._q_csr = c[self._perm].astype(idx_t), _indptr(r[self._perm], n, idx_t)
+        # per action: labelled transitions summed per (action, src, dst)
+        self._a_order, self._a_group, first = stable_groups(
+            np.flatnonzero(act >= 0), act, src, dst
+        )
+        bounds = np.searchsorted(act[first], np.arange(len(actions) + 1))
+        self._actions = [
+            (name, lo, hi, dst[first[lo:hi]].astype(idx_t),
+             _indptr(src[first[lo:hi]], n, idx_t))
+            for name, lo, hi in zip(actions, bounds[:-1], bounds[1:])
+            if hi > lo
+        ]
+
+    def fill(self, rate: Sequence[float]) -> "Generator":
+        """The :class:`Generator` of this structure under ``rate`` (one
+        finite, non-negative rate per transition).  Each call returns
+        fresh CSR arrays, so mutating one generator leaves the pattern
+        intact."""
+        rate = np.asarray(rate, dtype=np.float64)
+        if rate.shape != (self.size,):
+            raise ValueError(f"expected {self.size} rates, got shape {rate.shape}")
+        if rate.size and not (np.isfinite(rate).all() and rate.min() >= 0):
+            raise ValueError("transition rates must be finite and non-negative")
+        n, (indices, indptr) = self.n, self._q_csr
+        # bincount adds a group's rates in input order, as SciPy sums
+        # duplicates; reduceat over a row's entries is SciPy's row sum
+        entries = np.bincount(self._q_group, rate[self._q_order])
+        exits = np.add.reduceat(entries, self._row_starts) if entries.size else entries
+        data = np.concatenate((entries, -exits))[self._perm]
+        Q = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+        if not data.all():
+            Q.eliminate_zeros()
+        vals = np.bincount(self._a_group, rate[self._a_order])
+        action_rates = {
+            name: sp.csr_matrix((vals[lo:hi], cols.copy(), ptr.copy()), shape=(n, n))
+            for name, lo, hi, cols, ptr in self._actions
+        }
+        return Generator(Q, action_rates=action_rates, validate=False)
+
+
+def assemble_generator(n, src, dst, rate, act: Sequence) -> "Generator":
+    """Assemble a labelled :class:`Generator` from transition arrays.
+
+    ``act[i]`` labels transition ``i``; ``None`` marks an unlabelled
+    transition, which enters ``Q`` but no per-action matrix (see
+    :class:`GeneratorPattern`).  Deterministic: equal inputs give
+    bit-identical generators.
+    """
+    names = sorted({a for a in act if a is not None})
+    code = {a: k for k, a in enumerate(names)}
+    codes = np.fromiter((code.get(a, -1) for a in act), np.int64, count=len(act))
+    return GeneratorPattern(n, src, dst, codes, names).fill(rate)
 
 
 @dataclass
@@ -59,17 +174,14 @@ class TransitionBatch:
 
     def to_generator(self, n_states: int | None = None) -> "Generator":
         """Assemble the accumulated triples into a :class:`Generator`."""
-        from repro.ctmc.bfs import assemble_generator  # bfs imports us
-
-        n = n_states if n_states is not None else self.n_states
-        if n is None:
-            if not self._src:
-                raise ValueError("cannot infer state count from an empty batch")
-            n = int(max(int(s.max()) for s in self._src if s.size) + 1)
-            n = max(n, int(max(int(d.max()) for d in self._dst if d.size) + 1))
         src = np.concatenate(self._src) if self._src else np.empty(0, np.int64)
         dst = np.concatenate(self._dst) if self._dst else np.empty(0, np.int64)
         rate = np.concatenate(self._rate) if self._rate else np.empty(0, np.float64)
+        n = n_states if n_states is not None else self.n_states
+        if n is None:
+            if not src.size:
+                raise ValueError("cannot infer state count from an empty batch")
+            n = 1 + int(max(src.max(), dst.max()))
         act = np.repeat(
             np.asarray(self._action, dtype=object), [s.size for s in self._src]
         )
@@ -136,28 +248,11 @@ class Generator:
         src: Sequence[int],
         dst: Sequence[int],
         rate: Sequence[float],
-        action_rates: Mapping[str, sp.spmatrix] | None = None,
     ) -> "Generator":
-        """Build from off-diagonal transition triples; the diagonal is set
-        so each row sums to zero.  Self-loop triples (``src == dst``) are
-        legal and simply cancel out of the generator (they still count for
-        any action-labelled rate matrices supplied separately), matching the
-        CTMC semantics where a self-loop is unobservable in the stationary
-        distribution.
-        """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        rate = np.asarray(rate, dtype=np.float64)
-        if rate.size and rate.min() < 0:
-            raise ValueError("negative transition rate")
-        keep = src != dst
-        R = sp.csr_matrix(
-            (rate[keep], (src[keep], dst[keep])), shape=(n_states, n_states)
-        )
-        R.sum_duplicates()
-        exit_rates = np.asarray(R.sum(axis=1)).ravel()
-        Q = R - sp.diags(exit_rates, format="csr")
-        return cls(Q, action_rates=action_rates, validate=False)
+        """Build from unlabelled transition triples (finite,
+        non-negative rates; states in ``[0, n_states)``); the diagonal
+        makes each row sum to zero and self-loops cancel out."""
+        return GeneratorPattern(n_states, src, dst).fill(rate)
 
     @classmethod
     def from_dense(cls, Q: np.ndarray, **kw) -> "Generator":

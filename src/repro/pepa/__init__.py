@@ -43,7 +43,8 @@ from repro.pepa.syntax import (
     prefix_chain,
 )
 from repro.pepa.semantics import transitions, apparent_rate
-from repro.pepa.statespace import StateSpace, explore, PassiveRateError
+from repro.pepa.statespace import PassiveRateError, StateSpace
+from repro.pepa.statespace import explore, explore_interpreter
 from repro.pepa.ctmc_map import to_generator
 from repro.pepa.parser import parse_model, parse_component, PepaSyntaxError
 from repro.pepa.wellformed import check_model, WellFormednessError, alphabet
@@ -76,6 +77,7 @@ __all__ = [
     "apparent_rate",
     "StateSpace",
     "explore",
+    "explore_interpreter",
     "PassiveRateError",
     "to_generator",
     "parse_model",

@@ -1,4 +1,4 @@
-"""Compiled PEPA engine: vectorized exploration + generator templates.
+"""Compiled PEPA engine: vectorized exploration + rate refills.
 
 The interpreter in :mod:`repro.pepa.statespace` pays Python-level AST
 rewriting and component hashing for every transition of every state.
@@ -42,19 +42,24 @@ state enables it ("poison rules" checked during the BFS, not eagerly
 over the whole product space), and ``max_states`` raises
 :class:`MemoryError`.
 
-**Templates**: the CSR sparsity pattern of the generator depends only on
-the structure, so :meth:`CompiledSpace.refill` re-evaluates nothing but
-the rate vector for a new model of identical shape -- a parameter sweep
-explores once and refills per (lambda, mu, t) point.  Spans
-``pepa.compile``, ``pepa.explore.fast`` and ``template.refill`` make the
-split visible in :mod:`repro.obs` traces.
+**Refills**: the state space, the transition structure and hence the
+generator's CSR pattern depend only on the model's shape, so
+:meth:`CompiledSpace.refill` re-evaluates nothing but the rate vector
+for a new model of identical shape, and :meth:`CompiledSpace.generator`
+fills the space's :class:`~repro.ctmc.generator.GeneratorPattern` --
+a parameter sweep explores once and refills per (lambda, mu, t) point.
+Spans ``pepa.compile``, ``pepa.explore.fast`` and ``template.refill``
+make the split visible in :mod:`repro.obs` traces.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro import obs
+from repro.ctmc.generator import Generator, GeneratorPattern, stable_groups
 from repro.pepa.semantics import TransitionContext
 from repro.pepa.statespace import PassiveRateError, StateSpace
 from repro.pepa.syntax import TAU, Constant, Cooperation, Hiding, Model
@@ -156,27 +161,17 @@ def _leaf_table(comp, ctx: TransitionContext) -> _Leaf:
             ent[0].append(index[s])
             ent[1].append(j)
             ent[2].append(rate.value)
-    n = len(states)
     mats = {}
     for action, (src, dst, val, passive) in raw.items():
         src_a = np.asarray(src, dtype=np.int64)
         dst_a = np.asarray(dst, dtype=np.int64)
-        val_a = np.asarray(val, dtype=np.float64)
         # aggregate duplicate (src, dst) pairs: PEPA's multiset semantics
-        # sums them, and a single entry per pair keeps the cross-product
-        # tables minimal
-        key = src_a * n + dst_a
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        val_a = val_a[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], key[1:] != key[:-1]))
-        )
+        # sums them (in enumeration order, as the interpreter does), and
+        # a single entry per pair keeps the cross-product tables minimal
+        order, group, first = stable_groups(np.arange(src_a.size), src_a, dst_a)
+        val_a = np.asarray(val, dtype=np.float64)[order]
         mats[action] = _LeafAction(
-            key[starts] // n,
-            key[starts] % n,
-            np.add.reduceat(val_a, starts),
-            passive,
+            src_a[first], dst_a[first], np.bincount(group, val_a), passive
         )
     names = [_flat_names(s) for s in states]
     return _Leaf(comp, states, names, mats)
@@ -625,18 +620,12 @@ class CompiledModel:
             act = self.rule_action[rule_ids]
             # canonical transition order: (src, action, dst); stable, so
             # equal-key match rows keep their deterministic BFS order and
-            # the float aggregation below is reproducible
-            perm = np.lexsort((dst_ids, act, src_ids))
-            s, a, d = src_ids[perm], act[perm], dst_ids[perm]
-            boundary = np.concatenate(
-                ([True], (s[1:] != s[:-1]) | (a[1:] != a[:-1]) | (d[1:] != d[:-1]))
+            # the float aggregation in CompiledSpace._fill is reproducible
+            perm, match_group, first = stable_groups(
+                np.arange(src_ids.size), src_ids, act, dst_ids
             )
-            group = np.cumsum(boundary) - 1
-            entry_src = s[boundary]
-            entry_act = a[boundary]
-            entry_dst = d[boundary]
+            entry_src, entry_act, entry_dst = src_ids[first], act[first], dst_ids[first]
             match_rows = table_rows[perm]
-            match_group = group
         else:
             entry_src = entry_act = entry_dst = np.empty(0, dtype=np.int64)
             match_rows = match_group = np.empty(0, dtype=np.int64)
@@ -686,10 +675,8 @@ class CompiledModel:
 class CompiledSpace:
     """Explored state space with a refillable rate vector.
 
-    Duck-types the slice of :class:`StateSpace` that
-    :func:`repro.pepa.ctmc_map.to_generator` needs (``n_states``,
-    ``src``/``dst``/``rate``/``action``, ``actions()``), so a generator
-    can be assembled without materialising component expressions;
+    :meth:`generator` assembles the CTMC straight from the integer
+    action codes, without materialising component expressions;
     :meth:`statespace` builds the full interpreter-compatible object.
     """
 
@@ -718,7 +705,6 @@ class CompiledSpace:
         # per-structure data derived by callers (e.g. a model's own state
         # encoding); survives refills like the reward memo
         self.memo: dict = {}
-        self._gen_template: "dict | None" = None
         self.rate = self._fill()
 
     # -- shape ---------------------------------------------------------
@@ -735,9 +721,6 @@ class CompiledSpace:
         names = self.compiled.action_names
         return [names[i] for i in self._act]
 
-    def actions(self) -> set:
-        return {self.compiled.action_names[i] for i in np.unique(self._act)}
-
     @property
     def model(self) -> Model:
         return self.compiled.model
@@ -745,8 +728,6 @@ class CompiledSpace:
     # -- rates ---------------------------------------------------------
     def _fill(self) -> np.ndarray:
         values = self.compiled.values()
-        if not self._match_rows.size:
-            return np.empty(0, dtype=np.float64)
         return np.bincount(
             self._match_group,
             weights=values[self._match_rows],
@@ -807,125 +788,18 @@ class CompiledSpace:
             )
         return out.copy()
 
-    def generator(self):
-        """Assemble the CTMC generator.
-
-        The first call routes through the reference assembly
-        (:func:`repro.pepa.ctmc_map.to_generator`) and records the CSR
-        sparsity pattern -- entry positions for every transition, per
-        action and for ``Q`` itself.  Later calls (i.e. after a rate
-        refill) write only the data vectors into the frozen pattern,
-        skipping all index sorting and duplicate bookkeeping.
-        """
-        from repro.pepa.ctmc_map import to_generator
-
-        if self._gen_template not in (None, False):
-            return self._generator_from_template()
-        gen = to_generator(self)
-        if self._gen_template is None:
-            # False marks an unsupported pattern: keep using the
-            # reference assembly instead of re-probing every call
-            self._gen_template = self._build_gen_template(gen) or False
-        return gen
-
-    def _build_gen_template(self, gen) -> "dict | None":
-        import scipy.sparse as sp_
-
-        src, dst, rate = self.src, self.dst, self.rate
-        n = self.n_states
-        Q = gen.Q
-        Q.sort_indices()
-        qkey = (
-            np.repeat(np.arange(n, dtype=np.int64), np.diff(Q.indptr)) * n
-            + Q.indices
+    @cached_property
+    def _pattern(self) -> GeneratorPattern:
+        return GeneratorPattern(
+            self.n_states, self.src, self.dst, self._act, self.compiled.action_names
         )
-        kf = np.flatnonzero(src != dst)
-        order = np.lexsort((dst[kf], src[kf]))
-        gather = kf[order]  # off-diag transitions in CSR (row, col) order
-        ks, kd = src[gather], dst[gather]
-        boundary = np.concatenate(
-            ([True], (ks[1:] != ks[:-1]) | (kd[1:] != kd[:-1]))
-        ) if ks.size else np.empty(0, dtype=bool)
-        starts = np.flatnonzero(boundary)
-        ukey = ks[starts] * n + kd[starts]
-        pos = np.searchsorted(qkey, ukey)
-        diag_pos = np.searchsorted(qkey, np.arange(n, dtype=np.int64) * (n + 1))
-        # the pattern must hold every off-diagonal entry and a diagonal
-        # slot per row; csr arithmetic can in principle prune explicit
-        # zeros, in which case fall back to full assembly per call
-        if (
-            np.any(pos >= qkey.size)
-            or np.any(qkey[np.minimum(pos, qkey.size - 1)] != ukey)
-            or np.any(diag_pos >= qkey.size)
-            or np.any(
-                qkey[np.minimum(diag_pos, qkey.size - 1)]
-                != np.arange(n, dtype=np.int64) * (n + 1)
-            )
-        ):
-            return None
-        # rows of the summed (src, dst) entries: exit rates are taken over
-        # these, as Generator.from_triples does (R.sum(axis=1) reduces the
-        # summed entries), so refilled diagonals agree bitwise even when
-        # a row is long enough for numpy's pairwise summation
-        entry_rows = ks[starts]
-        row_starts = np.flatnonzero(
-            np.concatenate(([True], entry_rows[1:] != entry_rows[:-1]))
-        ) if ks.size else np.empty(0, dtype=np.int64)
-        actions = {}
-        for name in sorted(gen.action_rates):
-            ma = np.flatnonzero(
-                self._act == self.compiled.action_names.index(name)
-            )
-            aorder = ma[np.lexsort((dst[ma], src[ma]))]
-            mat = gen.action_rates[name]
-            mat.sort_indices()
-            if mat.nnz != aorder.size:  # duplicate (src, dst) in action
-                return None
-            actions[name] = {
-                "gather": aorder,
-                "indices": mat.indices.copy(),
-                "indptr": mat.indptr.copy(),
-            }
-        return {
-            "indices": Q.indices.copy(),
-            "indptr": Q.indptr.copy(),
-            "nnz": Q.nnz,
-            "gather": gather,
-            "starts": starts,
-            "pos": pos,
-            "diag_pos": diag_pos,
-            "row_starts": row_starts,
-            "rows": entry_rows[row_starts],
-            "actions": actions,
-            "csr": sp_.csr_matrix,
-        }
 
-    def _generator_from_template(self):
-        from repro.ctmc import Generator
-
-        t = self._gen_template
-        n = self.n_states
-        vals = self.rate[t["gather"]]
-        data = np.zeros(t["nnz"], dtype=np.float64)
-        if vals.size:
-            entries = np.add.reduceat(vals, t["starts"])
-            data[t["pos"]] = entries
-            exit_rates = np.add.reduceat(entries, t["row_starts"])
-            data[t["diag_pos"][t["rows"]]] = -exit_rates
-        Q = t["csr"](
-            (data, t["indices"].copy(), t["indptr"].copy()), shape=(n, n)
-        )
-        action_rates = {}
-        for name, at in t["actions"].items():
-            action_rates[name] = t["csr"](
-                (
-                    self.rate[at["gather"]],
-                    at["indices"].copy(),
-                    at["indptr"].copy(),
-                ),
-                shape=(n, n),
-            )
-        return Generator(Q, action_rates=action_rates, validate=False)
+    def generator(self) -> Generator:
+        """Assemble the CTMC generator.  The CSR pattern is built from
+        the integer action codes on the first call and kept on the
+        space, so after a :meth:`refill` only the new rate vector is
+        summed into it."""
+        return self._pattern.fill(self.rate)
 
     def statespace(self) -> StateSpace:
         """Materialise the interpreter-compatible :class:`StateSpace`

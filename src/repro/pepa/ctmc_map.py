@@ -6,13 +6,13 @@ action throughputs (``service2`` completions, ``arrival`` losses, ...) can
 be read from the steady-state vector.  Self-loop transitions (e.g. an
 ``arrival`` dropped by a full queue modelled as ``Q_K -> Q_K``) do not
 affect the generator but are retained in the action matrices, so loss rates
-remain observable.
+remain observable.  Assembly is :func:`repro.ctmc.generator.
+assemble_generator`, the one generator assembler.
 """
 
 from __future__ import annotations
 
-from repro.ctmc.bfs import assemble_generator
-from repro.ctmc.generator import Generator
+from repro.ctmc.generator import Generator, assemble_generator
 from repro.pepa.statespace import StateSpace
 
 __all__ = ["to_generator"]

@@ -4,11 +4,11 @@ Breadth-first exploration from the system equation.  Every reachable
 derivative becomes a CTMC state; the labelled multi-transitions are recorded
 as flat arrays ready for sparse-matrix assembly.
 
-:func:`explore` is an engine dispatcher: models inside the compiled
-fragment (see :mod:`repro.pepa.compiled`) are explored by the vectorized
-engine -- identical ``StateSpace`` output, states in canonical
-(BFS-level, packed-code) order -- and everything else falls back to the
-pure-Python interpreter below.
+:func:`explore` explores models inside the compiled fragment (see
+:mod:`repro.pepa.compiled`) with the vectorized engine -- identical
+``StateSpace`` output, states in canonical (BFS-level, packed-code)
+order -- and everything else with the pure-Python interpreter below,
+:func:`explore_interpreter`.
 
 Passive rates must have been closed off by cooperation by the time they
 reach the top level -- a reachable passive transition means the model is
@@ -28,7 +28,7 @@ from repro import obs
 from repro.pepa.semantics import TransitionContext
 from repro.pepa.syntax import Component, Constant, Cooperation, Hiding, Model
 
-__all__ = ["StateSpace", "explore", "PassiveRateError"]
+__all__ = ["StateSpace", "explore", "explore_interpreter", "PassiveRateError"]
 
 
 class PassiveRateError(RuntimeError):
@@ -173,57 +173,39 @@ class StateSpace:
         return np.flatnonzero(~has_out)
 
 
-def explore(
-    model: Model,
-    *,
-    max_states: int = 2_000_000,
-    engine: str = "auto",
-) -> StateSpace:
+def explore(model: Model, *, max_states: int = 2_000_000) -> StateSpace:
     """Explore the reachable derivatives of ``model.system``.
 
-    ``engine`` selects the implementation:
-
-    * ``"auto"`` (default) -- compile for the vectorized engine; on
-      :class:`~repro.pepa.compiled.CompileError` (model outside the
-      supported fragment) fall back to the interpreter silently.
-    * ``"compiled"`` -- vectorized engine only; ``CompileError``
-      propagates.
-    * ``"interpreter"`` -- the reference pure-Python BFS below.
-
-    Both produce the same ``StateSpace`` contents; the compiled engine
-    orders states canonically (BFS level, then packed local-state code)
-    while the interpreter's order depends on hash-dependent transition
-    enumeration.  Progress is reported through :mod:`repro.obs`: the
-    interpreter emits a ``pepa.explore`` span, the fast path
-    ``pepa.compile`` + ``pepa.explore.fast``; both emit the
+    The model is compiled for the vectorized engine
+    (:mod:`repro.pepa.compiled`); on
+    :class:`~repro.pepa.compiled.CompileError` (model outside the
+    supported fragment) it falls back to :func:`explore_interpreter`
+    silently.  Both produce the same ``StateSpace`` contents; the
+    compiled engine orders states canonically (BFS level, then packed
+    local-state code) while the interpreter's order depends on
+    hash-dependent transition enumeration.  Progress is reported through
+    :mod:`repro.obs`: the interpreter emits a ``pepa.explore`` span, the
+    fast path ``pepa.compile`` + ``pepa.explore.fast``; both emit the
     ``pepa.explore.frontier`` trace, ``pepa.frontier`` gauge and
     ``pepa.states``/``pepa.transitions`` counters.
     """
-    if engine not in ("auto", "compiled", "interpreter"):
-        raise ValueError(
-            f"unknown engine {engine!r}: pick 'auto', 'compiled' or "
-            "'interpreter'"
-        )
-    if engine != "interpreter":
-        # lazy import: compiled.py imports this module for StateSpace
-        from repro.pepa.compiled import CompileError, compile_model
+    # lazy import: compiled.py imports this module for StateSpace
+    from repro.pepa.compiled import CompileError, compile_model
 
-        try:
-            compiled = compile_model(model)
-        except CompileError:
-            if engine == "compiled":
-                raise
-        else:
-            return compiled.explore(max_states=max_states).statespace()
-    return _explore_interpreter(model, max_states=max_states)
+    try:
+        compiled = compile_model(model)
+    except CompileError:
+        return explore_interpreter(model, max_states=max_states)
+    return compiled.explore(max_states=max_states).statespace()
 
 
-def _explore_interpreter(
+def explore_interpreter(
     model: Model,
     *,
     max_states: int = 2_000_000,
 ) -> StateSpace:
-    """Reference BFS: pure-Python AST rewriting, one state at a time."""
+    """Reference BFS: pure-Python AST rewriting, one state at a time,
+    for every PEPA model (the compiled engine's test oracle)."""
     ctx = TransitionContext(model)
     rec = obs.recorder()
     rec_on = rec.enabled

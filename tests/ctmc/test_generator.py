@@ -1,10 +1,13 @@
-"""Unit tests for the Generator class and TransitionBatch accumulator."""
+"""Unit tests for the Generator class, the one transition assembler
+(GeneratorPattern) and the TransitionBatch accumulator."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ctmc import Generator
+from repro.ctmc import Generator, GeneratorPattern, assemble_generator
 from repro.ctmc.generator import TransitionBatch
 
 
@@ -129,3 +132,134 @@ class TestTransitionBatch:
         np.testing.assert_allclose(g.dense(), two_state_Q())
         assert set(g.action_rates) == {"back"}
         assert g.action_rates["back"][1, 0] == 3.0
+
+
+def coo_reference(n, src, dst, rate, act):
+    """The assembly semantics as SciPy's COO construction gives them: the
+    oracle for :class:`GeneratorPattern`."""
+    src, dst, rate = np.asarray(src), np.asarray(dst), np.asarray(rate, float)
+    keep = src != dst
+    R = sp.csr_matrix((rate[keep], (src[keep], dst[keep])), shape=(n, n))
+    Q = R - sp.diags(np.asarray(R.sum(axis=1)).ravel(), format="csr")
+    labels = np.asarray(act, dtype=object)
+    mats = {}
+    for a in sorted({a for a in act if a is not None}):
+        m = labels == a
+        mats[a] = sp.csr_matrix((rate[m], (src[m], dst[m])), shape=(n, n))
+    return Q, mats
+
+
+def assert_same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def assert_same_generator(got, Q, mats):
+    assert_same_csr(got.Q, Q)
+    assert list(got.action_rates) == list(mats)
+    for a, m in mats.items():
+        assert_same_csr(got.action_rates[a], m)
+
+
+@st.composite
+def labelled_transitions(draw):
+    """Random labelled transitions on ``n`` states plus one state that is
+    never left (a row without a stored diagonal), with three parallel
+    transitions on one pair and a self-loop.  At most 16 transitions:
+    SciPy sorts longer rows with an unstable sort, which leaves its
+    duplicate summation order unspecified there."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    state = st.integers(min_value=0, max_value=n - 1)
+    rate = st.floats(min_value=0.0, max_value=100.0)
+    label = st.sampled_from(["a", "b", None])
+    i = draw(state)
+    j = draw(state.filter(lambda s: s != i))
+    k = draw(state)
+    triples = [(i, j, draw(rate), draw(label)) for _ in range(3)]
+    triples.append((k, k, draw(rate), draw(label)))
+    triples += draw(
+        st.lists(st.tuples(state, st.integers(0, n), rate, label), max_size=12)
+    )
+    triples = draw(st.permutations(triples))
+    src, dst, rates, act = (list(c) for c in zip(*triples))
+    return n + 1, src, dst, rates, act
+
+
+class TestOneAssembler:
+    """GeneratorPattern against the COO reference above."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_transitions())
+    def test_matches_coo_reference(self, case):
+        n, src, dst, rate, act = case
+        assert_same_generator(
+            assemble_generator(n, src, dst, rate, act),
+            *coo_reference(n, src, dst, rate, act),
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_transitions(), st.data())
+    def test_refill_equals_fresh_build(self, case, data):
+        n, src, dst, rate, act = case
+        names = sorted({a for a in act if a is not None})
+        codes = [names.index(a) if a is not None else -1 for a in act]
+        pattern = GeneratorPattern(n, src, dst, codes, names)
+        first = pattern.fill(rate)
+        # a caller mutating one generator must not corrupt the pattern
+        first.Q.indices[:] = 0
+        first.Q.indptr[:] = 0
+        for m in first.action_rates.values():
+            m.indices[:] = 0
+        rate2 = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=100.0),
+                min_size=len(rate),
+                max_size=len(rate),
+            )
+        )
+        assert_same_generator(
+            pattern.fill(rate2), *coo_reference(n, src, dst, rate2, act)
+        )
+
+    def test_row_without_exit_stores_no_diagonal(self):
+        g = Generator.from_triples(3, [0, 1], [1, 2], [1.0, 2.0])
+        assert g.Q.indptr.tolist() == [0, 2, 4, 4]
+        np.testing.assert_array_equal(g.exit_rates, [1.0, 2.0, 0.0])
+
+    def test_unlabelled_transitions_skip_action_matrices(self):
+        g = assemble_generator(2, [0, 1], [1, 0], [1.0, 2.0], [None, "back"])
+        assert list(g.action_rates) == ["back"]
+
+
+class TestAssemblerInputs:
+    """Outside input is refused, not assembled into a wrong generator."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_rate_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Generator.from_triples(2, [0, 1], [1, 0], [bad, 1.0])
+
+    def test_bad_rate_rejected_on_refill(self):
+        pattern = GeneratorPattern(2, [0, 1], [1, 0])
+        with pytest.raises(ValueError, match="finite"):
+            pattern.fill([1.0, np.nan])
+
+    @pytest.mark.parametrize(
+        "src, dst", [([0, 2], [1, 0]), ([0, 1], [1, 5]), ([-1, 1], [1, 0])]
+    )
+    def test_endpoint_outside_state_range_rejected(self, src, dst):
+        with pytest.raises(ValueError, match="outside"):
+            Generator.from_triples(2, src, dst, [1.0, 1.0])
+
+    def test_labelled_paths_check_too(self):
+        with pytest.raises(ValueError, match="outside"):
+            assemble_generator(2, [0], [2], [1.0], ["go"])
+        b = TransitionBatch()
+        b.add([0], [1], [np.nan], action="go")
+        with pytest.raises(ValueError, match="finite"):
+            b.to_generator(2)
+
+    def test_rate_count_must_match(self):
+        with pytest.raises(ValueError, match="rates"):
+            GeneratorPattern(2, [0, 1], [1, 0]).fill([1.0])

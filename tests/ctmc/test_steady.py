@@ -96,7 +96,10 @@ class TestFailureModes:
     def test_non_finite_generator_rejected(self, bad, method):
         """A nan/inf rate is a caller bug: refused before any solver runs
         (nan used to pass to the auto chain and exhaust every method)."""
-        g = Generator.from_triples(3, [0, 1, 2], [1, 2, 0], [1.0, bad, 2.0])
+        # the transition assembler refuses such a rate itself, so the bad
+        # generator is built from its matrix, unvalidated
+        Q = np.array([[-1.0, 1.0, 0.0], [0.0, -bad, bad], [2.0, 0.0, -2.0]])
+        g = Generator.from_dense(Q, validate=False)
         with pytest.raises(ValueError, match="non-finite"):
             steady_state(g, method=method)
 

@@ -14,7 +14,7 @@ from repro.ctmc.steady import (
 )
 from repro.dists import Exponential
 from repro.models import TagsExponential
-from repro.pepa import explore, parse_model
+from repro.pepa import compile_model, explore, explore_interpreter, parse_model
 from repro.sim import PoissonArrivals, RandomPolicy, Simulation, replicate
 
 MM1K_PEPA = """
@@ -101,13 +101,13 @@ class TestStateSpaceBuilds:
 
     def test_pepa_interpreter_span(self):
         with obs.use(obs.Recorder()) as rec:
-            space = explore(parse_model(MM1K_PEPA), engine="interpreter")
+            space = explore_interpreter(parse_model(MM1K_PEPA))
         span = rec.find_spans("pepa.explore")[0]
         assert span.attrs["states"] == space.n_states == 4
 
     def test_pepa_compile_span(self):
         with obs.use(obs.Recorder()) as rec:
-            explore(parse_model(MM1K_PEPA), engine="compiled")
+            compile_model(parse_model(MM1K_PEPA)).explore()
         assert rec.find_spans("pepa.compile")
         assert rec.find_spans("pepa.explore.fast")
 

@@ -34,6 +34,7 @@ from repro.pepa import (
     Prefix,
     Rate,
     explore,
+    explore_interpreter,
     parse_model,
     to_generator,
     top,
@@ -71,6 +72,14 @@ Q1 = (back, 4.0).Q0;
 """
 
 
+def explore_compiled(model, max_states=2_000_000):
+    """The compiled engine alone: ``CompileError`` propagates."""
+    return compile_model(model).explore(max_states=max_states).statespace()
+
+
+EXPLORERS = {"interpreter": explore_interpreter, "compiled": explore_compiled}
+
+
 def canon(space):
     """Reorder a state space into repr-sorted canonical form.
 
@@ -99,8 +108,8 @@ def assert_equivalent(model, *, rate_rtol=None):
     are compared to the given relative tolerance (used by the randomised
     property test, where float multiplication order may differ).
     """
-    si = explore(model, engine="interpreter")
-    sc = explore(model, engine="compiled")
+    si = explore_interpreter(model)
+    sc = explore_compiled(model)
     keys_i, trans_i, order_i = canon(si)
     keys_c, trans_c, order_c = canon(sc)
     assert keys_i == keys_c
@@ -155,8 +164,22 @@ class TestEquivalence:
     def test_auto_engine_matches_compiled(self):
         model = parse_model(MM1K)
         _, trans_auto, _ = canon(explore(model))
-        _, trans_c, _ = canon(explore(model, engine="compiled"))
+        _, trans_c, _ = canon(explore_compiled(model))
         assert trans_auto == trans_c
+
+    def test_parallel_local_transitions_sum_in_order(self):
+        """Three parallel local transitions add up left to right, as the
+        interpreter adds them: 0.1 + (0.2 + 0.7) would read
+        0.9999999999999999 instead of 1.0."""
+        model = parse_model(
+            """
+            P0 = (a, 0.1).P1 + (a, 0.2).P1 + (a, 0.7).P1;
+            P1 = (b, 1.0).P0;
+            P0;
+            """
+        )
+        _, sc, _, _ = assert_equivalent(model)
+        assert sorted(zip(sc.action, sc.rate.tolist())) == [("a", 1.0), ("b", 1.0)]
 
     def test_compiled_space_generator_matches_statespace(self):
         """CompiledSpace.generator() == to_generator of the StateSpace."""
@@ -200,12 +223,12 @@ class TestFragmentFallback:
 
     def test_both_active_sync_engine_compiled_raises(self):
         with pytest.raises(CompileError):
-            explore(parse_model(BOTH_ACTIVE), engine="compiled")
+            explore_compiled(parse_model(BOTH_ACTIVE))
 
     def test_both_active_sync_auto_falls_back(self):
         m = parse_model(BOTH_ACTIVE)
         _, trans_auto, _ = canon(explore(m))
-        _, trans_i, _ = canon(explore(m, engine="interpreter"))
+        _, trans_i, _ = canon(explore_interpreter(m))
         assert trans_auto == trans_i
         # min-rate semantics: apparent rate of go is min(2, 3) = 2
         assert any(a == "go" and r == 2.0 for _, a, _, r in trans_auto)
@@ -215,16 +238,12 @@ class TestFragmentFallback:
         with pytest.raises(CompileError):
             compile_model(m)
         _, trans_auto, _ = canon(explore(m))
-        _, trans_i, _ = canon(explore(m, engine="interpreter"))
+        _, trans_i, _ = canon(explore_interpreter(m))
         assert trans_auto == trans_i
 
     def test_hidden_passive_rejected(self):
         with pytest.raises(CompileError):
             compile_model(parse_model(HIDDEN_PASSIVE))
-
-    def test_bad_engine_name(self):
-        with pytest.raises(ValueError, match="engine"):
-            explore(parse_model(MM1K), engine="quantum")
 
 
 class TestPassivePoison:
@@ -234,9 +253,9 @@ class TestPassivePoison:
 
     def test_reachable_passive_raises(self):
         m = parse_model("P = (a, infty).P;")
-        for engine in ("interpreter", "compiled", "auto"):
+        for explorer in (explore_interpreter, explore_compiled, explore):
             with pytest.raises(PassiveRateError, match="passive"):
-                explore(m, engine=engine)
+                explorer(m)
 
     def test_unreachable_passive_is_fine(self):
         # M's passive `c` is only enabled in M1, but M1 is reached via
@@ -249,14 +268,14 @@ class TestPassivePoison:
             L <b, c> M0;
             """
         )
-        for engine in ("interpreter", "compiled"):
-            space = explore(m, engine=engine)
+        for explorer in EXPLORERS.values():
+            space = explorer(m)
             assert space.n_states == 1
             assert space.actions() == {"a"}
 
     def test_max_states_guard(self):
         with pytest.raises(MemoryError):
-            explore(parse_model(MM1K), engine="compiled", max_states=2)
+            explore_compiled(parse_model(MM1K), max_states=2)
 
 
 # ----------------------------------------------------------------------
@@ -336,8 +355,8 @@ class TestRefill:
             assert (g_refill.action_rates[a] != mat).nnz == 0
 
     def test_refill_generator_matches_first_assembly(self):
-        """The CSR template fast path (second generator() call) must be
-        bit-identical to the scratch assembly (first call)."""
+        """A refill of the kept generator pattern (second generator()
+        call) must be bit-identical to a scratch assembly."""
         p0 = TagsParameters(lam=5.0, n=3, K1=4, K2=4)
         cs = compile_model(build_tags_model(p0)).explore()
         cs.generator()  # builds the CSR template
@@ -385,7 +404,7 @@ class TestRefill:
 class TestDecompositionCache:
     @pytest.mark.parametrize("engine", ["interpreter", "compiled"])
     def test_local_names_cached(self, engine):
-        space = explore(parse_model(SYNC), engine=engine)
+        space = EXPLORERS[engine](parse_model(SYNC))
         assert space.local_names(0) == ("Job0", "Srv")
         assert space._names is not None  # built (or primed) once
         first = space._names
@@ -394,9 +413,7 @@ class TestDecompositionCache:
 
     @pytest.mark.parametrize("engine", ["interpreter", "compiled"])
     def test_derivative_count_int_coded(self, engine):
-        space = explore(
-            build_tags_model(TagsParameters(n=3, K1=4, K2=4)), engine=engine
-        )
+        space = EXPLORERS[engine](build_tags_model(TagsParameters(n=3, K1=4, K2=4)))
         counts = space.derivative_count("Q1_0")
         naive = np.array(
             [
@@ -411,8 +428,8 @@ class TestDecompositionCache:
 
     def test_engines_agree_on_names(self):
         model = build_tags_model(TagsParameters(n=3, K1=4, K2=4))
-        si = explore(model, engine="interpreter")
-        sc = explore(model, engine="compiled")
+        si = explore_interpreter(model)
+        sc = explore_compiled(model)
         names_i = {repr(si.states[i]): si.local_names(i) for i in range(si.n_states)}
         names_c = {repr(sc.states[i]): sc.local_names(i) for i in range(sc.n_states)}
         assert names_i == names_c
