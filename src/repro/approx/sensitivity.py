@@ -25,22 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from repro.sweep import ModelSpec, SweepEngine, default_engine
+from repro.approx.optimizer import evaluator, metric_sign
+from repro.sweep import ModelSpec, SweepEngine
 
 __all__ = ["metric_derivative", "metric_elasticity", "tuning_tolerance"]
-
-
-def _metric_value(
-    model_factory: "Callable | ModelSpec",
-    x: float,
-    metric: str,
-    engine: "SweepEngine | None" = None,
-) -> float:
-    if isinstance(model_factory, ModelSpec):
-        eng = engine if engine is not None else default_engine()
-        m, _ = eng.solve(model_factory.model_cls, model_factory.params_at(x))
-        return float(getattr(m, metric))
-    return float(getattr(model_factory(x).metrics(), metric))
 
 
 def metric_derivative(
@@ -59,9 +47,8 @@ def metric_derivative(
     if x <= 0:
         raise ValueError("x must be positive")
     h = x * rel_step
-    up = _metric_value(model_factory, x + h, metric, engine)
-    dn = _metric_value(model_factory, x - h, metric, engine)
-    return (up - dn) / (2 * h)
+    value = evaluator(model_factory, metric, engine=engine)
+    return (value(x + h) - value(x - h)) / (2 * h)
 
 
 def metric_elasticity(
@@ -74,7 +61,7 @@ def metric_elasticity(
 ) -> float:
     """Dimensionless elasticity ``(x / m) * dm/dx``: the % change in the
     metric per % change in the parameter."""
-    m = _metric_value(model_factory, x, metric, engine)
+    m = evaluator(model_factory, metric, engine=engine)(x)
     if m == 0:
         raise ZeroDivisionError("metric is zero at x")
     return metric_derivative(model_factory, x, metric, engine=engine, **kw) * x / m
@@ -102,38 +89,32 @@ def tuning_tolerance(
     metric: str = "response_time",
     *,
     degradation: float = 0.10,
-    maximise: bool = False,
     x_min: float = 1e-3,
     x_max: float = 1e6,
     engine: "SweepEngine | None" = None,
 ) -> ToleranceBand:
     """Width of the parameter band within which ``metric`` stays within
-    ``degradation`` of its value at ``x_opt`` (bisection on both sides).
-
-    ``maximise=True`` treats larger metric values as better (throughput).
+    ``degradation`` of its value at ``x_opt`` (bisection on both sides),
+    ``metric`` being better lower or higher as ``METRIC_SIGNS`` says.
     """
     if not (0 < degradation < 1):
         raise ValueError("degradation must be in (0, 1)")
-    v_opt = _metric_value(model_factory, x_opt, metric, engine)
-    if maximise:
-        threshold = v_opt * (1 - degradation)
-        bad = lambda v: v < threshold
-    else:
-        threshold = v_opt * (1 + degradation)
-        bad = lambda v: v > threshold
+    sign = metric_sign(metric)
+    value = evaluator(model_factory, metric, engine=engine)
+    v_opt = value(x_opt)
+    threshold = v_opt * (1 + sign * degradation)
+    bad = lambda v: sign * (v - threshold) > 0
 
     def find_edge(direction: int) -> float:
         """Bisect for the threshold crossing on one side of x_opt."""
         x_far = x_max if direction > 0 else x_min
-        if not bad(_metric_value(model_factory, x_far, metric, engine)):
+        if not bad(value(x_far)):
             return x_far  # never degrades within the search range
         lo, hi = (x_opt, x_far) if direction > 0 else (x_far, x_opt)
         # invariant: metric acceptable at the x_opt side, bad at the far side
         for _ in range(60):
             mid = np.sqrt(lo * hi)  # geometric bisection (scale-free)
-            if bad(_metric_value(model_factory, mid, metric, engine)) == (
-                direction > 0
-            ):
+            if bad(value(mid)) == (direction > 0):
                 hi = mid
             else:
                 lo = mid

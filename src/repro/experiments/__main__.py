@@ -197,11 +197,19 @@ def main(argv=None) -> int:
     obs_summary = "--obs-summary" in raw
     if obs_summary:
         raw.remove("--obs-summary")
-    if csv_dir is not None:
-        csv_dir.mkdir(parents=True, exist_ok=True)
     args = [a.lower() for a in raw]
     if not args:
         args = ["s1", "t1", "a", "serve", "faults"] + sorted(FIGURES, key=int)
+    unknown = [a for a in args if a not in SPECIALS and a not in FIGURES]
+    if unknown:
+        print(
+            f"unknown experiment {', '.join(map(repr, unknown))}; choose from "
+            f"{sorted(SPECIALS) + sorted(FIGURES, key=int)}",
+            file=sys.stderr,
+        )
+        return 2
+    if csv_dir is not None:
+        csv_dir.mkdir(parents=True, exist_ok=True)
 
     # --trace/--obs-summary record the run even when REPRO_OBS is unset;
     # otherwise whatever recorder the env var installed keeps working
@@ -215,7 +223,7 @@ def main(argv=None) -> int:
             if arg in SPECIALS:
                 with rec.span("experiment", id=arg):
                     SPECIALS[arg]()
-            elif arg in FIGURES:
+            else:
                 with rec.span("experiment", id=arg):
                     fig = FIGURES[arg]()
                 print(render_figure(fig, max_rows=20))
@@ -225,13 +233,6 @@ def main(argv=None) -> int:
                     path = csv_dir / f"figure{arg}.csv"
                     figure_to_csv(fig, path)
                     print(f"(written to {path})")
-            else:
-                print(
-                    f"unknown experiment {arg!r}; choose from "
-                    f"{sorted(SPECIALS) + sorted(FIGURES, key=int)}",
-                    file=sys.stderr,
-                )
-                return 2
             print()
     if trace_path is not None:
         n = obs.write_jsonl(rec, trace_path)

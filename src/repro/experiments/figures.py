@@ -8,8 +8,8 @@ Every solve routes through the shared :func:`repro.sweep.default_engine`,
 so figures over the same grid share one solve pass: ``figure6``/``figure7``
 (and ``figure9``/``figure10``) differ only in which metric they read, and
 the second call is answered entirely from the content-addressed cache.
-Set ``REPRO_SWEEP_WORKERS`` to fan the underlying solves out over a
-process pool (see ``docs/performance.md``).
+Set ``REPRO_SWEEP_WORKERS`` to fan a figure's grid sweeps (not its
+optimal-``t`` searches) out over a process pool (``docs/performance.md``).
 
 Within one solve pass the state space is explored exactly once per
 *structure*: every grid point of a figure 6/7 or 9/10 sweep varies only
@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.approx.balance import erlang_balance_rate, exponential_balance_rate
 from repro.approx.fixed_point import TagsFixedPoint
+from repro.approx.optimizer import evaluator, grid_argmin, metric_sign
 from repro.batch import tags_batch_mean_response
 from repro.experiments.config import (
     FIG6_PARAMS,
@@ -43,7 +44,7 @@ from repro.models import (
     TagsExponential,
     TagsHyperExponential,
 )
-from repro.sweep import default_engine
+from repro.sweep import ModelSpec, default_engine
 
 __all__ = [
     "FigureData",
@@ -152,15 +153,12 @@ def figure7(t_grid=FIG6_T_GRID) -> FigureData:
 
 def _best_integer_t(model_cls, params: dict, t_range, metric: str) -> int:
     """The integer timeout rate in ``t_range`` minimising ``metric``
-    (maximising it for throughput), as one engine sweep: repeated calls
-    and the figures' re-solves at the optimum hit the cache."""
+    (maximising it for throughput), by one grid search whose probes are
+    cached engine solves: the figures' re-solves at the optimum are hits."""
+    sign = metric_sign(metric)
     t_range = list(t_range)
-    grid = [dict(params, t=float(t)) for t in t_range]
-    res = default_engine().sweep(model_cls, grid)
-    vals = np.asarray(res.values(metric), dtype=float)
-    if metric == "throughput":
-        vals = -vals
-    return t_range[int(np.argmin(vals))]
+    value = evaluator(ModelSpec.of(model_cls, **params), metric)
+    return t_range[grid_argmin(lambda t: sign * value(t), t_range)]
 
 
 def optimal_integer_t(
@@ -273,11 +271,11 @@ def figure10(t_grid=FIG9_T_GRID) -> FigureData:
 def optimal_integer_t_h2(
     service, lam: float, metric: str = "response_time", t_range=range(2, 80, 2)
 ) -> int:
-    """Best integer timeout rate for an H2 system, as one engine sweep.
+    """Best integer timeout rate for an H2 system.
 
     Figures 11 and 12 call this per alpha with different metrics; the
-    underlying solves are identical, so the second figure's searches are
-    pure cache hits."""
+    second figure's search re-uses the cached points the first probed
+    (every strided one)."""
     return _best_integer_t(
         TagsHyperExponential, _h2_params(service, lam), t_range, metric
     )

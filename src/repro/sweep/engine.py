@@ -6,9 +6,8 @@ steady-state solves over a parameter grid.  The engine runs such sweeps
 * **in parallel** -- independent points fan out over a
   :class:`concurrent.futures.ProcessPoolExecutor` (serial fallback when
   one worker is enough or multiprocessing is unavailable).  The worker
-  count comes from, in order: the ``workers=`` call argument, the
-  engine's ``workers`` attribute, the ``REPRO_SWEEP_WORKERS`` environment
-  variable, ``os.cpu_count()``;
+  count comes from, in order: the engine's ``workers`` attribute, the
+  ``REPRO_SWEEP_WORKERS`` environment variable, ``os.cpu_count()``;
 * **cached** -- every point is first looked up in a content-addressed
   :class:`~repro.sweep.cache.SolveCache`, so re-running a figure, a
   second figure over the same grid, or an optimiser re-probing a point
@@ -175,10 +174,6 @@ class ModelSpec:
         d[self.param_name] = float(x)
         return d
 
-    def grid(self, xs) -> "list[dict]":
-        """Constructor kwargs for every point of ``xs``."""
-        return [self.params_at(x) for x in xs]
-
     def __call__(self, x: float):
         """Factory compatibility: ``spec(x)`` builds the model instance."""
         return self.model_cls(**self.params_at(x))
@@ -277,18 +272,13 @@ class SweepEngine:
         recorder.adopt(span)
         return rec.metrics, PointStats.from_span(span)
 
-    def sweep(
-        self,
-        model_cls: type,
-        grid: Sequence[Mapping],
-        workers: "int | None" = None,
-    ) -> SweepResult:
+    def sweep(self, model_cls: type, grid: Sequence[Mapping]) -> SweepResult:
         """Solve every parameter point of ``grid`` (a sequence of
         constructor-kwarg mappings) and return a :class:`SweepResult`
         in grid order.
 
         Cache hits never reach a worker; only the misses are distributed.
-        With ``workers > 1`` the misses are split into contiguous chunks,
+        With more than one worker the misses are split into contiguous chunks,
         one task per worker, so each worker pays its process start-up and
         imports once; if the pool cannot be used (unpicklable model, restricted platform)
         the engine falls back to the serial path.
@@ -315,7 +305,7 @@ class SweepEngine:
             n_hits = len(grid) - len(misses)
             recorder.add("sweep.cache.hit", n_hits)
             recorder.add("sweep.cache.miss", len(misses))
-            n_workers = self.resolve_workers(workers, len(misses))
+            n_workers = self.resolve_workers(None, len(misses))
             if misses:
                 solved = None
                 if n_workers > 1 and len(misses) > 1:

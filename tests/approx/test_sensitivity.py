@@ -56,7 +56,7 @@ class TestTolerance:
     def test_band_contains_optimum(self):
         factory = lambda t: TagsExponential(lam=11, mu=10, t=t, n=4, K1=6, K2=6)
         band = tuning_tolerance(
-            factory, 50.0, "throughput", maximise=True, degradation=0.05,
+            factory, 50.0, "throughput", degradation=0.05,
             x_min=1.0, x_max=2000.0,
         )
         assert band.lo < 50.0 < band.hi
@@ -65,7 +65,7 @@ class TestTolerance:
     def test_band_edges_hit_threshold(self):
         factory = lambda t: TagsExponential(lam=11, mu=10, t=t, n=4, K1=6, K2=6)
         band = tuning_tolerance(
-            factory, 50.0, "throughput", maximise=True, degradation=0.05,
+            factory, 50.0, "throughput", degradation=0.05,
             x_min=1.0, x_max=2000.0,
         )
         threshold = band.value_opt * 0.95

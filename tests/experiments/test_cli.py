@@ -47,3 +47,15 @@ class TestCli:
 
     def test_csv_missing_dir_argument(self, capsys):
         assert main(["6", "--csv"]) == 2
+
+    def test_unknown_id_rejected_before_any_experiment(self, capsys, monkeypatch):
+        """Every id is checked before the first experiment runs."""
+        from repro.experiments import __main__ as cli
+
+        ran = []
+        monkeypatch.setitem(cli.FIGURES, "6", lambda: ran.append("6"))
+        monkeypatch.setitem(cli.FIGURES, "11", lambda: ran.append("11"))
+        assert main(["6", "11", "x"]) == 2
+        assert ran == []
+        err = capsys.readouterr().err
+        assert "unknown experiment 'x'" in err
