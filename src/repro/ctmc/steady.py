@@ -6,23 +6,26 @@ Several solvers are provided because they trade accuracy against scale:
 ``gth``
     Grassmann-Taksar-Heyman elimination.  Subtraction-free, so it is
     numerically exact to rounding even for stiff chains, but it densifies:
-    O(n^3) time, O(n^2) memory.  Default for small chains.
+    O(n^3) time, O(n^2) memory.  Default for tiny chains, the last resort
+    of the ``"auto"`` fallback chain above them, and the tests' oracle for
+    ``direct``.
 ``direct``
     Sparse LU on the anchored system (one state's probability fixed, its
-    balance equation dropped).  Default for larger chains.  The
-    fill-reducing order is computed once per sparsity pattern and kept
-    in a small process-local cache, so a sweep whose points refill the
-    rates of one structure orders once and only factors per point.
+    balance equation dropped).  Default above :data:`GTH_CUTOFF` states.
+    The fill-reducing order is computed once per sparsity pattern and
+    kept in a small process-local cache, so a sweep whose points refill
+    the rates of one structure orders once and only factors per point.
 ``power``
-    Power iteration on the uniformized DTMC; the last resort of the
-    ``"auto"`` fallback chain, and the only solver that accepts a
+    Power iteration on the uniformized DTMC; a fallback of the
+    ``"auto"`` chain, and the only solver that accepts a
     ``pi0`` starting vector.
 
-:func:`steady_state` picks ``gth`` below :data:`GTH_CUTOFF` states and
-``direct`` above, which is the right default for every model in this
-reproduction (the paper's largest chains are ~10^4 states).  In
-``"auto"`` mode a failed solve **falls back** along the remaining
-robust solvers (``gth -> direct -> power`` below the cutoff,
+:func:`steady_state` picks ``gth`` up to :data:`GTH_CUTOFF` (30) states
+and ``direct`` above: even counting its first solve's ordering, the
+sparse LU catches up with dense GTH between 12 and 30 states and is
+~50x faster at a few thousand (``benchmarks/bench_solvers.py``, size
+sweep).  In ``"auto"`` mode a failed solve **falls back** along the
+remaining robust solvers (``gth -> direct -> power`` up to the cutoff,
 ``direct -> power -> gth`` above) rather than failing the caller: a
 stiff breakdown chain that defeats one factorisation usually yields to
 another.  Every failed attempt is recorded in the caller's ``info``
@@ -66,13 +69,15 @@ __all__ = [
     "SOLVER_REVISION",
 ]
 
-GTH_CUTOFF = 2000
-"""State-count threshold below which :func:`steady_state` uses GTH."""
+GTH_CUTOFF = 30
+"""Largest chain :func:`steady_state` solves by dense GTH in ``"auto"``
+mode; larger chains go to the sparse LU first and reach GTH only as the
+last fallback."""
 
 METHODS = ("auto", "direct", "gth", "power")
 """The ``method`` names :func:`steady_state` accepts."""
 
-SOLVER_REVISION = "lu-mmd-v1"
+SOLVER_REVISION = "lu-mmd-v2"
 """Tag of the solvers' numerics, folded into every solve-cache key:
 results that differ at rounding level between solver revisions must not
 be served from one disk cache."""
@@ -236,8 +241,9 @@ def steady_state_gth(
     """GTH elimination (subtraction-free state reduction).
 
     Numerically the most robust option; O(n^3) time and dense O(n^2)
-    storage, so only suitable for small chains.  ``info`` receives the
-    achieved ``residual``.
+    storage, so ``"auto"`` mode runs it first only on chains of at most
+    :data:`GTH_CUTOFF` states.  ``info`` receives the achieved
+    ``residual``.
     """
     Q = _as_Q(generator)
     n = Q.shape[0]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ctmc import Generator, SteadyStateError, steady_state
 from repro.ctmc.steady import (
+    GTH_CUTOFF,
     steady_state_direct,
     steady_state_gth,
     steady_state_power,
@@ -129,6 +130,21 @@ class TestAutoFallback:
         ]
         assert info["method"] == "direct"  # the solver that succeeded
 
+    def test_mid_size_chain_falls_back_direct_then_power(self, monkeypatch):
+        import repro.ctmc.steady as steady_mod
+
+        monkeypatch.setattr(
+            steady_mod, "steady_state_direct", self._failing("direct exploded")
+        )
+        g = birth_death(3.0, 4.0, 40)  # 41 states: chain starts at direct
+        info = {}
+        pi = steady_state(g, "auto", info=info)
+        np.testing.assert_allclose(pi, mm1k_exact(3.0, 4.0, 40), atol=1e-9)
+        assert info["fallbacks"] == [
+            {"method": "direct", "error": "direct exploded"}
+        ]
+        assert info["method"] == "power"
+
     def test_clean_solve_records_empty_fallbacks(self):
         info = {}
         steady_state(birth_death(1.0, 2.0, 5), "auto", info=info)
@@ -177,6 +193,38 @@ class TestAutoFallback:
         with obs.use(obs.Recorder()) as rec:
             steady_state(birth_death(1.0, 2.0, 5), "auto")
         assert rec.counter("steady.fallback") == 1
+
+
+class TestGthOracle:
+    """Above ``GTH_CUTOFF`` states ``auto`` solves by the sparse LU; dense
+    GTH, the subtraction-free solver, is its oracle on the structure-scan
+    shapes of the Figure 3 chain (35 to 2793 states)."""
+
+    @staticmethod
+    def _fig3(K, n):
+        from repro.models import TagsExponential
+
+        return TagsExponential(lam=5.0, mu=10.0, t=51.0, n=n, K1=K, K2=K).generator
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("K", [2, 4, 6, 8])
+    def test_auto_is_direct_and_agrees_with_gth(self, K, n):
+        g = self._fig3(K, n)
+        assert g.n_states > GTH_CUTOFF
+        info = {}
+        pi = steady_state(g, "auto", info=info)
+        assert info["method"] == "direct"
+        assert info["fallbacks"] == []
+        ref = steady_state_gth(g)
+        assert np.max(np.abs(pi - ref) / ref) <= 1e-12
+
+    def test_chain_at_cutoff_uses_gth(self):
+        g = self._fig3(1, 4)
+        assert g.n_states == GTH_CUTOFF
+        info = {}
+        steady_state(g, "auto", info=info)
+        assert info["method"] == "gth"
+        assert info["fallbacks"] == []
 
 
 class TestCrossSolverAgreement:

@@ -99,16 +99,16 @@ class TestPinnedValues:
                 dict(fail=0.02, repair=0.1),
                 dict(
                     n_states=442,
-                    mean_jobs=1.0405577248692892,
-                    throughput=4.940440909504393,
-                    availability=0.8333333333333334,
-                    loss_rate=0.059559090495606704,
+                    mean_jobs=1.0405577248692888,
+                    throughput=4.940440909504388,
+                    availability=0.8333333333333318,
+                    loss_rate=0.05955909049561203,
                     marginal=[
-                        0.7468722449214261,
-                        0.18755982702669294,
-                        0.045708450495518825,
-                        0.014187571793983889,
-                        0.005671905762378189,
+                        0.7468722449214257,
+                        0.18755982702669302,
+                        0.04570845049551894,
+                        0.014187571793983972,
+                        0.005671905762378232,
                     ],
                 ),
             ),

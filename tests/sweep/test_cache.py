@@ -48,6 +48,26 @@ def make_engine(**kw):
     return SweepEngine(**kw)
 
 
+def _assert_stale_record_is_a_miss(eng, disk_dir, old_key):
+    """A record planted under ``old_key`` is not served: the point is
+    solved afresh."""
+    stale = SolveRecord(
+        metrics=from_population_and_throughput(
+            mean_jobs_per_node=(9.0,), throughput=1.0, offered_load=1.0
+        ),
+        method="direct",
+        iterations=None,
+        residual=0.0,
+        wall_time=0.0,
+    )
+    SolveCache(disk_dir=disk_dir).put(old_key, stale)
+    assert eng._key(CountingMM1K, PARAMS) != old_key
+    m, stats = eng.solve(CountingMM1K, PARAMS)
+    assert not stats.cache_hit
+    assert CountingMM1K.builds == 1
+    assert m.mean_jobs != stale.metrics.mean_jobs
+
+
 class TestCacheKey:
     def test_stable_across_dict_order(self):
         a = cache_key(TagsExponential, dict(lam=5.0, mu=10.0, t=51.0), "auto", 1e-8)
@@ -379,6 +399,21 @@ class TestEngineTag:
         monkeypatch.setattr(cache_mod, "SOLVER_REVISION", "older-solver")
         assert cache_key(**self.BASE) != before
 
+    def test_record_under_gth_default_revision_is_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        """Records written while ``auto`` still sent chains of up to 2000
+        states to GTH (revision ``lu-mmd-v1``) are not served as the
+        sparse LU's results."""
+        import repro.sweep.cache as cache_mod
+
+        eng = make_engine(cache=SolveCache(disk_dir=tmp_path))
+        with monkeypatch.context() as m:
+            m.setattr(cache_mod, "SOLVER_REVISION", "lu-mmd-v1")
+            old_key = eng._key(CountingMM1K, PARAMS)
+        assert cache_mod.SOLVER_REVISION != "lu-mmd-v1"
+        _assert_stale_record_is_a_miss(eng, tmp_path, old_key)
+
     def test_record_under_pre_revision_key_is_a_miss(self, tmp_path):
         """A disk record keyed the way keys were built before the solver
         revision joined the token (same fields, no revision) is never
@@ -392,21 +427,7 @@ class TestEngineTag:
             getattr(CountingMM1K, "SOLVE_ENGINE", None),
         )
         old_key = hashlib.sha256(repr(token).encode()).hexdigest()
-        stale = SolveRecord(
-            metrics=from_population_and_throughput(
-                mean_jobs_per_node=(9.0,), throughput=1.0, offered_load=1.0
-            ),
-            method="direct",
-            iterations=None,
-            residual=0.0,
-            wall_time=0.0,
-        )
-        SolveCache(disk_dir=tmp_path).put(old_key, stale)
-        assert eng._key(CountingMM1K, PARAMS) != old_key
-        m, stats = eng.solve(CountingMM1K, PARAMS)
-        assert not stats.cache_hit
-        assert CountingMM1K.builds == 1
-        assert m.mean_jobs != stale.metrics.mean_jobs
+        _assert_stale_record_is_a_miss(eng, tmp_path, old_key)
 
     def test_engine_bump_invalidates_cache_entry(self, monkeypatch):
         eng = make_engine()

@@ -50,7 +50,7 @@ class TestPointStats:
     def test_stats_fields(self):
         res = SweepEngine(workers=1).sweep(TagsExponential, fig6_grid())
         for s in res.stats:
-            assert s.method == "gth"  # 725 states -> auto resolves to GTH
+            assert s.method == "direct"  # 725 states > GTH_CUTOFF: sparse LU
             assert s.residual < 1e-8
             assert not s.cache_hit
         summary = res.summary()
