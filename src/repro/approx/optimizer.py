@@ -3,10 +3,10 @@
 Every best-timeout search over exact CTMC solves -- the integer optima of
 Figures 8, 11 and 12 -- is one :func:`grid_argmin`, which assumes the
 metric is **unimodal on the grid**. It first probes every 4th grid
-point, so a second valley wider than that shows in its probes; if the
-probes, in index order, are not strictly valley-shaped, it scans the
-whole grid, takes the first-index minimum (``np.argmin``'s tie rule)
-and counts ``search.fallback``. Each search files one ``search`` span
+point (:func:`strided_probes`), so a second valley wider than that
+shows; if the probes, in index order, are not strictly valley-shaped, it
+scans the whole grid, takes the first-index minimum (``np.argmin``'s tie
+rule) and counts ``search.fallback``. Each search files one ``search`` span
 with ``n_grid``, ``probes`` and ``fallback``.
 :func:`optimise_timeout`, whose fixed-point evaluations cost
 microseconds, scans its whole grid.
@@ -25,7 +25,7 @@ from repro.sweep import ModelSpec, SweepEngine, default_engine
 
 __all__ = [
     "METRIC_SIGNS", "OptimisationResult",
-    "evaluator", "grid_argmin", "metric_sign", "optimise_timeout",
+    "evaluator", "grid_argmin", "metric_sign", "optimise_timeout", "strided_probes",
 ]
 
 METRIC_SIGNS = {"mean_jobs": 1, "response_time": 1, "loss_rate": 1, "throughput": -1}
@@ -58,6 +58,13 @@ def evaluator(
     return lambda x: float(getattr(metrics(x), metric))
 
 
+def strided_probes(xs: Sequence) -> list:
+    """The points of ``xs`` that :func:`grid_argmin` probes first, every
+    4th and the last: they depend on the grid alone."""
+    n = len(xs)
+    return [xs[i] for i in (*range(0, n - 1, _STRIDE), n - 1)] if n else []
+
+
 def grid_argmin(f: Callable[[float], float], xs: Sequence[float]) -> int:
     """Index of the smallest ``f(x)`` over the ordered grid ``xs``: probe
     every 4th point and the last, then golden-section the indices between
@@ -75,7 +82,7 @@ def grid_argmin(f: Callable[[float], float], xs: Sequence[float]) -> int:
         return memo[i]
 
     with obs.recorder().span("search", n_grid=n) as span:
-        coarse = [*range(0, n - 1, _STRIDE), n - 1]
+        coarse = strided_probes(range(n))
         j = int(np.argmin([probe(i) for i in coarse]))
         a, b, keep = coarse[max(j - 1, 0)], coarse[min(j + 1, len(coarse) - 1)], None
         while b - a > 2:

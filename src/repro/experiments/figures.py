@@ -8,8 +8,8 @@ Every solve routes through the shared :func:`repro.sweep.default_engine`,
 so figures over the same grid share one solve pass: ``figure6``/``figure7``
 (and ``figure9``/``figure10``) differ only in which metric they read, and
 the second call is answered entirely from the content-addressed cache.
-Set ``REPRO_SWEEP_WORKERS`` to fan a figure's grid sweeps (not its
-optimal-``t`` searches) out over a process pool (``docs/performance.md``).
+Set ``REPRO_SWEEP_WORKERS`` to fan a figure's grid sweeps, and the first
+probes of all its optimal-``t`` searches, out over a process pool.
 
 Within one solve pass the state space is explored exactly once per
 *structure*: every grid point of a figure 6/7 or 9/10 sweep varies only
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.approx.balance import erlang_balance_rate, exponential_balance_rate
 from repro.approx.fixed_point import TagsFixedPoint
-from repro.approx.optimizer import evaluator, grid_argmin, metric_sign
+from repro.approx.optimizer import evaluator, grid_argmin, metric_sign, strided_probes
 from repro.batch import tags_batch_mean_response
 from repro.experiments.config import (
     FIG6_PARAMS,
@@ -151,6 +151,16 @@ def figure7(t_grid=FIG6_T_GRID) -> FigureData:
 # Figure 8: response time vs arrival rate, TAGS optimised per lambda
 # ----------------------------------------------------------------------
 
+_FIG8_T, _FIG11_T = range(25, 70), range(2, 80, 2)  # t searched by Figs 8, 11-12
+
+
+def _solve_strided(model_cls, param_sets, t_range) -> None:
+    """One sweep (over the engine's pool) solving the :func:`strided_probes`
+    of a search over ``t_range`` per parameter set: searches start cached."""
+    ts = strided_probes(t_range)
+    default_engine().sweep(model_cls, [dict(p, t=float(t)) for p in param_sets for t in ts])
+
+
 def _best_integer_t(model_cls, params: dict, t_range, metric: str) -> int:
     """The integer timeout rate in ``t_range`` minimising ``metric``
     (maximising it for throughput), by one grid search whose probes are
@@ -162,7 +172,7 @@ def _best_integer_t(model_cls, params: dict, t_range, metric: str) -> int:
 
 
 def optimal_integer_t(
-    lam: float, metric: str = "mean_jobs", t_range=range(25, 70), **overrides
+    lam: float, metric: str = "mean_jobs", t_range=_FIG8_T, **overrides
 ) -> int:
     """Queue-length-optimal integer timeout rate (the paper's Fig 8
     procedure)."""
@@ -177,6 +187,7 @@ def figure8(lambdas=FIG8_LAMBDAS) -> FigureData:
     fig = FigureData(
         "Figure 8", "arrival rate lambda", "average response time", lams
     )
+    _solve_strided(TagsExponential, [{**FIG6_PARAMS, "lam": float(x)} for x in lams], _FIG8_T)
     tag, opt_ts = [], []
     for lam in lams:
         t_opt = optimal_integer_t(lam)
@@ -269,13 +280,12 @@ def figure10(t_grid=FIG9_T_GRID) -> FigureData:
 # ----------------------------------------------------------------------
 
 def optimal_integer_t_h2(
-    service, lam: float, metric: str = "response_time", t_range=range(2, 80, 2)
+    service, lam: float, metric: str = "response_time", t_range=_FIG11_T
 ) -> int:
     """Best integer timeout rate for an H2 system.
 
-    Figures 11 and 12 call this per alpha with different metrics; the
-    second figure's search re-uses the cached points the first probed
-    (every strided one)."""
+    Figures 11 and 12 call this per alpha with different metrics after
+    one sweep has solved every alpha's :func:`strided_probes`."""
     return _best_integer_t(
         TagsHyperExponential, _h2_params(service, lam), t_range, metric
     )
@@ -285,9 +295,10 @@ def _figure11_12(metric: str, name: str, ylabel: str, alphas) -> FigureData:
     alphas = np.asarray(alphas, dtype=float)
     fig = FigureData(name, "proportion of short jobs alpha", ylabel, alphas)
     lam = 11.0
+    services = [h2_service_fig11(float(a)) for a in alphas]
+    _solve_strided(TagsHyperExponential, [_h2_params(s, lam) for s in services], _FIG11_T)
     tag, jsq, rnd, opts = [], [], [], []
-    for a in alphas:
-        service = h2_service_fig11(float(a))
+    for service in services:
         t_opt = optimal_integer_t_h2(service, lam, metric=metric)
         opts.append(t_opt)
         m = _solve(TagsHyperExponential, **_h2_params(service, lam), t=float(t_opt))

@@ -188,6 +188,7 @@ class ShortestQueueMMPP(TupleChain):
             mean_jobs_per_node=(self.mean(lambda s: s[1]), self.mean(lambda s: s[3])),
             throughput=self.throughput("service"),
             offered_load=self.arrivals.mean_rate,
+            loss_rate=self.throughput("arrloss"),
             loss_per_node=(self.throughput("arrloss"),),
             extra={"n_states": self.n_states, "burstiness": self.arrivals.burstiness},
         )

@@ -41,8 +41,8 @@ class QueueMetrics:
     offered_load :
         Raw arrival rate lambda.
     loss_rate :
-        ``offered_load - throughput``; further split below when the model
-        can distinguish drop points.
+        ``offered_load - throughput``, or the measured loss throughput;
+        further split below when the model can distinguish drop points.
     loss_per_node :
         Per-drop-point loss rates (``(arrival drops, node-2 drops, ...)``);
         empty when not distinguishable.
@@ -72,15 +72,16 @@ class QueueMetrics:
 
     def validate(self, atol: float = 1e-8) -> None:
         """Internal-consistency checks (flow balance, non-negativity)."""
+        slack = max(1e-6, atol * self.offered_load)
         if self.mean_jobs < -atol:
             raise ValueError(f"negative mean population {self.mean_jobs}")
         if self.throughput < -atol or self.throughput - self.offered_load > 1e-6:
             raise ValueError(
                 f"throughput {self.throughput} outside [0, lambda={self.offered_load}]"
             )
-        if self.loss_per_node and abs(sum(self.loss_per_node) - self.loss_rate) > max(
-            1e-6, atol * self.offered_load
-        ):
+        if abs(self.throughput + self.loss_rate - self.offered_load) > slack:
+            raise ValueError(f"flow balance: throughput + loss != {self.offered_load}")
+        if self.loss_per_node and abs(sum(self.loss_per_node) - self.loss_rate) > slack:
             raise ValueError(
                 f"per-node losses {self.loss_per_node} do not sum to "
                 f"{self.loss_rate}"
@@ -92,11 +93,13 @@ def from_population_and_throughput(
     mean_jobs_per_node,
     throughput: float,
     offered_load: float,
+    loss_rate: float | None = None,
     loss_per_node: tuple = (),
     utilisation: tuple = (),
     extra: dict | None = None,
 ) -> QueueMetrics:
-    """Assemble a :class:`QueueMetrics`, deriving the dependent fields."""
+    """Assemble a :class:`QueueMetrics`, deriving the dependent fields
+    (``loss_rate`` defaults to ``offered_load - throughput``)."""
     per_node = tuple(float(x) for x in mean_jobs_per_node)
     mean_jobs = float(sum(per_node))
     m = QueueMetrics(
@@ -105,7 +108,7 @@ def from_population_and_throughput(
         throughput=float(throughput),
         offered_load=float(offered_load),
         response_time=mean_jobs / throughput if throughput > 0 else float("inf"),
-        loss_rate=float(offered_load - throughput),
+        loss_rate=float(offered_load - throughput if loss_rate is None else loss_rate),
         loss_per_node=tuple(float(x) for x in loss_per_node),
         utilisation=tuple(float(x) for x in utilisation),
         extra=dict(extra or {}),

@@ -74,6 +74,7 @@ class RoundRobin(TupleChain):
             mean_jobs_per_node=(self.mean(lambda s: s[1]), self.mean(lambda s: s[3])),
             throughput=self.throughput("service"),
             offered_load=self.lam,
+            loss_rate=self.throughput("arrloss"),
             loss_per_node=(self.throughput("arrloss"),),
             extra={"n_states": self.n_states},
         )

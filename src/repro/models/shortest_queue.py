@@ -137,6 +137,7 @@ class ShortestQueue(TupleChain):
             mean_jobs_per_node=(self.mean(lambda s: s[0]), self.mean(lambda s: s[2])),
             throughput=self.throughput("service"),
             offered_load=self.lam,
+            loss_rate=self.throughput("arrloss"),
             loss_per_node=(self.throughput("arrloss"),),
             extra={"n_states": self.n_states},
         )

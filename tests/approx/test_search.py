@@ -11,17 +11,22 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.approx import TagsFixedPoint, optimise_timeout
-from repro.approx.optimizer import METRIC_SIGNS, evaluator, grid_argmin, metric_sign
+from repro.approx.optimizer import (
+    METRIC_SIGNS, evaluator, grid_argmin, metric_sign, strided_probes,
+)
 from repro.approx.sensitivity import tuning_tolerance
+from repro.experiments import figures
 from repro.experiments.config import (
     FIG6_PARAMS,
     FIG8_LAMBDAS,
+    FIG9_PARAMS,
     FIG11_ALPHAS,
     h2_service_fig11,
 )
 from repro.experiments.figures import _best_integer_t, _h2_params, optimal_integer_t
 from repro.models import TagsExponential, TagsHyperExponential
 from repro.sweep import ModelSpec, SweepEngine, default_engine
+from repro.sweep import engine as engine_mod
 
 
 def search(values):
@@ -125,6 +130,25 @@ class TestGridArgmin:
         with pytest.raises(ValueError, match="empty grid"):
             grid_argmin(lambda x: x, [])
 
+    @pytest.mark.parametrize(
+        "xs",
+        [range(n) for n in range(1, 51)] + [range(25, 70), range(2, 80, 2)],
+        ids=[f"n{n}" for n in range(1, 51)] + ["fig8", "fig11"],
+    )
+    def test_first_probes_are_strided_probes(self, xs):
+        """The stride is defined once: the searches' first probes are the
+        points the figures solve ahead of them in one sweep."""
+        probed = []
+
+        def f(x):
+            probed.append(x)
+            return abs(x - xs[len(xs) // 3])
+
+        grid_argmin(f, xs)
+        first = strided_probes(xs)
+        assert probed[: len(first)] == first
+        assert len(set(first)) == len(first) and first[-1] == xs[-1]
+
 
 class TestValidationBeforeSolving:
     @pytest.fixture
@@ -219,3 +243,52 @@ class TestFigureOracles:
                     got = _best_integer_t(TagsHyperExponential, params, t_range, metric)
                     assert got == want, (metric, a)
         assert rec.counter_total("search.fallback") > 0
+
+
+class TestBatchedFirstProbes:
+    """The optimal-t figures solve every search's strided probes in one
+    sweep before searching; the searches then find them cached."""
+
+    @staticmethod
+    def run(monkeypatch, workers, figure, *args):
+        monkeypatch.setattr(engine_mod, "_DEFAULT_ENGINE", SweepEngine(workers=workers))
+        with obs.use(obs.Recorder()) as rec:
+            fig = figure(*args)
+        return fig, rec
+
+    def test_figure8_parallel_equals_serial(self, monkeypatch):
+        serial, rec1 = self.run(monkeypatch, 1, figures.figure8)
+        parallel, rec2 = self.run(monkeypatch, 2, figures.figure8)
+        assert serial.series.keys() == parallel.series.keys()
+        for label, values in serial.series.items():
+            assert np.array_equal(values, parallel.series[label]), label
+        assert list(parallel.series["optimal t"]) == [51, 48, 46, 42]
+        # batching adds no solve, and each search probes as many points as
+        # the unbatched search did (its strided probes are now cache hits)
+        assert rec1.counter_total("sweep.cache.miss") == rec2.counter_total("sweep.cache.miss")
+        for rec in (rec1, rec2):
+            assert [s.attrs["probes"] for s in rec.find_spans("search")] == [16, 15, 15, 15]
+        (batch,) = [s for s in rec2.find_spans("sweep") if s.attrs["model"] == "TagsExponential"]
+        assert batch.attrs["solves"] == 4 * 12 and batch.attrs["workers"] == 2
+
+    def test_figure12_after_figure11_batch_is_cached(self, monkeypatch):
+        """On a reduced Figure 5 chain (n = 3, K1 = K2 = 4): Figure 12's
+        strided probes are Figure 11's, so its sweep solves nothing and
+        starts no pool."""
+        monkeypatch.setattr(figures, "FIG9_PARAMS", dict(FIG9_PARAMS, n=3, K1=4, K2=4))
+        _, rec11 = self.run(monkeypatch, 2, figures.figure11)
+        pools = []
+
+        def no_pool(*args, **kwargs):
+            pools.append(args)
+            raise RuntimeError("no pool expected")
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", no_pool)
+        with obs.use(obs.Recorder()) as rec12:
+            figures.figure12()
+        n = len(FIG11_ALPHAS) * len(strided_probes(range(2, 80, 2)))
+        (first,) = rec11.find_spans("sweep")
+        (again,) = rec12.find_spans("sweep")
+        assert (first.attrs["solves"], first.attrs["workers"]) == (n, 2)
+        assert (again.attrs["solves"], again.attrs["cache_hits"]) == (0, n)
+        assert again.attrs["workers"] == 1 and pools == []

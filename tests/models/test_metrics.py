@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.models import MMPP2, RoundRobin, ShortestQueue, ShortestQueueMMPP
 from repro.models.metrics import QueueMetrics, from_population_and_throughput
 
 
@@ -16,6 +17,26 @@ class TestAssembly:
         assert m.response_time == pytest.approx(0.75)
         assert m.loss_rate == pytest.approx(1.0)
         assert m.loss_probability == pytest.approx(0.2)
+
+    def test_measured_loss_rate(self):
+        """A model's loss throughput is reported as is, not as the
+        difference offered - throughput (which keeps no relative
+        precision when the loss is tiny)."""
+        m = from_population_and_throughput(
+            mean_jobs_per_node=(1.0,), throughput=5.0 - 3e-12, offered_load=5.0,
+            loss_rate=3.0000000001e-12, loss_per_node=(3.0000000001e-12,),
+        )
+        assert m.loss_rate == 3.0000000001e-12
+
+    def test_loss_is_the_arrloss_throughput(self):
+        """JSQ and round robin lose jobs only by ``arrloss``."""
+        for model in (
+            ShortestQueue(5.0, 10.0, K=10),
+            RoundRobin(5.0, 10.0, K=10),
+            ShortestQueueMMPP(MMPP2(2, 14, 0.5, 1), mu=10, K=6),
+        ):
+            m = model.metrics()
+            assert m.loss_rate == model.throughput("arrloss") == m.loss_per_node[0]
 
     def test_zero_throughput_infinite_response(self):
         m = from_population_and_throughput(
@@ -44,6 +65,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             from_population_and_throughput(
                 mean_jobs_per_node=(1.0,), throughput=2.0, offered_load=1.0
+            )
+
+    def test_flow_imbalance_rejected(self):
+        with pytest.raises(ValueError, match="flow balance"):
+            from_population_and_throughput(
+                mean_jobs_per_node=(1.0,), throughput=0.5, offered_load=1.0,
+                loss_rate=0.1,  # should be 0.5
             )
 
     def test_inconsistent_loss_split_rejected(self):
