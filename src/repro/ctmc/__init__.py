@@ -51,7 +51,6 @@ from repro.ctmc.accumulate import expected_accumulated_reward
 from repro.ctmc.bfs import (
     Chain,
     TupleChain,
-    bfs_arrays,
     bfs_generator,
 )
 
@@ -81,6 +80,5 @@ __all__ = [
     "Chain",
     "TupleChain",
     "bfs_generator",
-    "bfs_arrays",
     "assemble_generator",
 ]

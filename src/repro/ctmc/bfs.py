@@ -2,18 +2,17 @@
 
 :class:`Chain` is the solve protocol of every stationary CTMC model
 class: a subclass supplies ``generator``, the base owns ``n_states``,
-the memoised ``pi`` and ``throughput(action)``.  The TAGS PEPA model
-classes (breakdown chain included), the Figure 4 counted chain and the
-tuple chains all solve through it.
+the memoised ``pi`` and ``throughput(action)``.  Every TAGS model
+class (on PEPA), the Figure 4 counted chain and the tuple chains all
+solve through it.
 
 Chains without a PEPA form define a successor function
 ``succ(state) -> [(action, rate, next_state), ...]`` over plain tuples;
 :func:`bfs_generator` explores the reachable set and
 :func:`~repro.ctmc.generator.assemble_generator` builds the chain.  The
-model classes built this way (shortest queue, round robin, the MMPP
-chains and N-node TAGS) subclass :class:`TupleChain`; the tagged-job
-chains call :func:`bfs_generator` directly, seeded with every start
-state.
+model classes built this way (the JSQ, round-robin and JSQ-under-MMPP
+baselines) subclass :class:`TupleChain`; the tagged-job chains call
+:func:`bfs_generator` directly, seeded with every start state.
 
 These chains are rebuilt from scratch per instance (one generator
 pattern built and filled once); sweeps that only change rate values
@@ -38,25 +37,25 @@ __all__ = [
     "Chain",
     "TupleChain",
     "bfs_generator",
-    "bfs_arrays",
 ]
 
 
-def bfs_arrays(
+def bfs_generator(
     initial,
     successors: Callable,
     *,
     seeds: Iterable = (),
     max_states: int = 2_000_000,
 ):
-    """Explore from ``initial``; return the raw transition arrays.
+    """Explore from ``initial`` and build the generator.
 
-    ``(states, index, src, dst, rate, act)`` with ``states[0] ==
-    initial``.  Once the queue empties, exploration continues from the
-    first of ``seeds`` not yet reached, so the result covers everything
-    reachable from any start state.  Zero-rate transitions are skipped,
-    negative rates raise ``ValueError``, and transitions are recorded in
-    enumeration order (per-action aggregation happens in
+    Returns ``(generator, states, index)``: the reachable tuples with
+    ``states[0] == initial`` and the reverse map.  Once the queue
+    empties, exploration continues from the first of ``seeds`` not yet
+    reached, so the result covers everything reachable from any start
+    state.  Zero-rate transitions are skipped, negative rates raise
+    ``ValueError``, and transitions are recorded in enumeration order
+    (per-action aggregation happens in
     :func:`~repro.ctmc.generator.assemble_generator`).
 
     Each exploration files a ``ctmc.bfs`` span (state/transition counts)
@@ -103,36 +102,19 @@ def bfs_arrays(
             act.append(action)
 
     n = len(states)
-    src_a = np.asarray(src, dtype=np.int64)
-    dst_a = np.asarray(dst, dtype=np.int64)
-    rate_a = np.asarray(rate, dtype=np.float64)
     if rec.enabled:
         rec.record_span(
             "ctmc.bfs", t0, time.perf_counter() - t0, states=n, transitions=len(src)
         )
         rec.add("ctmc.bfs.states", n)
         rec.add("ctmc.bfs.transitions", len(src))
-    return states, index, src_a, dst_a, rate_a, act
-
-
-def bfs_generator(
-    initial,
-    successors: Callable,
-    *,
-    seeds: Iterable = (),
-    max_states: int = 2_000_000,
-):
-    """Explore from ``initial`` (then any unreached ``seeds``) and build
-    the generator.
-
-    Returns ``(generator, states, index)`` where ``states`` is the list of
-    reachable tuples (``states[0] == initial``) and ``index`` the reverse
-    map.
-    """
-    states, index, src, dst, rate, act = bfs_arrays(
-        initial, successors, seeds=seeds, max_states=max_states
+    gen = assemble_generator(
+        n,
+        np.asarray(src, dtype=np.int64),
+        np.asarray(dst, dtype=np.int64),
+        np.asarray(rate, dtype=np.float64),
+        act,
     )
-    gen = assemble_generator(len(states), src, dst, rate, act)
     return gen, states, index
 
 

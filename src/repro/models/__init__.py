@@ -4,21 +4,21 @@ The TAGS models are PEPA models faithful to the paper's figures (built
 programmatically, analysable with :mod:`repro.pepa`), and their model
 classes solve them on the compiled engine (:mod:`repro.pepa.compiled`):
 each chain has one construction, explored once per structure and
-refilled per rate point.  The baselines and the chains without a PEPA
-form are built directly over tuple states on one base,
+refilled per rate point.  The shortest-queue and round-robin
+baselines are built directly over tuple states on one base,
 :class:`repro.ctmc.bfs.TupleChain`.  Every stationary model class solves
 through :class:`repro.ctmc.bfs.Chain` (memoised ``pi``,
 ``throughput(action)``).
 
 Modules
 -------
-``tags_pepa``      Figure 3 (exponential TAGS) PEPA builder and its model
-                   classes ``TagsExponential`` / ``TagsPepa`` (with the
-                   heterogeneous, dynamic-timeout and resume extensions).
+``tags_pepa``      the exponential TAGS PEPA builder (Figure 3, N nodes,
+                   MMPP arrivals) and ``TagsExponential`` / ``TagsPepa``
+                   (heterogeneous, dynamic-timeout and resume extensions).
 ``tags_hyper``     Figure 5 (H2-service TAGS) PEPA builder and
                    ``TagsHyperExponential``.
 ``tags_figure4``   the Figure 4 (per-place alternative) PEPA model.
-``tags_multinode`` direct (tuple-chain) CTMC of the N-node TAGS extension.
+``tags_multinode`` the N-node TAGS extension (the builder's line of nodes).
 ``random_alloc``   Appendix A weighted random allocation (exp analytic,
                    H2 via M/PH/1/K).
 ``shortest_queue`` Appendix B shortest-queue strategy: the Appendix B
@@ -26,7 +26,7 @@ Modules
                    head-phase states (H2 service; exponential is the
                    one-phase case).
 ``round_robin``    round robin on the same head-phase queue pair.
-``bursty``         MMPP2 arrivals; TAGS and JSQ tuple chains under them.
+``bursty``         MMPP2 arrivals; TAGS (PEPA) and JSQ chains under them.
 ``tags_breakdown`` breakdown/repair-extended TAGS (node-2 failure), the
                    CTMC ground truth for ``repro.faults`` injection,
                    solved on the compiled engine like Figure 3.

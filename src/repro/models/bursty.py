@@ -6,7 +6,8 @@ traffic to node 1" while shortest queue shares the burst.  The simulator
 probes this empirically (``bench_bursty.py``); these models settle it
 *exactly* by folding a two-state Markov-modulated Poisson arrival process
 into the TAGS and JSQ chains -- the modulating phase becomes one extra
-state component, everything else is unchanged.
+state component (for TAGS, an arrival leaf of the Figure 3 PEPA
+model), everything else is unchanged.
 
 An Interrupted Poisson Process (on/off bursts) is ``rate1 = 0``; use
 :meth:`MMPP2.scaled_to_mean` to compare burstiness levels at equal offered
@@ -25,6 +26,14 @@ from repro.models.metrics import (
     from_population_and_throughput,
 )
 from repro.models.shortest_queue import _jsq_moves, _service_phases
+from repro.models.tags_pepa import (
+    FIGURE3_FIELDS,
+    CompiledTags,
+    TagsParameters,
+    _index,
+    build_tags_model,
+)
+from repro.pepa import Model
 
 __all__ = ["MMPP2", "TagsMMPP", "ShortestQueueMMPP"]
 
@@ -75,23 +84,14 @@ class MMPP2:
         return self.switch01 if phase == 0 else self.switch10
 
 
-def _modulated(arrivals: MMPP2, moves, s: tuple) -> list:
-    """Successors of ``s = (phase, *rest)`` under MMPP arrivals: the phase
-    switches, and ``moves(rest, lam)`` -- the Poisson-arrival chain at
-    the phase's rate -- moves the rest."""
-    phase, rest = s[0], s[1:]
-    out = [("switch", arrivals.switch(phase), (1 - phase,) + rest)]
-    lam = arrivals.rate(phase)
-    out.extend((a, r, (phase,) + nxt) for a, r, nxt in moves(rest, lam))
-    return out
-
-
 @dataclass
-class TagsMMPP(TupleChain):
-    """Two-node TAGS (exponential service) under MMPP arrivals.
+class TagsMMPP(CompiledTags):
+    """Two-node TAGS (exponential service) under MMPP arrivals: the
+    Figure 3 model with the arrival leaf of
+    :func:`~repro.models.tags_pepa.build_tags_model`.
 
-    State: ``(phase, q1, r1, q2, ph2, r2)`` -- the Figure 3 chain with the
-    modulating phase prepended.
+    State: ``(phase, q1, r1, q2, ph2, r2)`` -- the Figure 3 tuple with
+    the modulating phase prepended.
     """
 
     arrivals: MMPP2 = None
@@ -101,56 +101,30 @@ class TagsMMPP(TupleChain):
     K1: int = 10
     K2: int = 10
 
+    PARAMS = TagsParameters
+    _QUEUE_COLUMNS = (1, 3)
+
     def __post_init__(self) -> None:
         if self.arrivals is None:
             raise ValueError("arrivals (an MMPP2) is required")
-        check_rates(mu=self.mu, t=self.t)
-        if self.n < 1 or self.K1 < 1 or self.K2 < 1:
-            raise ValueError("n, K1, K2 must be >= 1")
+        super().__post_init__()
 
-    def _initial(self):
-        return (0, 0, self.n - 1, 0, 0, self.n - 1)
+    def build(self) -> Model:
+        return build_tags_model(self.params(), arrivals=self.arrivals)
 
-    def _successors(self, s):
-        return _modulated(self.arrivals, self._figure3_moves, s)
+    def _structure_key(self) -> tuple:
+        a = self.arrivals
+        return ("tags-mmpp", self.n, self.K1, self.K2, a.rate0 == 0, a.rate1 == 0)
 
-    def _figure3_moves(self, s, lam):
-        """The Figure 3 chain over ``(q1, r1, q2, ph2, r2)`` at Poisson
-        rate ``lam``."""
-        q1, r1, q2, ph2, r2 = s
-        mu, t = self.mu, self.t
-        top = self.n - 1
-        out = []
-        if q1 < self.K1:
-            out.append(("arrival", lam, (q1 + 1, r1, q2, ph2, r2)))
-        else:
-            out.append(("arrloss", lam, s))
-        if q1 >= 1:
-            out.append(("service1", mu, (q1 - 1, top, q2, ph2, r2)))
-            if r1 >= 1:
-                out.append(("tick1", t, (q1, r1 - 1, q2, ph2, r2)))
-            elif q2 < self.K2:
-                out.append(("timeout", t, (q1 - 1, top, q2 + 1, ph2, r2)))
-            else:
-                out.append(("timeout", t, (q1 - 1, top, q2, ph2, r2)))
-        if q2 >= 1:
-            if ph2 == 1:
-                out.append(("service2", mu, (q1, r1, q2 - 1, 0, top)))
-            elif r2 >= 1:
-                out.append(("tick2", t, (q1, r1, q2, 0, r2 - 1)))
-            else:
-                out.append(("repeatservice", t, (q1, r1, q2, 1, top)))
-        return out
+    def _state_fields(self) -> list:
+        # the arrival leaf follows Q1, Timer1, Q2, Timer2
+        return [(4, _index)] + FIGURE3_FIELDS
 
-    def metrics(self) -> QueueMetrics:
-        x2 = self.throughput("service2")
-        return from_population_and_throughput(
-            mean_jobs_per_node=(self.mean(lambda s: s[1]), self.mean(lambda s: s[3])),
-            throughput=self.throughput("service1") + x2,
-            offered_load=self.arrivals.mean_rate,
-            loss_per_node=(self.throughput("arrloss"), self.throughput("timeout") - x2),
-            extra={"n_states": self.n_states, "burstiness": self.arrivals.burstiness},
-        )
+    def _offered_load(self) -> float:
+        return self.arrivals.mean_rate
+
+    def _extra(self) -> dict:
+        return {"burstiness": self.arrivals.burstiness}
 
 
 @dataclass
@@ -178,10 +152,13 @@ class ShortestQueueMMPP(TupleChain):
         return (0, 0, 0, 0, 0)
 
     def _successors(self, s):
-        return _modulated(self.arrivals, self._jsq, s)
-
-    def _jsq(self, q, lam):
-        return _jsq_moves(q, lam, self.K, self._draws, self._rates)
+        phase, rest = s[0], s[1:]
+        out = [("switch", self.arrivals.switch(phase), (1 - phase,) + rest)]
+        moves = _jsq_moves(
+            rest, self.arrivals.rate(phase), self.K, self._draws, self._rates
+        )
+        out.extend((a, r, (phase,) + nxt) for a, r, nxt in moves)
+        return out
 
     def metrics(self) -> QueueMetrics:
         return from_population_and_throughput(

@@ -101,7 +101,8 @@ def from_population_and_throughput(
     """Assemble a :class:`QueueMetrics`, deriving the dependent fields
     (``loss_rate`` defaults to ``offered_load - throughput``)."""
     per_node = tuple(float(x) for x in mean_jobs_per_node)
-    mean_jobs = float(sum(per_node))
+    # fsum rounds alike on every Python (the builtin sum changed in 3.12)
+    mean_jobs = math.fsum(per_node)
     m = QueueMetrics(
         mean_jobs=mean_jobs,
         mean_jobs_per_node=per_node,

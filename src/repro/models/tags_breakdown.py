@@ -134,7 +134,7 @@ class TagsBreakdown(CompiledTags):
     tick_during_residual: bool = False
 
     PARAMS = TagsParameters
-    _Q2_COLUMN = 2
+    _QUEUE_COLUMNS = (0, 2)
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -210,7 +210,7 @@ class TagsHyperExponential(CompiledTags):
     tick_during_residual: bool = False
 
     PARAMS = TagsH2Parameters
-    _Q2_COLUMN = 3
+    _QUEUE_COLUMNS = (0, 3)
 
     @property
     def resolved_alpha_prime(self) -> float:

@@ -1,4 +1,5 @@
-"""PEPA model of two-node TAGS with exponential service (paper Figure 3).
+"""PEPA model of TAGS with exponential service (paper Figure 3), the one
+builder of every exponential TAGS chain.
 
 The model is generated programmatically (queue sizes are parameters), with
 component names matching the paper: ``Q1_i``, ``Timer1_i``, ``Q2_i`` /
@@ -61,14 +62,22 @@ Loss accounting: a self-loop ``(arrloss, lam)`` is attached to the full
 ``Q1_K1`` derivative.  Self-loops do not alter the CTMC, but give the
 node-1 drop rate directly as an action throughput.
 
-The model classes :class:`TagsExponential` and :class:`TagsPepa` solve
-this model on the compiled engine: each ``(n, K1, K2,
-tick_during_residual, restart_work)`` shape is explored once, and every
-further rate point refills the cached space's rate column.
+**More nodes, MMPP arrivals.**  ``capacities``/``timeouts`` make a line
+of N queue/timer pairs, ``(Node1 <timeout> Node2) <timeout2> Node3``:
+node ``i``'s timeout is active in ``Q<i>``, passive in ``Timer<i>`` and
+``Q<i+1>``.  A new head at node ``i`` first makes ``i - 1`` repeat
+passes (``Q<i>_q``, ``Q<i>p<k>_q``, then residual ``Q<i>r_q``), each a
+full clock cycle it cannot time out of; the last node is Figure 3's
+node 2 (:mod:`repro.models.tags_multinode` names the approximation).
+``arrivals`` adds a leaf, ``System <arrival, arrloss> MMPP_0`` (as
+``TagsBreakdown`` adds its breaker), and queue 1's arrivals turn
+passive; a phase of rate 0 has no arrival prefixes.  The model classes
+(:class:`CompiledTags`) explore each shape once and refill its rates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
@@ -137,11 +146,6 @@ class TagsParameters:
             for q in range(1, self.K1 + 1):
                 check_rates(**{f"t_of_q1({q})": self.t_of_q1(q)})
 
-    @property
-    def mean_timeout(self) -> float:
-        """Mean total timeout duration (n Erlang phases at rate t)."""
-        return self.n / self.t
-
 
 def _choice(*terms):
     comp = terms[0]
@@ -155,82 +159,111 @@ def _p(action, rate, target):
     return Prefix(Activity(action, r), Constant(target))
 
 
-def build_tags_model(params: TagsParameters) -> Model:
-    """Construct the Figure 3 PEPA model."""
-    lam, mu, t = params.lam, params.mu, params.t
-    n, K1, K2 = params.n, params.K1, params.K2
-    mu2 = mu if params.mu2_service is None else params.mu2_service
-    t2 = t if params.t2 is None else params.t2
+def _timeout(i: int) -> str:
+    """Node ``i``'s timeout action (node 1's is Figure 3's)."""
+    return "timeout" if i == 1 else f"timeout{i}"
+
+
+def build_tags_model(
+    params: TagsParameters,
+    *,
+    capacities: tuple | None = None,
+    timeouts: tuple | None = None,
+    arrivals=None,
+) -> Model:
+    """Construct the TAGS PEPA model (see the module docstring).
+
+    ``capacities`` (one per node) and ``timeouts`` (one clock rate per
+    node but the last) replace ``(K1, K2)`` and ``(t,)``; ``arrivals``
+    (an :class:`~repro.models.bursty.MMPP2`) replaces the Poisson
+    stream.
+    """
+    caps = (params.K1, params.K2) if capacities is None else tuple(capacities)
+    clocks = (params.t,) if timeouts is None else tuple(timeouts)
+    n = params.n
+    mu2 = params.mu if params.mu2_service is None else params.mu2_service
+    lam = params.lam if arrivals is None else top()
     defs: dict = {}
+    for i, K in enumerate(caps, start=1):
+        last, service, tick = i == len(caps), f"service{i}", f"tick{i}"
+        # repeat passes a new head makes before its residual service
+        passes = i - 1 if params.restart_work else 0
+        clock = clocks[i - 1] if not last else params.t2 or clocks[-1]
 
-    # ------------------------------------------------------ queue 1
-    defs["Q1_0"] = _p("arrival", lam, "Q1_1")
-    for i in range(1, K1 + 1):
-        t1 = t if params.t_of_q1 is None else float(params.t_of_q1(i))
-        defs[f"Q1_{i}"] = _choice(
-            _p("arrival", lam, f"Q1_{i + 1}")
-            if i < K1
-            else _p("arrloss", lam, f"Q1_{K1}"),
-            _p("service1", mu, f"Q1_{i - 1}"),
-            _p("timeout", t1, f"Q1_{i - 1}"),
-            _p("tick1", t1, f"Q1_{i}"),
-        )
+        def Q(q, k, i=i, passes=passes):
+            """Queue i holding q jobs, its head in pass k (residual at
+            k == passes)."""
+            mark = "" if k == 0 else "r" if k == passes else f"p{k}"
+            return f"Q{i}{mark}_{q}"
 
-    # ------------------------------------------------------ timer 1
-    # n Erlang phases: Timer1_{n-1} .. Timer1_1 tick, Timer1_0 enables
-    # the (queue-driven) timeout
-    reset = f"Timer1_{n - 1}"
-    defs["Timer1_0"] = _choice(
-        _p("timeout", top(), reset),
-        _p("service1", top(), reset),
-    )
-    for i in range(1, n):
-        defs[f"Timer1_{i}"] = _choice(
-            _p("tick1", top(), f"Timer1_{i - 1}"),
-            _p("service1", top(), reset),
-        )
+        # -------------------------------------------------- queue i
+        for q in range(K + 1):
+            for k in range(passes + 1 if q else 1):
+                if i > 1:  # a timeout into a full queue is dropped
+                    terms = [_p(_timeout(i - 1), top(), Q(min(q + 1, K), k))]
+                elif q < K:
+                    terms = [_p("arrival", lam, Q(q + 1, k))]
+                else:
+                    terms = [_p("arrloss", lam, Q(K, k))]
+                if q and k < passes:
+                    # a repeat pass: one full clock cycle, no timeout
+                    rate = top() if last else clock
+                    terms += [
+                        _p(tick, rate, Q(q, k)),
+                        _p("repeatservice", rate, Q(q, k + 1)),
+                    ]
+                elif q and last:
+                    if params.tick_during_residual and passes:
+                        terms.append(_p(tick, top(), Q(q, k)))
+                    terms.append(_p(service, mu2, Q(q - 1, 0)))
+                elif q:
+                    t_i = clock
+                    if i == 1 and params.t_of_q1 is not None:
+                        t_i = float(params.t_of_q1(q))
+                    terms += [
+                        _p(service, params.mu if i == 1 else mu2, Q(q - 1, 0)),
+                        _p(_timeout(i), t_i, Q(q - 1, 0)),
+                        _p(tick, t_i, Q(q, k)),
+                    ]
+                defs[Q(q, k)] = _choice(*terms)
 
-    # ------------------------------------------------------ queue 2
-    defs["Q2_0"] = _p("timeout", top(), "Q2_1")
-    for i in range(1, K2 + 1):
-        up = min(i + 1, K2)  # a timeout into a full queue 2 is dropped
-        if not params.restart_work:
-            defs[f"Q2_{i}"] = _choice(
-                _p("timeout", top(), f"Q2_{up}"),
-                _p("service2", mu2, f"Q2_{i - 1}"),
+        # -------------------------------------------------- timer i
+        # n Erlang phases: Timer_{n-1} .. Timer_1 tick, Timer_0 ends the
+        # cycle; the queue drives it (passive here) except at the last
+        # node, whose repeat clock runs only while the queue repeats
+        reset = f"Timer{i}_{n - 1}"
+        if not last:
+            ends = [_timeout(i), service] + ["repeatservice"] * bool(passes)
+            defs[f"Timer{i}_0"] = _choice(*(_p(a, top(), reset) for a in ends))
+            for k in range(1, n):
+                defs[f"Timer{i}_{k}"] = _choice(
+                    _p(tick, top(), f"Timer{i}_{k - 1}"),
+                    _p(service, top(), reset),
+                )
+            shared = {tick, *ends}
+        elif passes:
+            defs[f"Timer{i}_0"] = _p("repeatservice", clock, reset)
+            for k in range(1, n):
+                defs[f"Timer{i}_{k}"] = _p(tick, clock, f"Timer{i}_{k - 1}")
+            shared = {"repeatservice", tick}
+        node = Constant(f"Q{i}_0")
+        if not last or passes:
+            node = Cooperation(node, Constant(reset), frozenset(shared))
+        if i > 1:
+            node = Cooperation(system, node, frozenset({_timeout(i - 1)}))
+        system = node
+
+    if arrivals is not None:
+        # ------------------------------------------------ arrival phase
+        for ph in (0, 1):
+            rate = arrivals.rate(ph)  # an off phase (rate 0) has no arrivals
+            defs[f"MMPP_{ph}"] = _choice(
+                *(_p(a, rate, f"MMPP_{ph}") for a in ("arrival", "arrloss") if rate),
+                _p("switch", arrivals.switch(ph), f"MMPP_{1 - ph}"),
             )
-            continue
-        defs[f"Q2_{i}"] = _choice(
-            _p("timeout", top(), f"Q2_{up}"),
-            _p("tick2", top(), f"Q2_{i}"),
-            _p("repeatservice", top(), f"Q2r_{i}"),
+        system = Cooperation(
+            system, Constant("MMPP_0"), frozenset({"arrival", "arrloss"})
         )
-        residual_terms = [
-            _p("timeout", top(), f"Q2r_{up}"),
-            _p("service2", mu2, f"Q2_{i - 1}"),
-        ]
-        if params.tick_during_residual:
-            residual_terms.insert(1, _p("tick2", top(), f"Q2r_{i}"))
-        defs[f"Q2r_{i}"] = _choice(*residual_terms)
-
-    node1 = Cooperation(
-        Constant("Q1_0"),
-        Constant(f"Timer1_{n - 1}"),
-        frozenset({"service1", "tick1", "timeout"}),
-    )
-    if params.restart_work:
-        # ------------------------------------------------------ timer 2
-        defs["Timer2_0"] = _p("repeatservice", t2, f"Timer2_{n - 1}")
-        for i in range(1, n):
-            defs[f"Timer2_{i}"] = _p("tick2", t2, f"Timer2_{i - 1}")
-        node2 = Cooperation(
-            Constant("Q2_0"),
-            Constant(f"Timer2_{n - 1}"),
-            frozenset({"repeatservice", "tick2"}),
-        )
-    else:
-        node2 = Constant("Q2_0")
-    system = Cooperation(node1, node2, frozenset({"timeout"}))
     return Model(defs, system)
 
 
@@ -256,10 +289,11 @@ class CompiledTags(Chain):
     Subclasses are dataclasses with the fields of their parameter record
     ``PARAMS`` (which validates them) that supply :meth:`build` (the PEPA
     model), :meth:`_structure_key` (the parameters that shape the
-    reachability graph; rates never do, since they are validated finite
-    and positive) and :meth:`_state_fields` (how the tuple encoding of
-    :attr:`states` reads off the sequential components; columns 0 and
-    ``_Q2_COLUMN`` are the two queue lengths).
+    reachability graph; a rate does only where zero is allowed, as for
+    an MMPP phase) and :meth:`_state_fields` (how the tuple encoding of
+    :attr:`states` reads off the sequential components; the columns in
+    ``_QUEUE_COLUMNS`` are the queue lengths, node by node).  One
+    :meth:`metrics` serves them all.
 
     The generator comes from the compiled engine through the process-wide
     structure cache: the first model of a shape compiles and explores,
@@ -271,7 +305,7 @@ class CompiledTags(Chain):
 
     SOLVE_ENGINE = "pepa-compiled-v2"
     PARAMS: type
-    _Q2_COLUMN: int
+    _QUEUE_COLUMNS: tuple
 
     def __post_init__(self) -> None:
         self.params()  # the parameter record validates
@@ -296,6 +330,9 @@ class CompiledTags(Chain):
     def _extra(self) -> dict:
         """Model-specific entries for ``QueueMetrics.extra``."""
         return {}
+
+    def _offered_load(self) -> float:
+        return self.lam
 
     # ------------------------------------------------------------------
     def _space(self):
@@ -357,27 +394,29 @@ class CompiledTags(Chain):
     def metrics(self) -> QueueMetrics:
         pi = self.pi
         S = self._state_array()
-        x_s1 = self.throughput("service1")
-        x_s2 = self.throughput("service2")
-        x_to = self.throughput("timeout")
-        loss1 = self.throughput("arrloss")
-        # flow balance at node 2: entries = timeouts that found space = service2
-        loss2 = x_to - x_s2
+        nodes = len(self._QUEUE_COLUMNS)
+        served = [self.throughput(f"service{i}") for i in range(1, nodes + 1)]
+        # timeouts out of each node; the last node has none
+        moved = [self.throughput(_timeout(i)) for i in range(1, nodes)] + [0.0]
+        # flow balance at node i >= 2: the timeouts of node i - 1 that
+        # found space are its entries, which leave by service or timeout
+        lost = [self.throughput("arrloss")] + [
+            moved[i - 1] - served[i] - moved[i] for i in range(1, nodes)
+        ]
         return from_population_and_throughput(
             # float copies: contiguous, so the dot products take the same
             # path as a reward vector's
-            mean_jobs_per_node=(
-                float(pi @ S[:, 0].astype(float)),
-                float(pi @ S[:, self._Q2_COLUMN].astype(float)),
+            mean_jobs_per_node=tuple(
+                float(pi @ S[:, c].astype(float)) for c in self._QUEUE_COLUMNS
             ),
-            throughput=x_s1 + x_s2,
-            offered_load=self.lam,
-            loss_per_node=(loss1, loss2),
+            throughput=math.fsum(served),
+            offered_load=self._offered_load(),
+            loss_per_node=lost,
             extra={
                 "n_states": self.n_states,
-                "timeout_throughput": x_to,
-                "service1_throughput": x_s1,
-                "service2_throughput": x_s2,
+                "timeout_throughput": moved[0],
+                "service1_throughput": served[0],
+                "service2_throughput": served[1],
                 **self._extra(),
             },
         )
@@ -400,7 +439,7 @@ class _Figure3(CompiledTags):
     restart_work: bool = True
 
     PARAMS = TagsParameters
-    _Q2_COLUMN = 2
+    _QUEUE_COLUMNS = (0, 2)
 
     def build(self) -> Model:
         return build_tags_model(self.params())

@@ -4,6 +4,7 @@ import pytest
 
 from repro.models import ShortestQueue, TagsExponential
 from repro.models.bursty import MMPP2, ShortestQueueMMPP, TagsMMPP
+from repro.sweep import structure_cache
 
 
 class TestMMPP2:
@@ -45,6 +46,47 @@ class TestPoissonRegression:
         ref = ShortestQueue(lam=9.0, service=10.0, K=8).metrics()
         assert mm.mean_jobs == pytest.approx(ref.mean_jobs, rel=1e-9)
         assert mm.throughput == pytest.approx(ref.throughput, rel=1e-9)
+
+
+class TestTagsMMPPChain:
+    def test_pinned_metrics(self):
+        """Recorded from the compiled Figure 3 model with its arrival
+        leaf; within 3e-14 relative of the hand-built tuple chain it
+        replaces (same 8662 states, another state order)."""
+        model = TagsMMPP(MMPP2(2, 14, 0.5, 1))
+        m = model.metrics()
+        assert model.n_states == 8662
+        assert m.mean_jobs == 2.04610665202524
+        assert m.throughput == 5.935534821914716
+        assert m.loss_rate == 0.06446517808528363
+
+    def test_states_prepend_the_phase(self):
+        mod = TagsMMPP(MMPP2(20.0, 2.0, 1.0, 1.0), mu=10, t=45, n=3, K1=5, K2=5)
+        plain = TagsExponential(lam=9, mu=10, t=45, n=3, K1=5, K2=5)
+        assert sorted(mod.states) == sorted(
+            (ph,) + s for ph in (0, 1) for s in plain.states
+        )
+
+    def test_on_off_and_modulated_do_not_share_a_structure(self):
+        """A zero phase rate drops that phase's arrival prefixes: the
+        on/off source and the two-rate MMPP are two structures, and
+        either solve order must give the fresh-cache metrics."""
+        shape = dict(mu=10, t=45, n=3, K1=6, K2=6)
+        ipp = MMPP2(27.0, 0.0, 1.0, 0.5).scaled_to_mean(9.0)
+        mmpp = MMPP2(20.0, 2.0, 1.0, 0.5).scaled_to_mean(9.0)
+
+        def fresh(arr):
+            structure_cache().clear()
+            return TagsMMPP(arrivals=arr, **shape).metrics()
+
+        want = {"ipp": fresh(ipp), "mmpp": fresh(mmpp)}
+        assert want["ipp"].extra["n_states"] == 950
+        for order in (("ipp", "mmpp"), ("mmpp", "ipp")):
+            structure_cache().clear()
+            for name in order:
+                arr = ipp if name == "ipp" else mmpp
+                assert TagsMMPP(arrivals=arr, **shape).metrics() == want[name]
+            assert len(structure_cache()) == 2
 
 
 class TestBurstinessEffects:

@@ -21,6 +21,7 @@ from repro.models import (
 from repro.models.tags_pepa import TagsParameters
 from repro.models.tags_hyper import TagsH2Parameters, tags_h2_pepa_metrics
 from repro.pepa import check_model, explore
+from repro.pepa.pretty import pretty_model
 
 
 class TestStateSpace:
@@ -47,6 +48,32 @@ class TestStateSpace:
     def test_well_formed(self):
         p = TagsParameters(n=3, K1=3, K2=3)
         assert check_model(build_tags_model(p)).warnings == []
+
+
+class TestFigure3Model:
+    """The builder's Figure 3 output, pinned by the sha256 of its
+    pretty-printed form (definitions in order, then the system): the
+    N-node and MMPP generalisations of ``build_tags_model`` must leave
+    the two-node Poisson model unchanged."""
+
+    @pytest.mark.parametrize(
+        "params, digest",
+        [
+            ({}, "3d7423038207a7299a2bbc3b041e88034f015742e6e6d49b5854d9ea6c1e95eb"),
+            (
+                {"tick_during_residual": True},
+                "4b8a84fd3ae65348cc64b03556643b469cc30a6887ada435b4eaae49726059b7",
+            ),
+            (
+                {"restart_work": False},
+                "edc7664c2c44d5fbceaef1ecc389e1e331a7cf9f3dbb9672708fb6b02aae0b00",
+            ),
+        ],
+        ids=["default", "tick-during-residual", "resume"],
+    )
+    def test_fingerprint(self, params, digest):
+        text = pretty_model(build_tags_model(TagsParameters(**params)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 REFERENCE = json.loads(

@@ -81,10 +81,6 @@ PINS = [
         lambda: ShortestQueueMMPP(MMPP2(2, 14, 0.5, 1), mu=10, K=6),
         98, 0.9448270590561327, 5.990530060369458, 0.009469939630545083,
     ),
-    (
-        lambda: TagsMMPP(MMPP2(2, 14, 0.5, 1)),
-        8662, 2.0461066520252413, 5.935534821914718, 0.06446517808528185,
-    ),
 ]
 
 
@@ -92,7 +88,7 @@ class TestPinnedMetrics:
     @pytest.mark.parametrize(
         "make, states, mean_jobs, throughput, loss_rate",
         PINS,
-        ids=["jsq", "round_robin", "jsq_mmpp", "tags_mmpp"],
+        ids=["jsq", "round_robin", "jsq_mmpp"],
     )
     def test_exact(self, make, states, mean_jobs, throughput, loss_rate):
         model = make()
