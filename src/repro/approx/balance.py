@@ -33,7 +33,6 @@ cross-checking in :func:`erlang_balance_polynomial_residual`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "timeout_win_probability",
@@ -94,6 +93,8 @@ def erlang_balance_polynomial_residual(t: float, mu: float, n: int) -> float:
 
 def erlang_balance_rate(mu: float, n: int, *, bracket_hi: float = None) -> float:
     """Solve the Erlang balance equation for the per-phase rate ``t``."""
+    from scipy.optimize import brentq
+
     if mu <= 0 or n < 1:
         raise ValueError("need positive mu and n >= 1")
     lo = 1e-9 * mu

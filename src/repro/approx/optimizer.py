@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from repro import obs
 from repro.sweep import ModelSpec, SweepEngine, default_engine
@@ -152,6 +151,8 @@ def optimise_timeout(
     t_opt, v_opt = float(ts[k]), float(vals[k])
     lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
     if refine and lo < hi:
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             evaluate, bounds=(lo, hi), method="bounded", options={"xatol": 1e-4 * hi}
         )

@@ -6,6 +6,9 @@ Section 3.2).  This subpackage provides:
 
 * :class:`~repro.dists.phase_type.PhaseType` -- general PH(alpha, T)
   representation with pdf/cdf/moments/Laplace transform/sampling;
+  every demand source here has ``sample(size, rng)`` and its scalar form
+  ``draw(rng)`` (``== sample(1, rng)[0]``), which the simulators call once
+  per arrival;
 * concrete families (:class:`Exponential`, :class:`Erlang`,
   :class:`HyperExponential`, :class:`Coxian`) in
   :mod:`~repro.dists.families`;

@@ -74,3 +74,11 @@ class BoundedPareto:
         u = rng.random(size)
         # invert F(x) = (1 - (k/x)^a) / norm
         return self.k * (1.0 - u * self._norm) ** (-1.0 / self.a)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        """One sample, ``== sample(1, rng)[0]``.  The power goes through
+        ``np.power`` as in :meth:`sample`: NumPy's vector ``power`` may
+        round differently from the C library's ``pow`` behind ``**`` on
+        floats."""
+        base = 1.0 - rng.random() * self._norm
+        return float(self.k * np.power(base, -1.0 / self.a))

@@ -62,6 +62,11 @@ class EmpiricalDistribution:
         rng = np.random.default_rng() if rng is None else rng
         return rng.choice(self.data, size=size, replace=True)
 
+    def draw(self, rng: np.random.Generator) -> float:
+        """One resample, ``== sample(1, rng)[0]``: ``choice`` without
+        weights draws its index with ``integers``."""
+        return float(self.data[rng.integers(0, self.data.size)])
+
     # -- model fitting ---------------------------------------------------
     def fit_h2(self, **kw):
         """EM-fit a two-phase hyper-exponential to the trace (the paper's

@@ -4,7 +4,10 @@ Coxian.
 Each family subclasses :class:`~repro.dists.phase_type.PhaseType` so the
 generic machinery (pdf/cdf/moments/sampling) applies, but stores its natural
 parameters and overrides closed forms where they are cheaper/exacter than
-the matrix-exponential route.
+the matrix-exponential route.  Each also overrides :meth:`sample` and
+:meth:`~repro.dists.phase_type.PhaseType.draw` with its direct sampler
+(one exponential, one gamma, a branch then an exponential); ``draw`` is
+the scalar form, ``draw(rng) == sample(1, rng)[0]``.
 
 The paper's H2 parameterisation (Section 3.2) is::
 
@@ -18,9 +21,11 @@ conventions (fixed mean with ``mu1 = c * mu2``) and from (mean, SCV) pairs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
-from repro.dists.phase_type import PhaseType
+from repro.dists.phase_type import PhaseType, _normalised_cdf
 
 __all__ = [
     "Exponential",
@@ -40,6 +45,7 @@ class Exponential(PhaseType):
             raise ValueError(f"rate must be positive, got {rate}")
         self.rate = float(rate)
         super().__init__([1.0], [[-rate]])
+        self._scale = 1.0 / self.rate
 
     def pdf(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -51,7 +57,10 @@ class Exponential(PhaseType):
 
     def sample(self, size, rng=None):
         rng = np.random.default_rng() if rng is None else rng
-        return rng.exponential(1.0 / self.rate, size=size)
+        return rng.exponential(self._scale, size=size)
+
+    def draw(self, rng) -> float:
+        return rng.exponential(self._scale)
 
 
 class Erlang(PhaseType):
@@ -76,10 +85,14 @@ class Erlang(PhaseType):
         alpha = np.zeros(self.k)
         alpha[0] = 1.0
         super().__init__(alpha, T)
+        self._scale = 1.0 / self.rate
 
     def sample(self, size, rng=None):
         rng = np.random.default_rng() if rng is None else rng
-        return rng.gamma(shape=self.k, scale=1.0 / self.rate, size=size)
+        return rng.gamma(shape=self.k, scale=self._scale, size=size)
+
+    def draw(self, rng) -> float:
+        return rng.gamma(self.k, self._scale)
 
 
 class HyperExponential(PhaseType):
@@ -102,6 +115,10 @@ class HyperExponential(PhaseType):
         self.probs = probs
         self.rates = rates
         super().__init__(probs, np.diag(-rates))
+        # the branch cdf over probs alone: the PH start cdf also carries
+        # the (rounding-sized) atom at zero
+        self._branch_cdf = _normalised_cdf(probs)
+        self._branch = (self._branch_cdf.tolist(), self._scales.tolist())
 
     @classmethod
     def h2(cls, alpha: float, mu1: float, mu2: float) -> "HyperExponential":
@@ -121,8 +138,12 @@ class HyperExponential(PhaseType):
 
     def sample(self, size, rng=None):
         rng = np.random.default_rng() if rng is None else rng
-        branch = rng.choice(len(self.probs), size=size, p=self.probs)
-        return rng.exponential(1.0 / self.rates[branch])
+        branch = self._branch_cdf.searchsorted(rng.random(size), "right")
+        return rng.exponential(self._scales[branch])
+
+    def draw(self, rng) -> float:
+        cdf, scales = self._branch
+        return rng.exponential(scales[bisect_right(cdf, rng.random())])
 
 
 class Coxian(PhaseType):

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from repro.dists.families import HyperExponential
 from repro.dists.phase_type import PhaseType
@@ -62,6 +61,8 @@ def fit_hyperexponential(
     quantiles, which reliably separates short/long modes in heavy-tailed
     samples.
     """
+    import scipy.special
+
     x = _validate_data(data)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -115,6 +116,8 @@ def fit_erlang_mixture(
     paper's deterministic-timeout approximation); mixed shapes approximate
     multi-modal or low-variance targets.
     """
+    import scipy.special
+
     x = _validate_data(data)
     shapes = np.asarray(shapes, dtype=int).ravel()
     if shapes.size < 1 or shapes.min() < 1:

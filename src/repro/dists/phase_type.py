@@ -15,16 +15,34 @@ Standard identities used below (Neuts 1981):
 All matrix functions are evaluated with dense SciPy routines: the phase
 counts in this reproduction are tiny (<= a few dozen), so clarity wins over
 sparsity here.
+
+Sampling walks the absorbing chain.  Every discrete choice -- the start
+phase, then each jump -- inverts a normalised cdf built once at
+construction, ``cdf.searchsorted(rng.random(size), "right")``, which is
+what ``rng.choice(p=)`` computes internally, so the stream is the one
+``choice`` would give.  :meth:`PhaseType.draw` is the scalar form of
+:meth:`PhaseType.sample`: ``draw(rng) == sample(1, rng)[0]`` on the same
+generator state, at a fraction of the cost; the simulators call it once
+per arrival.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["PhaseType"]
+
+
+def _normalised_cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, each row divided by its
+    total: ``rng.choice(p=)``'s table, so inverting it with
+    ``searchsorted(u, "right")`` reproduces ``choice``'s draws."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 class PhaseType:
@@ -62,6 +80,21 @@ class PhaseType:
         self.alpha = np.maximum(alpha, 0.0)
         self.T = T
         self.exit = np.maximum(-rowsum, 0.0)
+        # the sampler's tables: mean sojourn per phase, the start-phase
+        # cdf (index m = the atom at zero) and one jump cdf per phase
+        # (column m = absorption), each normalised as rng.choice does
+        rates = -np.diag(T)
+        self._scales = 1.0 / rates
+        start = np.concatenate([self.alpha, [self.atom_at_zero]])
+        self._start_cdf = _normalised_cdf(start / start.sum())
+        jumps = np.zeros((m, m + 1))
+        jumps[:, :m] = T / rates[:, None]
+        jumps[np.arange(m), np.arange(m)] = 0.0
+        jumps[:, m] = self.exit / rates
+        self._jump_cdf = _normalised_cdf(jumps)
+        self._draw_tables = (
+            self._start_cdf.tolist(), self._scales.tolist(), self._jump_cdf.tolist()
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -76,6 +109,8 @@ class PhaseType:
     # ------------------------------------------------------------------
     def pdf(self, x) -> np.ndarray:
         """Density at ``x`` (the atom at zero, if any, is not included)."""
+        import scipy.linalg
+
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(x)
         for i, xi in enumerate(x):
@@ -85,6 +120,8 @@ class PhaseType:
         return out if out.size > 1 else out
 
     def cdf(self, x) -> np.ndarray:
+        import scipy.linalg
+
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(x)
         ones = np.ones(self.n_phases)
@@ -144,27 +181,30 @@ class PhaseType:
         """
         rng = np.random.default_rng() if rng is None else rng
         m = self.n_phases
-        rates = -np.diag(self.T)
-        # jump matrix: row i -> probability of next phase j or absorption (col m)
-        P = np.zeros((m, m + 1))
-        for i in range(m):
-            P[i, :m] = self.T[i] / rates[i]
-            P[i, i] = 0.0
-            P[i, m] = self.exit[i] / rates[i]
-        cumP = np.cumsum(P, axis=1)
-
         total = np.zeros(size)
-        start = np.concatenate([self.alpha, [self.atom_at_zero]])
-        phase = rng.choice(m + 1, size=size, p=start / start.sum())
+        phase = self._start_cdf.searchsorted(rng.random(size), "right")
         active = phase < m
         while active.any():
             idx = np.flatnonzero(active)
             ph = phase[idx]
-            total[idx] += rng.exponential(1.0 / rates[ph])
+            total[idx] += rng.exponential(self._scales[ph])
             u = rng.random(idx.size)
-            nxt = (u[:, None] < cumP[ph]).argmax(axis=1)
+            # first column whose cdf exceeds u: searchsorted per row
+            nxt = (u[:, None] < self._jump_cdf[ph]).argmax(axis=1)
             phase[idx] = nxt
             active[idx] = nxt < m
+        return total
+
+    def draw(self, rng: np.random.Generator) -> float:
+        """One sample, ``== sample(1, rng)[0]``: the same draws in the
+        same order, made one at a time."""
+        start, scales, jumps = self._draw_tables
+        m = len(scales)
+        total = 0.0
+        phase = bisect_right(start, rng.random())
+        while phase < m:
+            total += rng.exponential(scales[phase])
+            phase = bisect_right(jumps[phase], rng.random())
         return total
 
     # ------------------------------------------------------------------

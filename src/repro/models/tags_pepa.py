@@ -411,6 +411,10 @@ class CompiledTags(Chain):
             ),
             throughput=math.fsum(served),
             offered_load=self._offered_load(),
+            # measured, not offered - throughput: keeps its relative
+            # precision when the loss is tiny, and makes validate()'s
+            # flow-balance check a real one
+            loss_rate=math.fsum(lost),
             loss_per_node=lost,
             extra={
                 "n_states": self.n_states,

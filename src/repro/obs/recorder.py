@@ -42,6 +42,7 @@ parent currently has open.  The sweep engine does exactly this (see
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -229,14 +230,24 @@ class Recorder:
 
         The bulk path for per-event spans filed after the fact (the serve
         runtime's ``serve.job`` spans, one per job, at the end of a run):
-        no per-span call or keyword packing.
+        no per-span call or keyword packing.  The cyclic garbage collector
+        is paused meanwhile: every record (and its attrs dict) is kept and
+        refers to no other, so a collection could free none of them, yet
+        thousands of new tracked objects would trigger dozens, and those
+        promote into the older generations' full scans.
         """
         parent = self._stack[-1] if self._stack else None
         sid = self._next_id
         append = self.spans.append
-        for t0, duration, attrs in rows:
-            append(SpanRecord(name, t0, duration, attrs, sid, parent))
-            sid += 1
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for t0, duration, attrs in rows:
+                append(SpanRecord(name, t0, duration, attrs, sid, parent))
+                sid += 1
+        finally:
+            if collecting:
+                gc.enable()
         self._next_id = sid
 
     def adopt(self, span: SpanRecord) -> SpanRecord:

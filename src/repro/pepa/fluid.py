@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.pepa.semantics import TransitionContext
 from repro.pepa.syntax import Constant, Model
@@ -254,6 +253,8 @@ class FluidModel:
         Returns ``(times, trajectories)`` where ``trajectories`` maps
         ``group.derivative`` labels to count arrays.
         """
+        from scipy.integrate import solve_ivp
+
         ts = np.linspace(0.0, t_end, n_points)
         sol = solve_ivp(
             self._rhs,

@@ -12,7 +12,10 @@ rather than ``asyncio.sleep``, so the same runtime runs in two modes:
   however long the dispatch decisions take to compute -- and, because
   timers fire in strict ``(deadline, creation order)`` sequence, the run
   is **deterministic**: the equivalence tests pin its per-job outcomes
-  exactly to :class:`repro.sim.runner.Simulation`.
+  exactly to :class:`repro.sim.runner.Simulation`.  The runtime sets one
+  :meth:`~VirtualClock.call_at` timer per arrival and per core outcome,
+  so that path pushes onto and pops off the heap directly, as the
+  simulator's own loop does.
 * :class:`WallClock` -- real time via ``asyncio.sleep``, optionally
   scaled (``rate=10`` runs 10 model-seconds per wall-second).  This is
   the mode an actual deployment would use; tests only smoke it.
@@ -30,8 +33,8 @@ runs a full ready round) at the cost of a little wasted spinning.
 from __future__ import annotations
 
 import asyncio
-import heapq
 import time
+from heapq import heappop, heappush
 
 __all__ = ["Clock", "VirtualClock", "WallClock"]
 
@@ -121,7 +124,7 @@ class VirtualClock(Clock):
     def next_deadline(self) -> float | None:
         """Earliest live timer deadline (None when no timers are set)."""
         while self._timers and self._timers[0][2].cancelled():
-            _, _, _, daemon = heapq.heappop(self._timers)
+            _, _, _, daemon = heappop(self._timers)
             if not daemon:
                 self._essential -= 1
         return self._timers[0][0] if self._timers else None
@@ -130,19 +133,23 @@ class VirtualClock(Clock):
         if delay < 0:
             raise ValueError("cannot sleep a negative duration")
         fut = asyncio.get_running_loop().create_future()
-        self._push(self._now + delay, fut, daemon)
+        heappush(self._timers, (self._now + delay, self._seq, fut, daemon))
+        self._seq += 1
+        if not daemon:
+            self._essential += 1
         return fut
 
     def call_at(self, deadline: float, fn, *args) -> None:
         """Exact: the callback runs at ``deadline`` itself (a sleep of
-        ``deadline - now`` can land one ulp off)."""
-        self._push(max(deadline, self._now), _Call(fn, args), False)
-
-    def _push(self, deadline: float, timer, daemon: bool) -> None:
-        heapq.heappush(self._timers, (deadline, self._seq, timer, daemon))
+        ``deadline - now`` can land one ulp off); a past deadline runs
+        at ``now``.  One call per core outcome, so it pushes directly."""
+        now = self._now
+        heappush(
+            self._timers,
+            (now if now > deadline else deadline, self._seq, _Call(fn, args), False),
+        )
         self._seq += 1
-        if not daemon:
-            self._essential += 1
+        self._essential += 1
 
     async def run_until(self, deadline: float) -> None:
         """Advance to ``deadline``, firing every timer due on the way.
@@ -161,15 +168,23 @@ class VirtualClock(Clock):
         jumps to ``deadline``.
         """
         ready = getattr(asyncio.get_running_loop(), "_ready", None)
+        timers = self._timers
         await _drain()
         while self._essential > 0:
-            nxt = self.next_deadline()
-            if nxt is None or nxt > deadline:
+            # next_deadline() inlined: drop cancelled sleeps off the top
+            while timers:
+                timer = timers[0][2]
+                if type(timer) is _Call or not timer.cancelled():
+                    break
+                if not heappop(timers)[3]:
+                    self._essential -= 1
+            if not timers or timers[0][0] > deadline:
                 break
-            when, _, timer, daemon = heapq.heappop(self._timers)
+            when, _, timer, daemon = heappop(timers)
             if not daemon:
                 self._essential -= 1
-            self._now = when if when > self._now else self._now
+            if when > self._now:
+                self._now = when
             if type(timer) is _Call:
                 timer.fn(*timer.args)
                 if ready is None or ready:

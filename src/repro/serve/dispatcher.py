@@ -16,7 +16,10 @@ its clock:
   its timer and admits itself;
 * every outcome the core schedules (a completion, a kill, the end of the
   warm-up) and every fault-plan event likewise becomes one clock timer,
-  whose callback hands it back to the core;
+  whose callback hands it back to the core.  Arrival and outcome timers
+  call the runtime's handler directly, with the core they were set for
+  as an argument: a timer left on the clock by an ended run finds
+  another core (or none running) and does nothing;
 * optionally a **controller task** (:mod:`~repro.serve.controller`)
   re-tunes the timeout from live observations.
 
@@ -204,7 +207,7 @@ class DispatchRuntime:
             self._scheduled.append((delay, fn))
 
     def queue_lengths(self) -> list:
-        return [len(q) for q in self.cluster.queues]
+        return list(self.cluster.lengths)
 
     # -- driving the core -----------------------------------------------
     def _at(self, when: float, fn, *args) -> None:
@@ -218,11 +221,13 @@ class DispatchRuntime:
             fn(*args)
 
     def _schedule(self, outcomes) -> None:
+        call_at, fire, cluster = self.clock.call_at, self._fire, self.cluster
         for when, kind, node, epoch in outcomes:
-            self._at(when, self._fire, kind, node, epoch)
+            call_at(when, fire, cluster, kind, node, epoch)
 
-    def _fire(self, kind: str, node: int, epoch: int) -> None:
-        cluster = self.cluster
+    def _fire(self, cluster, kind: str, node: int, epoch: int) -> None:
+        if not self._running or cluster is not self.cluster:
+            return  # set by an earlier run (see _due)
         now = self.clock.now()
         if kind == "kill" and self._guarded:
             job = cluster.kill(now, node, epoch)
@@ -247,8 +252,8 @@ class DispatchRuntime:
         """
         while True:
             await self.clock.sleep(interval, daemon=True)
-            for i, q in enumerate(self.cluster.queues):
-                rec.gauge("serve.queue_depth", len(q), node=i)
+            for i, length in enumerate(self.cluster.lengths):
+                rec.gauge("serve.queue_depth", length, node=i)
 
     def _next_arrival(self) -> None:
         """Pull the next job from the load source and set its arrival
@@ -259,16 +264,19 @@ class DispatchRuntime:
             inj = self.faults
             if inj is not None and inj.arrival_factor != 1.0:
                 gap = gap / inj.arrival_factor
-            self._at(self.clock.now() + gap, self._arrive, demand)
+            clock = self.clock
+            clock.call_at(clock.now() + gap, self._arrive, self.cluster, demand)
 
-    def _arrive(self, demand: float) -> None:
+    def _arrive(self, cluster, demand: float) -> None:
+        if not self._running or cluster is not self.cluster:
+            return  # set by an earlier run (see _due)
         # the successor's timer before this arrival's outcomes: the order
         # sim pushes them, so same-instant ties break alike
         self._next_arrival()
         now = self.clock.now()
         if self.controller is not None:
             self.window_arrivals.append(now)
-        self._schedule(self.cluster.admit(now, demand))
+        self._schedule(cluster.admit(now, demand))
 
     async def _forward(self, job: JobRecord, node: int) -> None:
         """Forward a killed job through the retry/breaker guard; ``node``

@@ -20,7 +20,7 @@ absolute times as the ground truth; both replay paths accumulate
 ``now + gap`` in the same order, so their floating-point arrival
 instants agree bit-for-bit.  :class:`TraceArrivals` and
 :class:`TraceDemands` adapt a trace to the ``next_interarrival`` /
-``sample`` protocols the simulator expects;
+``draw`` protocols the simulator expects;
 :meth:`Trace.from_arrival_times` builds a trace from absolute arrival
 instants (rejecting non-monotone sequences).
 
@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.sim.workload import demand_draw
 
 __all__ = [
     "PoissonLoad",
@@ -67,7 +69,7 @@ class PoissonLoad:
 
     def next_job(self, rng: np.random.Generator):
         gap = rng.exponential(1.0 / self.rate)
-        return gap, float(self.demand.sample(1, rng)[0])
+        return gap, demand_draw(self.demand)(rng)
 
 
 @dataclass
@@ -90,7 +92,7 @@ class MMPPLoad:
 
     def next_job(self, rng: np.random.Generator):
         gap = float(self.arrivals.next_interarrival(rng))
-        return gap, float(self.demand.sample(1, rng)[0])
+        return gap, demand_draw(self.demand)(rng)
 
 
 @dataclass
@@ -168,10 +170,11 @@ class TraceLoad:
 
     def next_job(self, rng: np.random.Generator):
         i = self._pos
-        if i >= len(self.trace):
+        trace = self.trace
+        if i >= trace.gaps.size:
             return None
         self._pos = i + 1
-        return float(self.trace.gaps[i]), float(self.trace.demands[i])
+        return float(trace.gaps[i]), float(trace.demands[i])
 
     @property
     def remaining(self) -> int:
@@ -192,15 +195,17 @@ class TraceArrivals:
 
     def next_interarrival(self, rng) -> float:
         i = self._pos
-        if i >= len(self.trace):
+        gaps = self.trace.gaps
+        if i >= gaps.size:
             return float("inf")
         self._pos = i + 1
-        return float(self.trace.gaps[i])
+        return float(gaps[i])
 
 
 @dataclass
 class TraceDemands:
-    """``sample`` view of a trace's demands for ``sim.runner.Simulation``."""
+    """``draw`` (and ``sample``) view of a trace's demands for
+    ``sim.runner.Simulation``."""
 
     trace: Trace
     _pos: int = field(default=0, repr=False)
@@ -209,7 +214,13 @@ class TraceDemands:
         if size != 1:
             raise ValueError("trace demands are consumed one at a time")
         i = self._pos
-        if i >= len(self.trace):
+        self.draw(rng)
+        return self.trace.demands[i : i + 1]
+
+    def draw(self, rng) -> float:
+        i = self._pos
+        demands = self.trace.demands
+        if i >= demands.size:
             raise IndexError("trace exhausted")
         self._pos = i + 1
-        return self.trace.demands[i : i + 1]
+        return float(demands[i])

@@ -28,6 +28,14 @@ service/timeout race is known at service start and a busy node has
 exactly one pending outcome.  A crash bumps the node's epoch; outcomes
 scheduled before it are ignored when they fire.
 
+Per-node queue lengths are kept as ints in :attr:`Cluster.lengths`
+(``lengths[i] == len(queues[i])`` after every transition), which routing
+and the capacity checks read.  The time-averaged lengths are kept inline
+with :class:`~repro.sim.stats.TimeAverage`'s arithmetic: at each change
+of node ``i``'s length the area grows by ``old length * (now - time of
+the last change)``, and ``mean = (area + length * (t_end - last
+change)) / (t_end - window start)``.
+
 The core makes every draw on the shared generator except the workload's
 own (inter-arrival gaps and demands, which the hosts draw): routing at
 admission and the timeout at service start.  On a kill the forward
@@ -52,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sim.stats import TimeAverage, batch_means_ci
+from repro.sim.stats import batch_means_ci
 
 __all__ = ["Cluster", "JobRecord", "SimulationResult", "check_nodes"]
 
@@ -284,7 +292,7 @@ class Cluster:
             faults.reset(n)
         self.resume = bool(getattr(policy, "resume", False))
         self.queues = [deque() for _ in range(n)]
-        self.q_avg = [TimeAverage() for _ in range(n)]
+        self.lengths = [0] * n
         self.epoch = [0] * n
         # (start time, effective speed, work at start) of the attempt in
         # service; consulted on crash for waste and the resume restore
@@ -310,8 +318,11 @@ class Cluster:
         self.responses: list = []
         self.slowdowns: list = []
         self.demands: list = []
-        for queue, avg in zip(self.queues, self.q_avg):
-            avg.reset(now, len(queue))
+        # per node: length-time area since t0, time of the last change
+        n = len(self.queues)
+        self._t0 = now
+        self._area = [0.0] * n
+        self._since = [now] * n
 
     # -- transitions ----------------------------------------------------
     def admit(self, now: float, demand: float) -> list:
@@ -322,13 +333,13 @@ class Cluster:
         self.next_id += 1
         if self.jobs is not None:
             self.jobs.append(job)
-        target = self.policy.route([len(q) for q in self.queues], self.rng)
+        target = self.policy.route(self.lengths, self.rng)
         out: list = []
         if self.faults is not None and not self.faults.up[target]:
             # a down node accepts nothing; the arrival is shed
             self.lost_to_failure += 1
             self._finish(job, now, "lost_to_failure", target)
-        elif len(self.queues[target]) >= self.capacities[target]:
+        elif self.lengths[target] >= self.capacities[target]:
             self.dropped_arrival += 1
             self._finish(job, now, "dropped_arrival", target)
         else:
@@ -338,30 +349,33 @@ class Cluster:
     def fire(self, now: float, kind: str, node: int, epoch: int) -> list:
         """A scheduled outcome falls due: ``"complete"``, ``"kill"``
         (kill and forward) or ``"warmup"``."""
-        if kind == "kill":
+        out: list = []
+        if kind == "complete":
+            if epoch != self.epoch[node]:
+                return out  # scheduled before a crash; outcome voided
+            job = self._pop(now, node)
+            self.completed += 1
+            demand = job.demand
+            response = now - job.arrival_time
+            self.responses.append(response)
+            self.slowdowns.append(response / demand)
+            self.demands.append(demand)
+            self._finish(job, now, "completed", node)
+        elif kind == "kill":
+            # kill, forward and release in one pass; a runtime guarding
+            # its forwards calls the three itself
             job = self.kill(now, node, epoch)
             if job is None:
-                return []
+                return out
             target = self.policy.forward(node)
             if self.accepts(target):
-                out = self.forward(now, job, target)
+                self.forwarded += 1
+                self._enqueue(now, job, target, out)
             else:
                 self.reject(now, job, node, target)
-                out = []
-            return out + self.release(now, node)
-        if kind == "warmup":
+        else:  # "warmup"
             self._start_measuring(now)
-            return []
-        if epoch != self.epoch[node]:
-            return []  # scheduled before a crash; outcome voided
-        job = self._pop(now, node)
-        self.completed += 1
-        response = now - job.arrival_time
-        self.responses.append(response)
-        self.slowdowns.append(response / job.demand)
-        self.demands.append(job.demand)
-        self._finish(job, now, "completed", node)
-        out: list = []
+            return out
         self._start(now, node, out)
         return out
 
@@ -381,7 +395,7 @@ class Cluster:
         return (
             target is not None
             and (self.faults is None or self.faults.up[target])
-            and len(self.queues[target]) < self.capacities[target]
+            and self.lengths[target] < self.capacities[target]
         )
 
     def forward(self, now: float, job: JobRecord, target: int) -> list:
@@ -428,7 +442,8 @@ class Cluster:
             for job in queue:
                 self._finish(job, now, "lost_to_failure", node)
             queue.clear()
-            self._note(now, node)
+            self._advance(now, node)
+            self.lengths[node] = 0
 
     def recover(self, now: float, node: int) -> list:
         """``node`` is back in service: resume its queue."""
@@ -474,20 +489,39 @@ class Cluster:
                 return
         out.append((now + wall, "complete", node, self.epoch[node]))
 
+    # _enqueue and _pop inline _advance: they run on every event
     def _enqueue(self, now: float, job: JobRecord, node: int, out: list) -> None:
         self.queues[node].append(job)
-        self._note(now, node)
+        since = self._since
+        if now < since[node]:
+            raise ValueError("time went backwards")
+        length = self.lengths[node]
+        self._area[node] += length * (now - since[node])
+        since[node] = now
+        self.lengths[node] = length + 1
         if not self.busy[node]:
             self._start(now, node, out)
 
     def _pop(self, now: float, node: int) -> JobRecord:
         self.attempt[node] = None
         job = self.queues[node].popleft()
-        self._note(now, node)
+        since = self._since
+        if now < since[node]:
+            raise ValueError("time went backwards")
+        length = self.lengths[node]
+        self._area[node] += length * (now - since[node])
+        since[node] = now
+        self.lengths[node] = length - 1
         return job
 
-    def _note(self, now: float, node: int) -> None:
-        self.q_avg[node].update(now, len(self.queues[node]))
+    def _advance(self, now: float, node: int) -> None:
+        """Close ``node``'s current length's stretch of area at ``now``
+        (the caller then sets the new length)."""
+        since = self._since
+        if now < since[node]:
+            raise ValueError("time went backwards")
+        self._area[node] += self.lengths[node] * (now - since[node])
+        since[node] = now
 
     def _finish(self, job: JobRecord, now: float, outcome: str, node: int) -> None:
         job.outcome = outcome
@@ -498,7 +532,11 @@ class Cluster:
         """The run's result; with ``rec`` enabled, also its ``<host>.run``
         span (wall time since ``t_wall0``) and ``<host>.*`` counters."""
         t_end = self.t_end
-        means = tuple(avg.mean(t_end) for avg in self.q_avg)
+        span = t_end - self._t0
+        means = tuple(
+            (area + length * (t_end - since)) / span if span > 0 else 0.0
+            for area, length, since in zip(self._area, self.lengths, self._since)
+        )
         # a busy node with no attempt holds a job mid-forward
         held = sum(b and a is None for b, a in zip(self.busy, self.attempt))
         if rec.enabled:

@@ -9,10 +9,14 @@ A policy answers three questions:
 
 TAGS is the only policy that uses timeouts/forwarding; random, round-robin
 and JSQ run every job to completion where it lands.
+
+``queue_lengths`` is the cluster's own list of per-node lengths: read it,
+do not keep or change it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +54,12 @@ class TagsPolicy:
 
 @dataclass
 class RandomPolicy:
-    """Probabilistic split (Appendix A)."""
+    """Probabilistic split (Appendix A).
+
+    Routing inverts the normalised cdf of the weights, the table
+    ``rng.choice(len(weights), p=weights)`` builds on every call, so the
+    route stream is ``choice``'s.
+    """
 
     weights: tuple = (0.5, 0.5)
 
@@ -58,13 +67,15 @@ class RandomPolicy:
         w = np.asarray(self.weights, dtype=float)
         if w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be a probability vector")
-        self._w = w
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
 
     def n_nodes(self) -> int:
         return len(self.weights)
 
     def route(self, queue_lengths, rng) -> int:
-        return int(rng.choice(len(self._w), p=self._w))
+        return bisect_right(self._cdf, rng.random())
 
     def timeout(self, node: int):
         return None

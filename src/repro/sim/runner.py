@@ -17,15 +17,15 @@ events at their times, ahead of any same-time arrival or outcome.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
+from heapq import heappop, heappush
 
 import numpy as np
 
 from repro import obs
 from repro.faults.injector import FaultInjector
 from repro.sim.cluster import Cluster, SimulationResult, check_nodes
+from repro.sim.workload import demand_draw
 
 __all__ = ["Simulation", "SimulationResult", "replicate", "replicate_until"]
 
@@ -38,7 +38,8 @@ class Simulation:
     arrivals :
         Arrival process (``next_interarrival``).
     demand :
-        Service-demand distribution (``sample``).
+        Service-demand distribution (``draw``, or ``sample``; see
+        :func:`~repro.sim.workload.demand_draw`).
     policy :
         Routing/timeout policy.
     capacities :
@@ -100,35 +101,38 @@ class Simulation:
         t_wall0 = time.perf_counter() if rec.enabled else 0.0
         rng = self.rng
         inj = self.faults
+        next_interarrival = self.arrivals.next_interarrival
+        draw = demand_draw(self.demand)
+        admit, fire = cluster.admit, cluster.fire
+        # entries (time, push order, kind, node, payload); the push order
+        # breaks time ties first-in first-out
         heap: list = []
-        seq = itertools.count()
-
-        def push(time: float, kind: str, node: int, payload) -> None:
-            heapq.heappush(heap, (time, next(seq), kind, node, payload))
-
-        def next_gap() -> float:
-            gap = self.arrivals.next_interarrival(rng)
-            if inj is not None and inj.arrival_factor != 1.0:
-                gap = gap / inj.arrival_factor
-            return gap
-
-        for outcome in cluster.initial():
-            push(*outcome)
+        seq = 0
+        for when, kind, node, epoch in cluster.initial():
+            heappush(heap, (when, seq, kind, node, epoch))
+            seq += 1
         if inj is not None:
             # fault events enter the heap before the first arrival, so a
             # fault always precedes same-time host events (lower seq)
             for ev in inj.events():
-                push(ev.time, "fault", ev.node, ev)
-        push(next_gap(), "arrival", -1, None)
+                heappush(heap, (ev.time, seq, "fault", ev.node, ev))
+                seq += 1
+        gap = next_interarrival(rng)
+        if inj is not None and inj.arrival_factor != 1.0:
+            gap = gap / inj.arrival_factor
+        heappush(heap, (gap, seq, "arrival", -1, None))
+        seq += 1
         while heap:
-            now, _, kind, node, payload = heapq.heappop(heap)
+            now, _, kind, node, payload = heappop(heap)
             if now > t_end:
                 break
             if kind == "arrival":
-                push(now + next_gap(), "arrival", -1, None)
-                outcomes = cluster.admit(
-                    now, float(self.demand.sample(1, rng)[0])
-                )
+                gap = next_interarrival(rng)
+                if inj is not None and inj.arrival_factor != 1.0:
+                    gap = gap / inj.arrival_factor
+                heappush(heap, (now + gap, seq, "arrival", -1, None))
+                seq += 1
+                outcomes = admit(now, draw(rng))
             elif kind == "fault":
                 directive = inj.apply(payload, now)
                 if directive == "crash":
@@ -138,9 +142,10 @@ class Simulation:
                     continue
                 outcomes = cluster.recover(now, node)
             else:
-                outcomes = cluster.fire(now, kind, node, payload)
-            for outcome in outcomes:
-                push(*outcome)
+                outcomes = fire(now, kind, node, payload)
+            for when, kind, node, epoch in outcomes:
+                heappush(heap, (when, seq, kind, node, epoch))
+                seq += 1
         return cluster.result(rec, "sim", t_wall0)
 
 

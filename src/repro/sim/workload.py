@@ -8,6 +8,11 @@ Timeout samplers produce the node-1 timeout duration per service attempt:
 ``DeterministicTimeout`` is the real TAGS mechanism, ``ErlangTimeout``
 mirrors the paper's Markovian approximation (so simulator-vs-CTMC
 agreement can be tested exactly).
+
+Service demands come from any distribution with ``sample(size, rng)``;
+the hosts take one per arrival through :func:`demand_draw`, which uses
+the distribution's scalar ``draw(rng)`` (every demand source in
+:mod:`repro.dists` and :mod:`repro.serve.loadgen` has one).
 """
 
 from __future__ import annotations
@@ -21,7 +26,18 @@ __all__ = [
     "MMPPArrivals",
     "DeterministicTimeout",
     "ErlangTimeout",
+    "demand_draw",
 ]
+
+
+def demand_draw(demand):
+    """``demand``'s one-sample function ``rng -> float``: its scalar
+    ``draw`` when it has one, else ``sample(1, rng)[0]`` (the same value,
+    made through an array)."""
+    draw = getattr(demand, "draw", None)
+    if draw is not None:
+        return draw
+    return lambda rng: float(demand.sample(1, rng)[0])
 
 
 @dataclass

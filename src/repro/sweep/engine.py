@@ -26,7 +26,7 @@ which its :class:`PointStats` is *derived* -- the two can never
 disagree), cache traffic increments the ``sweep.cache.hit`` /
 ``sweep.cache.miss`` counters, and pool workers record into their own
 :class:`repro.obs.Recorder` whose drained buffer rides back with each
-chunk result and is merged into the parent recorder.  All of it
+task's result and is merged into the parent recorder.  All of it
 vanishes behind a single attribute check when the process-global
 recorder is the default :class:`~repro.obs.NullRecorder`.
 """
@@ -38,8 +38,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from repro import obs
 from repro.ctmc.steady import METHODS, steady_state
@@ -278,10 +276,13 @@ class SweepEngine:
         in grid order.
 
         Cache hits never reach a worker; only the misses are distributed.
-        With more than one worker the misses are split into contiguous chunks,
-        one task per worker, so each worker pays its process start-up and
-        imports once; if the pool cannot be used (unpicklable model, restricted platform)
-        the engine falls back to the serial path.
+        With more than one worker each miss is its own task, so a worker
+        that finishes early takes the next point (grids ordered by chain
+        size would otherwise leave one worker all the large chains); the
+        pool is forked once per call, so each worker still pays its
+        process start-up and imports once.  If the pool cannot be used
+        (unpicklable model, restricted platform) the engine falls back to
+        the serial path.
         """
         recorder = obs.recorder()
         t_start = time.perf_counter()
@@ -351,37 +352,33 @@ class SweepEngine:
         """Fan the misses out over a process pool; None on failure (the
         caller then falls back to the serial path).
 
-        When the parent is recording, each worker records into a private
-        recorder and returns its drained buffer with the chunk; the
+        When the parent is recording, each task records into a private
+        recorder and returns its drained buffer with its record; the
         buffers are merged here, inside the open ``sweep`` span, so
         worker-side solver spans appear as its children in the export.
         """
         recorder = obs.recorder()
-        chunks = [
-            [int(i) for i in c] for c in np.array_split(misses, n_workers) if len(c)
-        ]
         try:
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            with ProcessPoolExecutor(max_workers=min(n_workers, len(misses))) as pool:
                 futures = [
                     pool.submit(
                         _solve_chunk,
                         model_cls,
-                        [grid[i] for i in chunk],
+                        [grid[i]],
                         self.method,
                         self.tol,
                         recorder.enabled,
                     )
-                    for chunk in chunks
+                    for i in misses
                 ]
-                per_chunk = [f.result() for f in futures]
+                solved = [f.result() for f in futures]
         except Exception:  # unpicklable model, no fork support, ...
             return None
-        by_index = {}
-        for chunk, (recs, payload) in zip(chunks, per_chunk):
+        records = []
+        for recs, payload in solved:
             recorder.merge(payload)
-            for i, rec in zip(chunk, recs):
-                by_index[i] = rec
-        return [by_index[i] for i in misses]
+            records.extend(recs)
+        return records
 
 
 _DEFAULT_ENGINE: "SweepEngine | None" = None

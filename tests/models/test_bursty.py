@@ -52,13 +52,14 @@ class TestTagsMMPPChain:
     def test_pinned_metrics(self):
         """Recorded from the compiled Figure 3 model with its arrival
         leaf; within 3e-14 relative of the hand-built tuple chain it
-        replaces (same 8662 states, another state order)."""
+        replaces (same 8662 states, another state order).  ``loss_rate``
+        is the sum of the measured per-node losses."""
         model = TagsMMPP(MMPP2(2, 14, 0.5, 1))
         m = model.metrics()
         assert model.n_states == 8662
         assert m.mean_jobs == 2.04610665202524
         assert m.throughput == 5.935534821914716
-        assert m.loss_rate == 0.06446517808528363
+        assert m.loss_rate == 0.06446517808528271
 
     def test_states_prepend_the_phase(self):
         mod = TagsMMPP(MMPP2(20.0, 2.0, 1.0, 1.0), mu=10, t=45, n=3, K1=5, K2=5)

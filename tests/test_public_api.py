@@ -2,6 +2,9 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +80,24 @@ class TestDocstrings:
             obj = getattr(mod, sym)
             if inspect.isfunction(obj) or inspect.isclass(obj):
                 assert obj.__doc__, f"{name}.{sym} lacks a docstring"
+
+
+class TestLazyScipy:
+    def test_core_imports_leave_heavy_scipy_modules_unloaded(self):
+        """SciPy's optimize, special and integrate are imported by the
+        functions that use them: a figure, simulator or runtime import
+        pays for none of them."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys\n"
+            "import repro.experiments.figures, repro.sim, repro.serve\n"
+            "heavy = ('scipy.optimize', 'scipy.special', 'scipy.integrate')\n"
+            "print(','.join(m for m in heavy if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == ""
