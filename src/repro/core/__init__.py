@@ -39,7 +39,6 @@ from repro.models import (
     TagsExponential,
     TagsHyperExponential,
     TagsMultiNode,
-    build_tags_h2_model,
     build_tags_model,
     tags_h2_pepa_metrics,
     tags_pepa_metrics,
@@ -51,7 +50,6 @@ __all__ = [
     "TagsParameters",
     "TagsH2Parameters",
     "build_tags_model",
-    "build_tags_h2_model",
     "tags_pepa_metrics",
     "tags_h2_pepa_metrics",
     "TagsExponential",

@@ -12,11 +12,12 @@ through :class:`repro.ctmc.bfs.Chain` (memoised ``pi``,
 
 Modules
 -------
-``tags_pepa``      the exponential TAGS PEPA builder (Figure 3, N nodes,
-                   MMPP arrivals) and ``TagsExponential`` / ``TagsPepa``
+``tags_pepa``      the one TAGS PEPA builder (Figure 3; N nodes, MMPP
+                   arrivals; exponential service phases, two of which
+                   give Figure 5) and ``TagsExponential`` / ``TagsPepa``
                    (heterogeneous, dynamic-timeout and resume extensions).
-``tags_hyper``     Figure 5 (H2-service TAGS) PEPA builder and
-                   ``TagsHyperExponential``.
+``tags_hyper``     ``TagsHyperExponential``: Figure 5 (H2-service TAGS),
+                   built by the ``tags_pepa`` builder with two phases.
 ``tags_figure4``   the Figure 4 (per-place alternative) PEPA model.
 ``tags_multinode`` the N-node TAGS extension (the builder's line of nodes).
 ``random_alloc``   Appendix A weighted random allocation (exp analytic,
@@ -27,6 +28,8 @@ Modules
                    one-phase case).
 ``round_robin``    round robin on the same head-phase queue pair.
 ``bursty``         MMPP2 arrivals; TAGS (PEPA) and JSQ chains under them.
+``tagged``         the tagged-job chain (response-time distributions) of
+                   the exponential and H2 TAGS models.
 ``tags_breakdown`` breakdown/repair-extended TAGS (node-2 failure), the
                    CTMC ground truth for ``repro.faults`` injection,
                    solved on the compiled engine like Figure 3.
@@ -47,17 +50,13 @@ from repro.models.tags_pepa import (
     build_tags_model,
     tags_pepa_metrics,
 )
-from repro.models.tags_hyper import (
-    TagsHyperExponential,
-    build_tags_h2_model,
-    tags_h2_pepa_metrics,
-)
+from repro.models.tags_hyper import TagsHyperExponential, tags_h2_pepa_metrics
 from repro.models.tags_multinode import TagsMultiNode
 from repro.models.random_alloc import RandomAllocation
 from repro.models.round_robin import RoundRobin
 from repro.models.tags_figure4 import Figure4Model
 from repro.models.bursty import MMPP2, ShortestQueueMMPP, TagsMMPP
-from repro.models.tagged import TaggedJobAnalysis, TaggedJobAnalysisH2
+from repro.models.tagged import TaggedJobAnalysis
 from repro.models.analytic import (
     mg1_response_time,
     mg1_waiting_time,
@@ -77,7 +76,6 @@ __all__ = [
     "TagsPepa",
     "TagsBreakdown",
     "build_tags_breakdown_model",
-    "build_tags_h2_model",
     "tags_h2_pepa_metrics",
     "TagsExponential",
     "TagsHyperExponential",
@@ -87,7 +85,6 @@ __all__ = [
     "ShortestQueueMMPP",
     "TagsMMPP",
     "TaggedJobAnalysis",
-    "TaggedJobAnalysisH2",
     "mg1_response_time",
     "mg1_waiting_time",
     "mm1_response_time",

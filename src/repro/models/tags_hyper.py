@@ -1,36 +1,15 @@
-"""PEPA model of two-node TAGS with hyper-exponential (H2) service
-(paper Figure 5).
+"""Two-node TAGS with hyper-exponential (H2) service (paper Figure 5).
 
-The head-of-queue job's phase is tracked by the queue derivative: ``Q1_i``
-has a *short* head (service rate ``mu1``), ``Q1p_i`` (the paper's primed
-``Q1'_i``) a *long* head (rate ``mu2``).  On every completion that leaves
-the queue non-empty the next head's phase is drawn Bernoulli(alpha); a job
-arriving at an empty queue draws its phase on arrival.
+Figure 5 is Figure 3 with two phases of service: a head job at node 1
+serves at rate ``mu1`` (short) with probability ``alpha`` and ``mu2``
+(long) otherwise, the phase drawn when its service starts, and node 2's
+residual is short with probability ``alpha'`` (the residual-mixing
+probability of Section 3.2).  :func:`~repro.models.tags_pepa.
+build_tags_model` builds it from that two-phase ``service`` description,
+as it builds Figure 3 from one phase; its module docstring names the
+corrections to the printed Figure 5 (DESIGN.md note 4).
 
-At node 2 the ``repeatservice`` action branches with probability
-``alpha'`` (the residual-mixing probability of Section 3.2) into
-``Q2s_i`` (short residual, rate ``mu1``) or ``Q2l_i`` (long residual,
-``mu2``).
-
-Typo corrections applied to the printed Figure 5 (DESIGN.md note 4):
-the ``timeout`` rates in ``Q1_i`` read ``alpha mu2 / (1-alpha) mu2`` in the
-paper but must be ``alpha t / (1-alpha) t`` (the timeout race does not
-depend on the head's phase), and ``(arrival, (1-alpha) lam).Q1_1'`` targets
-``Q1'_1``.
-
-Note on the ``t``-rates in the queue: Figure 5 attaches rate ``t`` (split
-``alpha t`` / ``(1-alpha) t``) to the queue's ``timeout``/``repeatservice``
-activities and leaves the timers passive there.  Under PEPA's
-apparent-rate rule the synchronised rate is ``min(t, T) = t`` split in the
-same proportions, so this yields the same CTMC as a timer-side rate; the
-Figure 3 builder puts its node-1 clock on the queue side the same way, and
-the test suite checks the exponential degenerate case coincides.
-
-A degenerate ``alpha_prime`` (0 or 1) drops the impossible
-``repeatservice`` branch rather than giving it rate zero, so the never-
-entered residual derivatives are not part of the model.
-
-:class:`TagsHyperExponential` solves this model on the compiled engine
+:class:`TagsHyperExponential` solves the model on the compiled engine
 through the structure cache (see
 :class:`~repro.models.tags_pepa.CompiledTags`).
 """
@@ -39,15 +18,22 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from repro.dists.families import HyperExponential
 from repro.dists.residual import h2_residual_mixing
 from repro.models.metrics import QueueMetrics, check_rates
-from repro.models.tags_pepa import CompiledTags, _choice, _index, _p
-from repro.pepa import Constant, Cooperation, Model, top
+from repro.models.shortest_queue import _service_phases
+from repro.models.tags_pepa import (
+    FIGURE3_FIELDS,
+    CompiledTags,
+    TagsParameters,
+    _phase,
+    build_tags_model,
+)
+from repro.pepa import Model
 
 __all__ = [
     "TagsH2Parameters",
     "TagsHyperExponential",
-    "build_tags_h2_model",
     "tags_h2_pepa_metrics",
 ]
 
@@ -93,100 +79,6 @@ class TagsH2Parameters:
         return self.alpha / self.mu1 + (1 - self.alpha) / self.mu2
 
 
-def build_tags_h2_model(params: TagsH2Parameters) -> Model:
-    """Construct the Figure 5 PEPA model."""
-    lam, t, n = params.lam, params.t, params.n
-    a, m1, m2 = params.alpha, params.mu1, params.mu2
-    ap = params.resolved_alpha_prime
-    K1, K2 = params.K1, params.K2
-    defs: dict = {}
-
-    # ------------------------------------------------------ queue 1
-    defs["Q1_0"] = _choice(
-        _p("arrival", a * lam, "Q1_1"),
-        _p("arrival", (1 - a) * lam, "Q1p_1"),
-    )
-    # head short (Q1) / head long (Q1p); a departure from i = 1 empties
-    # the queue, any other draws the next head's phase
-    for i in range(1, K1 + 1):
-        for head, mu_head in (("Q1", m1), ("Q1p", m2)):
-            name = f"{head}_{i}"
-            terms = [
-                _p("arrival", lam, f"{head}_{i + 1}")
-                if i < K1
-                else _p("arrloss", lam, name),
-                _p("tick1", top(), name),
-            ]
-            for action, rate in (("service1", mu_head), ("timeout", t)):
-                if i == 1:
-                    terms.append(_p(action, rate, "Q1_0"))
-                else:
-                    terms.append(_p(action, (1 - a) * rate, f"Q1p_{i - 1}"))
-                    terms.append(_p(action, a * rate, f"Q1_{i - 1}"))
-            defs[name] = _choice(*terms)
-
-    # ------------------------------------------------------ timer 1
-    # n Erlang phases: Timer1_{n-1} .. Timer1_1 tick, Timer1_0 enables
-    # the (queue-driven) timeout
-    top_ref = f"Timer1_{n - 1}"
-    defs["Timer1_0"] = _choice(
-        _p("timeout", top(), top_ref),
-        _p("service1", top(), top_ref),
-    )
-    for i in range(1, n):
-        defs[f"Timer1_{i}"] = _choice(
-            _p("tick1", t, f"Timer1_{i - 1}"),
-            _p("service1", top(), top_ref),
-        )
-
-    # ------------------------------------------------------ queue 2
-    # Q2_i: head in repeat phase; Q2s_i / Q2l_i: short / long residual.
-    defs["Q2_0"] = _p("timeout", top(), "Q2_1")
-
-    def residual(i: int, rate: float, kind: str):
-        terms = [
-            _p("timeout", top(), f"Q2{kind}_{min(i + 1, K2)}"),
-            _p("service2", rate, f"Q2_{i - 1}"),
-        ]
-        if params.tick_during_residual:
-            terms.insert(1, _p("tick2", top(), f"Q2{kind}_{i}"))
-        return _choice(*terms)
-
-    for i in range(1, K2 + 1):
-        defs[f"Q2_{i}"] = _choice(
-            _p("timeout", top(), f"Q2_{min(i + 1, K2)}"),
-            _p("tick2", top(), f"Q2_{i}"),
-            *(
-                _p("repeatservice", p * t, f"Q2{kind}_{i}")
-                for p, kind in ((ap, "s"), (1 - ap, "l"))
-                if p > 0
-            ),
-        )
-        defs[f"Q2s_{i}"] = residual(i, m1, "s")
-        defs[f"Q2l_{i}"] = residual(i, m2, "l")
-
-    # ------------------------------------------------------ timer 2
-    defs["Timer2_0"] = _p("repeatservice", top(), f"Timer2_{n - 1}")
-    for i in range(1, n):
-        defs[f"Timer2_{i}"] = _p("tick2", t, f"Timer2_{i - 1}")
-
-    node1 = Cooperation(
-        Constant("Q1_0"),
-        Constant(f"Timer1_{n - 1}"),
-        frozenset({"service1", "tick1", "timeout"}),
-    )
-    node2 = Cooperation(
-        Constant("Q2_0"),
-        Constant(f"Timer2_{n - 1}"),
-        frozenset({"repeatservice", "tick2"}),
-    )
-    system = Cooperation(node1, node2, frozenset({"timeout"}))
-    return Model(defs, system)
-
-
-_PH2 = {"_": 0, "s": 1, "l": 2}  # Q2_ repeat, Q2s_ short, Q2l_ long
-
-
 @dataclass
 class TagsHyperExponential(CompiledTags):
     """Two-node TAGS, H2 service (the Figure 5 chain).
@@ -220,8 +112,19 @@ class TagsHyperExponential(CompiledTags):
     def mean_service(self) -> float:
         return self.params().mean_service
 
+    def service_phases(self) -> tuple:
+        """The builder's ``service``: the head's phase drawn from
+        ``alpha``, node 2's residual mixed by ``alpha'``."""
+        draws, rates = _service_phases(
+            HyperExponential.h2(self.alpha, self.mu1, self.mu2)
+        )
+        ap = self.resolved_alpha_prime
+        return draws, rates, (ap, 1 - ap)
+
     def build(self) -> Model:
-        return build_tags_h2_model(self.params())
+        return build_tags_model(
+            self.params(TagsParameters), service=self.service_phases()
+        )
 
     def _structure_key(self) -> tuple:
         # alpha is validated inside (0, 1) so its splits never vanish,
@@ -239,15 +142,8 @@ class TagsHyperExponential(CompiledTags):
         )
 
     def _state_fields(self) -> list:
-        # sequential components: Q1_i / Q1p_i, Timer1_k, Q2*_j, Timer2_k
-        return [
-            (0, _index),
-            (0, lambda name: int(name[2] == "p")),
-            (1, _index),
-            (2, _index),
-            (2, lambda name: _PH2[name[2]]),
-            (3, _index),
-        ]
+        # Figure 3's columns with the node-1 head's phase after q1
+        return FIGURE3_FIELDS[:1] + [(0, _phase)] + FIGURE3_FIELDS[1:]
 
     def _extra(self) -> dict:
         return {"alpha_prime": self.resolved_alpha_prime}

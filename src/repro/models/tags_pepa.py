@@ -1,5 +1,5 @@
-"""PEPA model of TAGS with exponential service (paper Figure 3), the one
-builder of every exponential TAGS chain.
+"""PEPA model of TAGS (paper Figures 3 and 5), the one builder of every
+TAGS PEPA chain.
 
 The model is generated programmatically (queue sizes are parameters), with
 component names matching the paper: ``Q1_i``, ``Timer1_i``, ``Q2_i`` /
@@ -73,6 +73,24 @@ node 2 (:mod:`repro.models.tags_multinode` names the approximation).
 ``TagsBreakdown`` adds its breaker), and queue 1's arrivals turn
 passive; a phase of rate 0 has no arrival prefixes.  The model classes
 (:class:`CompiledTags`) explore each shape once and refill its rates.
+
+**Service phases (Figure 5).**  ``service`` makes a job's demand one of
+several exponential phases.  A node-1 head in phase ``j`` (``Q1h<j>_q``;
+phase 0 is plain ``Q1_q``) serves at ``rates[j]``; the next head draws
+its phase on every departure that leaves the queue non-empty, and a job
+arriving at an empty queue on arrival.  At the last node
+``repeatservice`` branches into residual phase ``j`` (``Q2rh<j>_q``) by
+the mixing vector -- ``(alpha', 1 - alpha')`` for H2 -- as passive
+weights against the timer's rate; a zero weight drops its branch, so a
+never-entered residual stays out of the model.  Exponential service is
+the one-phase case, so Figure 3 is unchanged.  Corrections to the
+printed Figure 5 (DESIGN.md note 4): the ``timeout`` rates in ``Q1_i``
+read ``alpha mu2 / (1-alpha) mu2`` but are ``alpha t / (1-alpha) t``
+here (the timeout race does not depend on the head's phase), and
+``(arrival, (1-alpha) lam).Q1_1'`` targets ``Q1'_1`` (``Q1h1_1``).
+Figure 5 puts the repeat clock's rate ``t`` on the queue side; under the
+apparent-rate rule that is the same CTMC as Figure 3's timer-side clock,
+which the builder uses for every chain.
 """
 
 from __future__ import annotations
@@ -164,68 +182,108 @@ def _timeout(i: int) -> str:
     return "timeout" if i == 1 else f"timeout{i}"
 
 
+def _one_phase(mu: float) -> tuple:
+    """The ``service`` of :func:`build_tags_model` for exponential
+    service: one phase of rate ``mu``."""
+    return ((0, 1.0),), (mu,), (1.0,)
+
+
 def build_tags_model(
     params: TagsParameters,
     *,
     capacities: tuple | None = None,
     timeouts: tuple | None = None,
     arrivals=None,
+    service: tuple | None = None,
 ) -> Model:
     """Construct the TAGS PEPA model (see the module docstring).
 
     ``capacities`` (one per node) and ``timeouts`` (one clock rate per
     node but the last) replace ``(K1, K2)`` and ``(t,)``; ``arrivals``
     (an :class:`~repro.models.bursty.MMPP2`) replaces the Poisson
-    stream.
+    stream.  ``service = (draws, rates, mixing)`` replaces ``params.mu``
+    by exponential phases of rates ``rates``: a head job starts its
+    node-1 service in the phase ``draws`` picks (``(phase, probability)``
+    pairs, as :func:`~repro.models.shortest_queue._service_phases` gives
+    them) and its residual at the last node in phase ``j`` with
+    probability ``mixing[j]``.  More than one phase is built for the
+    two-node Poisson chain with restarts, static clocks and equal nodes
+    only (Figure 5).
     """
     caps = (params.K1, params.K2) if capacities is None else tuple(capacities)
     clocks = (params.t,) if timeouts is None else tuple(timeouts)
     n = params.n
-    mu2 = params.mu if params.mu2_service is None else params.mu2_service
+    draws, rates, mixing = service or _one_phase(params.mu)
+    if len(rates) > 1 and (
+        len(caps) > 2
+        or arrivals is not None
+        or not params.restart_work
+        or (params.t_of_q1, params.mu2_service, params.t2) != (None,) * 3
+    ):
+        raise ValueError(
+            "several service phases are built for the two-node Poisson "
+            "chain with restarts, static clocks and equal nodes only"
+        )
+    rates2 = rates if params.mu2_service is None else (params.mu2_service,)
+    phases = range(len(rates))
+    mixed = [(j, top(w)) for j, w in enumerate(mixing) if w]
     lam = params.lam if arrivals is None else top()
     defs: dict = {}
     for i, K in enumerate(caps, start=1):
-        last, service, tick = i == len(caps), f"service{i}", f"tick{i}"
+        last, serve, tick = i == len(caps), f"service{i}", f"tick{i}"
         # repeat passes a new head makes before its residual service
         passes = i - 1 if params.restart_work else 0
         clock = clocks[i - 1] if not last else params.t2 or clocks[-1]
 
-        def Q(q, k, i=i, passes=passes):
+        def Q(q, k=0, j=0, i=i, passes=passes):
             """Queue i holding q jobs, its head in pass k (residual at
-            k == passes)."""
+            k == passes) and service phase j."""
             mark = "" if k == 0 else "r" if k == passes else f"p{k}"
-            return f"Q{i}{mark}_{q}"
+            return f"Q{i}{mark}h{j}_{q}" if j else f"Q{i}{mark}_{q}"
 
         # -------------------------------------------------- queue i
-        for q in range(K + 1):
-            for k in range(passes + 1 if q else 1):
-                if i > 1:  # a timeout into a full queue is dropped
-                    terms = [_p(_timeout(i - 1), top(), Q(min(q + 1, K), k))]
-                elif q < K:
-                    terms = [_p("arrival", lam, Q(q + 1, k))]
+        # the head's phase matters once it can finish its service
+        states = [
+            (q, k, j)
+            for q in range(K + 1)
+            for k in range(passes + 1 if q else 1)
+            for j in (phases if q and k == passes else (0,))
+        ]
+        for q, k, j in states:
+            if i > 1:  # a timeout into a full queue is dropped
+                terms = [_p(_timeout(i - 1), top(), Q(min(q + 1, K), k, j))]
+            elif q == 0:
+                terms = [_p("arrival", lam * p, Q(1, 0, ph)) for ph, p in draws]
+            elif q < K:
+                terms = [_p("arrival", lam, Q(q + 1, k, j))]
+            else:
+                terms = [_p("arrloss", lam, Q(K, k, j))]
+            if q and k < passes:
+                # a repeat pass: one full clock cycle, no timeout;
+                # the last node mixes the residual's phase
+                rate = top() if last else clock
+                terms.append(_p(tick, rate, Q(q, k)))
+                if last and k + 1 == passes:
+                    terms += [_p("repeatservice", w, Q(q, k + 1, r)) for r, w in mixed]
                 else:
-                    terms = [_p("arrloss", lam, Q(K, k))]
-                if q and k < passes:
-                    # a repeat pass: one full clock cycle, no timeout
-                    rate = top() if last else clock
-                    terms += [
-                        _p(tick, rate, Q(q, k)),
-                        _p("repeatservice", rate, Q(q, k + 1)),
-                    ]
-                elif q and last:
-                    if params.tick_during_residual and passes:
-                        terms.append(_p(tick, top(), Q(q, k)))
-                    terms.append(_p(service, mu2, Q(q - 1, 0)))
-                elif q:
-                    t_i = clock
-                    if i == 1 and params.t_of_q1 is not None:
-                        t_i = float(params.t_of_q1(q))
-                    terms += [
-                        _p(service, params.mu if i == 1 else mu2, Q(q - 1, 0)),
-                        _p(_timeout(i), t_i, Q(q - 1, 0)),
-                        _p(tick, t_i, Q(q, k)),
-                    ]
-                defs[Q(q, k)] = _choice(*terms)
+                    terms.append(_p("repeatservice", rate, Q(q, k + 1)))
+            elif q and last:
+                if params.tick_during_residual and passes:
+                    terms.append(_p(tick, top(), Q(q, k, j)))
+                terms.append(_p(serve, rates2[j], Q(q - 1)))
+            elif q:
+                t_i = clock
+                if i == 1 and params.t_of_q1 is not None:
+                    t_i = float(params.t_of_q1(q))
+                mu_i = (rates if i == 1 else rates2)[j]
+                # the next head starts its first pass, drawing its phase at node 1
+                nxt = [(1.0, Q(q - 1))]
+                if i == 1 and q > 1:
+                    nxt = [(p, Q(q - 1, 0, ph)) for ph, p in draws]
+                terms += [_p(serve, mu_i * p, s) for p, s in nxt]
+                terms += [_p(_timeout(i), t_i * p, s) for p, s in nxt]
+                terms.append(_p(tick, t_i, Q(q, k, j)))
+            defs[Q(q, k, j)] = _choice(*terms)
 
         # -------------------------------------------------- timer i
         # n Erlang phases: Timer_{n-1} .. Timer_1 tick, Timer_0 ends the
@@ -233,12 +291,12 @@ def build_tags_model(
         # node, whose repeat clock runs only while the queue repeats
         reset = f"Timer{i}_{n - 1}"
         if not last:
-            ends = [_timeout(i), service] + ["repeatservice"] * bool(passes)
+            ends = [_timeout(i), serve] + ["repeatservice"] * bool(passes)
             defs[f"Timer{i}_0"] = _choice(*(_p(a, top(), reset) for a in ends))
             for k in range(1, n):
                 defs[f"Timer{i}_{k}"] = _choice(
                     _p(tick, top(), f"Timer{i}_{k - 1}"),
-                    _p(service, top(), reset),
+                    _p(serve, top(), reset),
                 )
             shared = {tick, *ends}
         elif passes:
@@ -272,13 +330,19 @@ def _index(name: str) -> int:
     return int(name.rsplit("_", 1)[1])
 
 
+def _phase(name: str) -> int:
+    """The head's service phase of a queue derivative (``Q1h1_3`` -> 1)."""
+    return int(name.partition("_")[0].partition("h")[2] or 0)
+
+
 # the Figure 3 tuple columns (q1, r1, q2, ph2, r2) read off the sequential
-# components Q1_i, Timer1_k, Q2_j / Q2r_j, Timer2_k
+# components Q1_i, Timer1_k, Q2_j / Q2r_j, Timer2_k; ph2 is 0 while node
+# 2's head repeats and 1 + j in residual phase j (Q2rh<j>_q)
 FIGURE3_FIELDS = [
     (0, _index),
     (1, _index),
     (2, _index),
-    (2, lambda name: int(name[2] == "r")),
+    (2, lambda name: (name[2] == "r") * (1 + _phase(name))),
     (3, _index),
 ]
 
@@ -310,13 +374,14 @@ class CompiledTags(Chain):
     def __post_init__(self) -> None:
         self.params()  # the parameter record validates
 
-    def params(self):
-        """This model's parameters as a (validated) ``PARAMS`` record;
-        fields the class lacks keep the record's defaults."""
-        return self.PARAMS(
+    def params(self, record: type | None = None):
+        """This model's parameters as a (validated) ``record``, by default
+        ``PARAMS``; fields the class lacks keep the record's defaults."""
+        record = record or self.PARAMS
+        return record(
             **{
                 f.name: getattr(self, f.name)
-                for f in fields(self.PARAMS)
+                for f in fields(record)
                 if hasattr(self, f.name)
             }
         )
@@ -447,6 +512,10 @@ class _Figure3(CompiledTags):
 
     def build(self) -> Model:
         return build_tags_model(self.params())
+
+    def service_phases(self) -> tuple:
+        """The builder's ``service``: one exponential phase."""
+        return _one_phase(self.mu)
 
     def _structure_key(self) -> tuple:
         return (

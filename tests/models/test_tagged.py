@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.models import TagsExponential, TagsHyperExponential
-from repro.models.tagged import TaggedJobAnalysis, TaggedJobAnalysisH2
+from repro.models.tagged import TaggedJobAnalysis
 
 
 @pytest.fixture(scope="module")
@@ -135,11 +135,11 @@ _H2 = dict(lam=5, alpha=0.9, mu1=20, mu2=2, t=20, n=3, K1=4, K2=4)
         lambda: TaggedJobAnalysis(
             TagsExponential(**_EXP, mu2_service=4, t2=20)
         ),
-        lambda: TaggedJobAnalysisH2(TagsHyperExponential(**_H2)),
-        lambda: TaggedJobAnalysisH2(
+        lambda: TaggedJobAnalysis(TagsHyperExponential(**_H2)),
+        lambda: TaggedJobAnalysis(
             TagsHyperExponential(**_H2, alpha_prime=0.0)
         ),
-        lambda: TaggedJobAnalysisH2(
+        lambda: TaggedJobAnalysis(
             TagsHyperExponential(**_H2, alpha_prime=1.0)
         ),
     ],
@@ -166,7 +166,7 @@ def test_decomposition_matches_chain_on_every_accepted_variant(make):
             TagsExponential(**_EXP, tick_during_residual=True)
         ),
         lambda: TaggedJobAnalysis(TagsExponential(**_EXP, restart_work=False)),
-        lambda: TaggedJobAnalysisH2(
+        lambda: TaggedJobAnalysis(
             TagsHyperExponential(**_H2, tick_during_residual=True)
         ),
     ],
@@ -178,3 +178,23 @@ def test_unsupported_node2_variants_raise(make):
     rather than answered wrongly."""
     with pytest.raises(NotImplementedError):
         make()
+
+
+def test_h2_with_equal_rates_equals_exponential():
+    """mu1 == mu2 collapses the H2 tagged chain to the exponential one:
+    one tagged chain serves both service kinds."""
+    exp = TaggedJobAnalysis(
+        TagsExponential(lam=5, mu=10, t=30, n=3, K1=5, K2=5)
+    )
+    h2 = TaggedJobAnalysis(
+        TagsHyperExponential(
+            lam=5, alpha=0.5, mu1=10.0, mu2=10.0, t=30.0, n=3, K1=5, K2=5
+        )
+    )
+    for got, want in (
+        (h2.outcome_probabilities(), exp.outcome_probabilities()),
+        (h2.mean_response_by_outcome(), exp.mean_response_by_outcome()),
+    ):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k] == pytest.approx(want[k], rel=1e-9), k

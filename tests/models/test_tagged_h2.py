@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models import TagsHyperExponential
-from repro.models.tagged import TaggedJobAnalysisH2
+from repro.models.tagged import TaggedJobAnalysis
 
 PARAMS = dict(lam=8.0, alpha=0.95, mu1=19.0, mu2=1.0, t=25.0, n=3, K1=5, K2=5)
 
@@ -12,7 +12,7 @@ PARAMS = dict(lam=8.0, alpha=0.95, mu1=19.0, mu2=1.0, t=25.0, n=3, K1=5, K2=5)
 @pytest.fixture(scope="module")
 def tagged():
     model = TagsHyperExponential(**PARAMS)
-    return model, TaggedJobAnalysisH2(model)
+    return model, TaggedJobAnalysis(model)
 
 
 class TestOutcomes:

@@ -17,11 +17,10 @@ from repro.ctmc import steady_state
 from repro.models import (
     Figure4Model,
     build_jsq_pepa_model,
+    TagsHyperExponential,
     build_tags_breakdown_model,
-    build_tags_h2_model,
     build_tags_model,
 )
-from repro.models.tags_hyper import TagsH2Parameters
 from repro.models.tags_pepa import TagsParameters
 from repro.pepa import (
     Activity,
@@ -128,7 +127,7 @@ BUILDERS = {
     "figure3_tick": lambda: build_tags_model(
         TagsParameters(n=3, K1=4, K2=4, tick_during_residual=True)
     ),
-    "h2": lambda: build_tags_h2_model(TagsH2Parameters(n=2, K1=3, K2=3)),
+    "h2": lambda: TagsHyperExponential(n=2, K1=3, K2=3).build(),
     "breakdown": lambda: build_tags_breakdown_model(
         TagsParameters(n=2, K1=3, K2=3), 0.01, 0.5
     ),
