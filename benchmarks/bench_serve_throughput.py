@@ -6,11 +6,11 @@ this file measures how many such decisions the event loop sustains in
 virtual-clock mode (no real sleeping, so the numbers are pure dispatch
 overhead).
 
-The CI ``serve`` job runs this file twice (without/with
-``REPRO_OBS=record``) into ``BENCH_SERVE_OFF.json`` /
-``BENCH_SERVE_ON.json`` and enforces the library-wide rule that enabled
-observability costs at most 10% -- so nothing here may assert on the
-recorder's state.  Each round drains the recorder afterwards, the way a
+The CI ``serve`` job runs this file four times, alternating without and
+with ``REPRO_OBS=record``, into ``BENCH_SERVE_OFF_<pass>.json`` /
+``BENCH_SERVE_ON_<pass>.json`` and enforces the library-wide rule that
+enabled observability costs at most 10% -- so nothing here may assert
+on the recorder's state.  Each round drains the recorder afterwards, the way a
 deployment ships spans out (``drain()``/``write_jsonl`` + ``clear()``):
 letting one process accumulate every span from every round would
 benchmark the garbage collector walking an unbounded buffer, a cost no

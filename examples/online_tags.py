@@ -18,7 +18,8 @@ virtual clock and shows the control loop absorbing a load shift:
 4. compare each phase against the offline optimum computed with the
    true parameters, and validate the final stretch against the exact
    Figure 3 chain;
-5. record the whole run with ``repro.obs`` and print the trace summary.
+5. record the whole run with ``repro.obs`` and print its counters, with
+   per-job kill counts from the run's job log.
 
 Everything below is deterministic: the virtual clock makes the run a
 pure function of the seed.
@@ -77,6 +78,7 @@ def main() -> None:
         CAPS,
         seed=0,
         controller=controller,
+        record_jobs=True,   # per-job outcome, node and kill count
     )
 
     def double_the_load():
@@ -130,15 +132,15 @@ def main() -> None:
     assert report["throughput"].ok and report["mean_jobs_node1"].ok
 
     print("\nWhat the obs recorder saw (first run):")
-    print(f"  serve.job spans:    {len(rec.find_spans('serve.job')):>6}")
-    print(f"  serve.retune ticks: {int(rec.counter_total('serve.retune')):>6}"
+    (run,) = rec.find_spans("serve.run")
+    print(f"  serve.run wall time: {run.duration:>6.2f} s")
+    print(f"  serve.offered:       {int(rec.counter('serve.offered')):>6}")
+    print(f"  serve.killed:        {int(rec.counter('serve.killed')):>6}")
+    print(f"  serve.retune ticks:  {int(rec.counter_total('serve.retune')):>6}"
           f" ({int(rec.counter('serve.retune', applied=True))} applied)")
-    kills = sum(
-        1 for s in rec.find_spans("serve.job")
-        if s.attrs.get("kills", 0) > 0
-    )
-    print(f"  jobs with kills:   {kills:>6}")
-    print("\nEvery span carries virtual timestamps; pipe them out with "
+    kills = sum(1 for _, _, k in result.job_outcomes().values() if k > 0)
+    print(f"  jobs with kills:     {kills:>6} (from the job log)")
+    print("\nSpans hold program time; pipe them out with "
           "obs.write_jsonl(rec, path)\nor run any experiment with "
           "`python -m repro.experiments serve --obs-summary`.")
 

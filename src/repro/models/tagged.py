@@ -69,6 +69,11 @@ class TaggedJobAnalysis:
     model: CompiledTags
 
     def __post_init__(self) -> None:
+        if not hasattr(self.model, "service_phases"):
+            raise NotImplementedError(
+                "tagged analysis is implemented for the two-node Poisson "
+                f"chains, not {type(self.model).__name__}"
+            )
         p = self.model.params(TagsParameters)
         # the node-2 successors below restart work and freeze the repeat
         # clock during the residual service

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from repro.dists.families import HyperExponential
 from repro.dists.residual import h2_residual_mixing
 from repro.models.metrics import QueueMetrics, check_rates
-from repro.models.shortest_queue import _service_phases
 from repro.models.tags_pepa import (
     FIGURE3_FIELDS,
     CompiledTags,
@@ -115,11 +113,8 @@ class TagsHyperExponential(CompiledTags):
     def service_phases(self) -> tuple:
         """The builder's ``service``: the head's phase drawn from
         ``alpha``, node 2's residual mixed by ``alpha'``."""
-        draws, rates = _service_phases(
-            HyperExponential.h2(self.alpha, self.mu1, self.mu2)
-        )
-        ap = self.resolved_alpha_prime
-        return draws, rates, (ap, 1 - ap)
+        a, ap = self.alpha, self.resolved_alpha_prime
+        return ((0, a), (1, 1 - a)), (self.mu1, self.mu2), (ap, 1 - ap)
 
     def build(self) -> Model:
         return build_tags_model(

@@ -20,7 +20,10 @@ Event kinds
 Nesting is tracked with an explicit stack: a span entered while another
 is open becomes its child (``parent_id``).  Code that already measured a
 region by hand can file it with :meth:`Recorder.record_span` instead of
-restructuring around a ``with`` block.
+restructuring around a ``with`` block.  Spans enter only through these
+two (and :meth:`Recorder.merge`, which carries a worker's), all in
+``perf_counter`` time, so :meth:`Recorder.wall_time` and
+:meth:`Recorder.coverage` measure the program's own time.
 
 **Counters** are monotonic sums keyed by name plus optional attributes
 (``rec.add("sim.killed", 3, node=0)``); **gauges** record sampled values
@@ -42,7 +45,6 @@ parent currently has open.  The sweep engine does exactly this (see
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass, field
 
@@ -212,8 +214,7 @@ class Recorder:
         The span is parented to whatever span is currently open, exactly
         as if it had been entered through :meth:`span`.
 
-        It stays lean (positional construction, inlined id bump); for
-        many spans at once, :meth:`record_spans` is cheaper still.
+        It stays lean (positional construction, inlined id bump).
         """
         sid = self._next_id
         self._next_id = sid + 1
@@ -223,40 +224,6 @@ class Recorder:
         )
         self.spans.append(rec)
         return rec
-
-    def record_spans(self, name: str, rows) -> None:
-        """File a batch of already-measured regions, each parented like
-        :meth:`record_span`; ``rows`` yields ``(t0, duration, attrs)``.
-
-        The bulk path for per-event spans filed after the fact (the serve
-        runtime's ``serve.job`` spans, one per job, at the end of a run):
-        no per-span call or keyword packing.  The cyclic garbage collector
-        is paused meanwhile: every record (and its attrs dict) is kept and
-        refers to no other, so a collection could free none of them, yet
-        thousands of new tracked objects would trigger dozens, and those
-        promote into the older generations' full scans.
-        """
-        parent = self._stack[-1] if self._stack else None
-        sid = self._next_id
-        append = self.spans.append
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            for t0, duration, attrs in rows:
-                append(SpanRecord(name, t0, duration, attrs, sid, parent))
-                sid += 1
-        finally:
-            if collecting:
-                gc.enable()
-        self._next_id = sid
-
-    def adopt(self, span: SpanRecord) -> SpanRecord:
-        """File a caller-constructed :class:`SpanRecord`, assigning it a
-        fresh id and the currently open span as parent."""
-        span.span_id = self._new_id()
-        span.parent_id = self._stack[-1] if self._stack else None
-        self.spans.append(span)
-        return span
 
     def add(self, name: str, value: float = 1, **attrs) -> None:
         """Increment a monotonic counter."""
@@ -411,12 +378,6 @@ class NullRecorder(Recorder):
 
     def record_span(self, name, t0, duration, **attrs):
         return None
-
-    def record_spans(self, name, rows) -> None:
-        pass
-
-    def adopt(self, span: SpanRecord) -> SpanRecord:
-        return span
 
     def add(self, name, value=1, **attrs) -> None:
         pass

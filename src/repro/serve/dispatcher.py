@@ -30,11 +30,12 @@ deterministic discrete-event program whose per-job outcomes equal
 :class:`~repro.serve.clock.WallClock` the same code serves in real time.
 
 Instrumentation goes through :mod:`repro.obs` and is gated on
-``recorder().enabled`` everywhere, so a disabled recorder costs one
-attribute check per event (the CI ``serve`` job benches off vs. on):
-per-job ``serve.job`` spans (virtual timestamps, filed in one batch
-when the run ends), queue-depth gauges, and end-of-run counters
-mirroring the simulator's.
+``recorder().enabled``; traced and untraced runs drive the same core,
+so recording adds no per-job cost (the CI ``serve`` job benches off
+vs. on).  A traced run files its ``serve.run`` span (wall time),
+periodic queue-depth gauges and end-of-run counters mirroring the
+simulator's.  Per-job facts (outcome, node, kills) live in the result's
+job log (``record_jobs=True``), not in spans.
 
 **Faults and resilience** (all off by default):
 
@@ -72,38 +73,6 @@ from repro.serve.clock import Clock, VirtualClock
 from repro.sim.cluster import Cluster, JobRecord, SimulationResult, check_nodes
 
 __all__ = ["JobRecord", "DispatchRuntime"]
-
-
-class _TracedCluster(Cluster):
-    """The core, noting each finished job for its ``serve.job`` span.
-
-    The spans are filed in one batch after the run: a span call per job
-    would cost more than the job's dispatch.  The notes go into one flat
-    list of numbers and strings, six per job: a container per job would
-    be a garbage-collected allocation that lives to the end of the run,
-    and thousands of those trigger repeated full collections.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.finished: list = []
-
-    def _finish(self, job, now, outcome, node) -> None:
-        job.outcome = outcome
-        job.node = node
-        self.finished += (
-            job.arrival_time, now - job.arrival_time, job.job_id, outcome, node, job.kills
-        )
-
-    def file_job_spans(self, rec) -> None:
-        notes = iter(self.finished)
-        rec.record_spans(
-            "serve.job",
-            (
-                (t0, dur, {"job": jid, "outcome": outcome, "node": node, "kills": kills})
-                for t0, dur, jid, outcome, node, kills in zip(*[notes] * 6)
-            ),
-        )
 
 
 class DispatchRuntime:
@@ -341,7 +310,7 @@ class DispatchRuntime:
         # one recorder lookup per run (swapping recorders mid-run is
         # unsupported)
         rec = self._rec = obs.recorder()
-        cluster = self.cluster = (_TracedCluster if rec.enabled else Cluster)(
+        cluster = self.cluster = Cluster(
             self.policy,
             self.capacities,
             self.speeds,
@@ -383,8 +352,6 @@ class DispatchRuntime:
             for task in tasks:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
-        if rec.enabled:
-            cluster.file_job_spans(rec)
         return cluster.result(rec, "serve", t_wall0)
 
     def run(self, t_end: float, warmup: float = 0.0) -> SimulationResult:

@@ -136,11 +136,13 @@ class JSQPolicy:
         return self.nodes
 
     def route(self, queue_lengths, rng) -> int:
-        q = np.asarray(queue_lengths[: self.nodes])
-        shortest = np.flatnonzero(q == q.min())
+        q = queue_lengths[: self.nodes]
+        low = min(q)
+        shortest = [i for i, length in enumerate(q) if length == low]
         if len(shortest) == 1 or self.tie_break == "lowest":
-            return int(shortest[0])
-        return int(rng.choice(shortest))
+            return shortest[0]
+        # the draw rng.choice(shortest) makes, without building an array
+        return shortest[rng.integers(0, len(shortest))]
 
     def timeout(self, node: int):
         return None

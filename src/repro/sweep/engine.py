@@ -21,9 +21,10 @@ scheduling, and every point carries a :class:`~repro.sweep.stats.
 PointStats` record for observability.
 
 Observability is native, not bolted on: every ``sweep()`` runs inside a
-``sweep`` span, every grid point files a ``sweep.point`` span (from
-which its :class:`PointStats` is *derived* -- the two can never
-disagree), cache traffic increments the ``sweep.cache.hit`` /
+``sweep`` span, every grid point's :class:`PointStats` is built from its
+solve record and cache-hit flag, and, when recording, filed with the
+same fields as a ``sweep.point`` span under it; cache traffic
+increments the ``sweep.cache.hit`` /
 ``sweep.cache.miss`` counters, and pool workers record into their own
 :class:`repro.obs.Recorder` whose drained buffer rides back with each
 task's result and is merged into the parent recorder.  All of it
@@ -36,12 +37,11 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from repro import obs
 from repro.ctmc.steady import METHODS, steady_state
-from repro.obs import SpanRecord
 from repro.sweep.cache import SolveCache, SolveRecord, UncacheableParams, cache_key
 from repro.sweep.stats import PointStats, SweepResult
 
@@ -120,30 +120,22 @@ def _solve_chunk(
     return [solve_point(model_cls, p, method, tol) for p in param_list], None
 
 
-def _point_span(
-    index: int, key: "str | None", rec: SolveRecord, hit: bool, end: float
-) -> SpanRecord:
-    """The ``sweep.point`` span for one grid point.
+def _point_stats(
+    recorder, index: int, key: "str | None", rec: SolveRecord, hit: bool, end: float
+) -> PointStats:
+    """The :class:`PointStats` of one grid point, filed as a
+    ``sweep.point`` span (ending at ``end``) when recording is enabled.
 
-    Built unconditionally (30-60 per sweep -- nowhere near a hot loop) so
-    :meth:`PointStats.from_span` always has a span to derive from; only
-    *filing* it with the recorder is gated on recording being enabled.
     Cache hits carry zero duration: no solver ran.
     """
     wall = 0.0 if hit else rec.wall_time
-    return SpanRecord(
-        name="sweep.point",
-        t0=end - wall,
-        duration=wall,
-        attrs=dict(
-            index=index,
-            key=key,
-            method=rec.method,
-            cache_hit=hit,
-            iterations=rec.iterations,
-            residual=rec.residual,
-        ),
+    stats = PointStats(
+        index, key, rec.method, hit, rec.iterations, rec.residual, wall
     )
+    if recorder.enabled:
+        attrs = asdict(stats)
+        recorder.record_span("sweep.point", end - wall, attrs.pop("wall_time"), **attrs)
+    return stats
 
 
 @dataclass(frozen=True)
@@ -266,9 +258,9 @@ class SweepEngine:
             if key is not None:
                 self.cache.put(key, rec)
         recorder.add("sweep.cache.hit" if hit else "sweep.cache.miss")
-        span = _point_span(0, key, rec, hit, time.perf_counter())
-        recorder.adopt(span)
-        return rec.metrics, PointStats.from_span(span)
+        return rec.metrics, _point_stats(
+            recorder, 0, key, rec, hit, time.perf_counter()
+        )
 
     def sweep(self, model_cls: type, grid: Sequence[Mapping]) -> SweepResult:
         """Solve every parameter point of ``grid`` (a sequence of
@@ -324,9 +316,9 @@ class SweepEngine:
             for i in range(len(grid)):
                 rec = records[i]
                 metrics.append(rec.metrics)
-                span = _point_span(i, keys[i], rec, hit_flags[i], end)
-                recorder.adopt(span)
-                stats.append(PointStats.from_span(span))
+                stats.append(
+                    _point_stats(recorder, i, keys[i], rec, hit_flags[i], end)
+                )
             sweep_span.set(
                 workers=n_workers, cache_hits=n_hits, solves=len(misses)
             )

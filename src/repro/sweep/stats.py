@@ -6,11 +6,10 @@ the iteration count (``power`` only), the verified residual and the wall
 time.  :class:`SweepResult.summary` aggregates these so benchmarks can
 report "N solves, M cache hits, X s" without re-deriving anything.
 
-Since the :mod:`repro.obs` layer, ``PointStats`` is no longer assembled
-by hand: the engine files one ``sweep.point`` span per grid point (into
-the process-global recorder when one is enabled) and each ``PointStats``
-is *derived from that span* via :meth:`PointStats.from_span` -- the
-sweep's own statistics and an exported trace can never disagree.
+The engine builds each ``PointStats`` from the point's solve record and
+its cache-hit flag; with a recorder enabled it files the same fields as
+a ``sweep.point`` span (duration ``wall_time``), so the sweep's own
+statistics and an exported trace agree.
 """
 
 from __future__ import annotations
@@ -31,26 +30,6 @@ class PointStats:
     iterations: "int | None"
     residual: float
     wall_time: float
-
-    @classmethod
-    def from_span(cls, span) -> "PointStats":
-        """Build the stats record from a ``sweep.point`` span.
-
-        ``span`` is anything with ``.attrs`` and ``.duration`` (a
-        :class:`repro.obs.SpanRecord`); the engine constructs these spans
-        whether or not a recorder is installed, so stats and trace are
-        two views of the same object.
-        """
-        a = span.attrs
-        return cls(
-            index=a["index"],
-            key=a.get("key"),
-            method=a["method"],
-            cache_hit=a["cache_hit"],
-            iterations=a.get("iterations"),
-            residual=a["residual"],
-            wall_time=span.duration,
-        )
 
 
 @dataclass

@@ -4,7 +4,14 @@ the suite (Little's-law decomposition must hold exactly)."""
 import numpy as np
 import pytest
 
-from repro.models import TagsExponential, TagsHyperExponential
+from repro.models import (
+    MMPP2,
+    TagsBreakdown,
+    TagsExponential,
+    TagsHyperExponential,
+    TagsMMPP,
+    TagsMultiNode,
+)
 from repro.models.tagged import TaggedJobAnalysis
 
 
@@ -178,6 +185,22 @@ def test_unsupported_node2_variants_raise(make):
     rather than answered wrongly."""
     with pytest.raises(NotImplementedError):
         make()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        TagsMMPP(MMPP2(2.0, 14.0, 0.5, 1.0), n=2, K1=3, K2=3),
+        TagsMultiNode(n=2, capacities=(3, 3)),
+        TagsBreakdown(n=2, K1=3, K2=3),
+    ],
+    ids=lambda m: type(m).__name__,
+)
+def test_unsupported_model_classes_raise(model):
+    """Chains without a two-node Poisson service description are refused
+    by name, not failed on a missing attribute."""
+    with pytest.raises(NotImplementedError, match=type(model).__name__):
+        TaggedJobAnalysis(model)
 
 
 def test_h2_with_equal_rates_equals_exponential():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro import obs
-from repro.obs import NullRecorder, Recorder, SpanRecord
+from repro.obs import NullRecorder, Recorder
 
 
 class TestGlobals:
@@ -70,24 +70,6 @@ class TestSpans:
             manual = rec.record_span("manual", 0.0, 1.0, k="v")
         assert manual.parent_id == sp.span_id
         assert rec.find_spans("manual")[0].attrs == {"k": "v"}
-
-    def test_record_spans_files_a_batch(self):
-        rec = Recorder()
-        with rec.span("open") as sp:
-            rec.record_spans("job", [(0.0, 1.0, {"n": 0}), (1.0, 2.0, {"n": 1})])
-        jobs = rec.find_spans("job")
-        assert [s.attrs["n"] for s in jobs] == [0, 1]
-        assert [s.duration for s in jobs] == [1.0, 2.0]
-        assert all(s.parent_id == sp.span_id for s in jobs)
-        assert len({s.span_id for s in rec.spans}) == len(rec.spans)
-
-    def test_adopt_assigns_id_and_parent(self):
-        rec = Recorder()
-        span = SpanRecord(name="pt", t0=0.0, duration=0.5)
-        with rec.span("sweep"):
-            rec.adopt(span)
-        assert span.span_id > 0
-        assert span.parent_id == rec.find_spans("sweep")[0].span_id
 
     def test_null_span_is_inert(self):
         rec = NullRecorder()

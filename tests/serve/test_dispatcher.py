@@ -1,15 +1,19 @@
 """The dispatcher runtime: semantics, admission control, live control,
 obs integration, wall-clock smoke."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.dists import Exponential
+from repro.faults import FaultPlan
 from repro.models import MM1K
 from repro.serve import (
     DispatchRuntime,
     PoissonLoad,
+    Supervisor,
     Trace,
     TraceLoad,
     WallClock,
@@ -205,6 +209,16 @@ class TestJobRecords:
             res.job_outcomes()
 
 
+def _faults(faulted: bool) -> dict:
+    """Runtime kwargs for a supervised run under a seeded crash plan."""
+    if not faulted:
+        return {}
+    plan = FaultPlan.generate(
+        horizon=2000.0, crash_rate=0.005, repair_rate=0.05, nodes=(0, 1), seed=3
+    )
+    return dict(faults=plan, supervisor=Supervisor(check_interval=2.0, seed=1))
+
+
 class TestObsIntegration:
     def test_disabled_recorder_stays_empty(self):
         rec = obs.recorder()
@@ -220,14 +234,43 @@ class TestObsIntegration:
         assert rec.counter("serve.offered") == res.offered
         assert rec.counter("serve.completed") == res.completed
         assert rec.counter("serve.killed") == res.killed
-        jobs = rec.find_spans("serve.job")
-        finished = res.completed + res.dropped_arrival + res.dropped_forward
-        assert len(jobs) == finished
-        # spans carry virtual timestamps: completions end within horizon
-        completed = [s for s in jobs if s.attrs["outcome"] == "completed"]
-        assert completed and all(s.end <= 300.0 for s in completed)
+        # every span holds program time, none the model's clock
+        assert all(s.t0 >= rec.t_origin for s in rec.spans)
         depth = rec.gauges.get(("serve.queue_depth", (("node", 0),)))
         assert depth is not None and depth.count > 0
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "faulted"])
+    def test_trace_explains_the_elapsed_time(self, faulted):
+        """Inside an enclosing span the trace covers the run and spans
+        no more wall time than the run took."""
+        with obs.use(obs.Recorder()) as rec:
+            start = time.perf_counter()
+            with rec.span("outer"):
+                make_tags_runtime(seed=1, t=20.0, **_faults(faulted)).run(2000.0)
+            elapsed = time.perf_counter() - start
+        assert rec.coverage() >= 0.95
+        assert rec.wall_time() <= elapsed
+        if faulted:
+            assert rec.counter("serve.fault.crash") > 0
+            assert rec.counter("serve.supervisor.restart") > 0
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "faulted"])
+    def test_recording_changes_no_result(self, faulted):
+        def run(rec):
+            with obs.use(rec):
+                return make_tags_runtime(
+                    seed=4, t=20.0, record_jobs=True, **_faults(faulted)
+                ).run(2000.0, warmup=200.0)
+
+        off, on = run(obs.NullRecorder()), run(obs.Recorder())
+        assert on.job_outcomes() == off.job_outcomes()
+        assert on.mean_queue_lengths == off.mean_queue_lengths
+        assert on.response_times.tolist() == off.response_times.tolist()
+        for count in (
+            "offered", "completed", "killed", "forwarded", "dropped_arrival",
+            "dropped_forward", "lost_to_failure", "still_queued",
+        ):
+            assert getattr(on, count) == getattr(off, count), count
 
 
 class TestWallClockSmoke:

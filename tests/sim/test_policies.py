@@ -37,6 +37,29 @@ class TestJsqTieBreak:
         b = [policy.route([0, 0], np.random.default_rng(5)) for _ in range(20)]
         assert a == b
 
+    @pytest.mark.parametrize(
+        "lengths",
+        [[2, 2], [1, 1, 1], [0, 3, 0], [4, 1, 2, 1], [0, 0, 5, 0], [3, 3, 3, 3]],
+    )
+    def test_random_draws_the_rng_choice_stream(self, lengths):
+        """The tie break draws what ``rng.choice`` over the tied indices
+        draws, and leaves the generator in the same state."""
+        policy = JSQPolicy(nodes=len(lengths))
+        low = min(lengths)
+        tied = [i for i, q in enumerate(lengths) if q == low]
+        rng, oracle = np.random.default_rng(11), np.random.default_rng(11)
+        picks = [policy.route(lengths, rng) for _ in range(2000)]
+        assert picks == [int(oracle.choice(tied)) for _ in range(2000)]
+        assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("lengths", [[0, 3, 0], [4, 1, 2, 1], [3, 3, 3]])
+    def test_lowest_draws_nothing(self, lengths):
+        policy = JSQPolicy(nodes=len(lengths), tie_break="lowest")
+        rng, untouched = np.random.default_rng(11), np.random.default_rng(11)
+        low = min(lengths)
+        assert policy.route(lengths, rng) == lengths.index(low)
+        assert rng.random() == untouched.random()
+
     def test_lowest_biases_node0_under_low_load(self):
         """The documented argmin artefact: at low load most arrivals see
         an empty system, so 'lowest' funnels them to node 0 while

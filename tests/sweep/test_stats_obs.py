@@ -1,8 +1,8 @@
 """Sweep statistics against the recorded obs stream.
 
-``PointStats`` is derived from the engine's ``sweep.point`` spans, so
-``SweepResult.summary`` / ``format_sweep_stats`` and an exported trace
-are two views of the same recording -- these tests pin that: the cache
+The engine files each point's ``PointStats`` fields as its
+``sweep.point`` span, so ``SweepResult.summary`` / ``format_sweep_stats``
+and an exported trace agree -- these tests pin that: the cache
 hit/miss counts in the summary must equal the obs counter values exactly,
 per-point wall times must be the span durations, and events produced in
 pool workers must surface in the parent recorder.
@@ -23,25 +23,31 @@ def grid():
     return [dict(PARAMS, t=t) for t in T_GRID]
 
 
-class TestFromSpan:
-    def test_round_trip(self):
-        span = obs.SpanRecord(
-            name="sweep.point", t0=1.0, duration=0.25,
-            attrs=dict(index=3, key="k", method="power", cache_hit=False,
-                       iterations=17, residual=1e-9),
+class TestPointStats:
+    """``PointStats`` is the point's solve record plus its cache-hit flag."""
+
+    def test_fields_from_the_solve_record(self):
+        engine = SweepEngine()
+        params = dict(PARAMS, t=50.0)
+        _, miss = engine.solve(TagsExponential, params)
+        _, hit = engine.solve(TagsExponential, params)
+        key = engine._key(TagsExponential, params)
+        rec = engine.cache.get(key)
+        assert miss == PointStats(
+            index=0, key=key, method=rec.method, cache_hit=False,
+            iterations=rec.iterations, residual=rec.residual,
+            wall_time=rec.wall_time,
         )
-        stats = PointStats.from_span(span)
-        assert stats == PointStats(
-            index=3, key="k", method="power", cache_hit=False,
-            iterations=17, residual=1e-9, wall_time=0.25,
+        # a hit ran no solver: same record, zero duration
+        assert hit == PointStats(
+            index=0, key=key, method=rec.method, cache_hit=True,
+            iterations=rec.iterations, residual=rec.residual, wall_time=0.0,
         )
 
     def test_optional_fields_default(self):
-        span = obs.SpanRecord(
-            name="sweep.point", t0=0.0, duration=0.0,
-            attrs=dict(index=0, method="gth", cache_hit=True, residual=0.0),
+        _, stats = SweepEngine(cache=False).solve(
+            TagsExponential, dict(PARAMS, t=50.0)
         )
-        stats = PointStats.from_span(span)
         assert stats.key is None and stats.iterations is None
 
 
@@ -73,7 +79,16 @@ class TestSummaryMatchesCounters:
         assert len(points) == 2 * len(T_GRID)
         by_sweep = points[: len(T_GRID)], points[len(T_GRID):]
         for result, spans in zip((cold, warm), by_sweep):
-            assert [PointStats.from_span(s) for s in spans] == result.stats
+            for span, stats in zip(spans, result.stats, strict=True):
+                assert span.attrs == dict(
+                    index=stats.index,
+                    key=stats.key,
+                    method=stats.method,
+                    cache_hit=stats.cache_hit,
+                    iterations=stats.iterations,
+                    residual=stats.residual,
+                )
+                assert span.duration == stats.wall_time
             assert result.summary()["solve_time"] == pytest.approx(
                 sum(s.duration for s in spans if not s.attrs["cache_hit"])
             )
