@@ -15,7 +15,9 @@ rather than ``asyncio.sleep``, so the same runtime runs in two modes:
   exactly to :class:`repro.sim.runner.Simulation`.  The runtime sets one
   :meth:`~VirtualClock.call_at` timer per arrival and per core outcome,
   so that path pushes onto and pops off the heap directly, as the
-  simulator's own loop does.
+  simulator's own loop does: a heap entry is a plain
+  ``(deadline, seq, fn, args)`` tuple, with no object per timer, and a
+  sleep's is ``(deadline, seq, future, daemon)``.
 * :class:`WallClock` -- real time via ``asyncio.sleep``, optionally
   scaled (``rate=10`` runs 10 model-seconds per wall-second).  This is
   the mode an actual deployment would use; tests only smoke it.
@@ -60,9 +62,11 @@ class Clock:
         """
         raise NotImplementedError
 
-    def call_at(self, deadline: float, fn, *args) -> None:
+    def call_at(self, deadline: float, fn, *args, daemon: bool = False) -> None:
         """Call ``fn(*args)`` from the event loop at model time
-        ``deadline`` (at once if it has passed)."""
+        ``deadline`` (at once if it has passed).  ``daemon`` is
+        :meth:`sleep`'s flag: a daemon callback (a periodic sampler)
+        does not by itself keep a virtual clock running."""
         raise NotImplementedError
 
     async def run_until(self, deadline: float) -> None:
@@ -90,44 +94,43 @@ async def _drain(max_rounds: int = 64) -> None:
             return
 
 
-class _Call:
-    """A virtual-clock timer that runs a callback instead of waking a
-    task."""
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn, args) -> None:
-        self.fn = fn
-        self.args = args
-
-    @staticmethod
-    def cancelled() -> bool:
-        return False
+def _cancelled(timer) -> bool:
+    """Whether a heap entry is a cancelled sleep (callbacks, whose
+    fourth field is their argument tuple, cannot be cancelled)."""
+    return type(timer[3]) is not tuple and timer[2].cancelled()
 
 
 class VirtualClock(Clock):
-    """Deterministic simulated time over an asyncio loop."""
+    """Deterministic simulated time over an asyncio loop.
+
+    A heap entry is ``(deadline, seq, fn, args)`` for a callback or
+    ``(deadline, seq, future, daemon)`` for a sleep; ``seq`` (creation
+    order) breaks deadline ties, so no two entries compare further.  A
+    daemon callback is an entry for :meth:`_daemon_call`.  The clock
+    counts its daemon entries: while the heap holds more entries than
+    that, real work is pending.
+    """
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._timers: list = []  # (deadline, seq, future, daemon)
+        self._timers: list = []
         self._seq = 0
-        self._essential = 0  # live non-daemon timers in the heap
+        self._daemons = 0  # daemon entries in the heap
 
     def now(self) -> float:
         return self._now
 
     @property
     def pending_timers(self) -> int:
-        return sum(1 for *_, fut, _ in self._timers if not fut.cancelled())
+        return sum(1 for timer in self._timers if not _cancelled(timer))
 
     def next_deadline(self) -> float | None:
         """Earliest live timer deadline (None when no timers are set)."""
-        while self._timers and self._timers[0][2].cancelled():
-            _, _, _, daemon = heappop(self._timers)
-            if not daemon:
-                self._essential -= 1
-        return self._timers[0][0] if self._timers else None
+        timers = self._timers
+        while timers and _cancelled(timers[0]):
+            if heappop(timers)[3]:
+                self._daemons -= 1
+        return timers[0][0] if timers else None
 
     def sleep(self, delay: float, *, daemon: bool = False):
         if delay < 0:
@@ -135,21 +138,24 @@ class VirtualClock(Clock):
         fut = asyncio.get_running_loop().create_future()
         heappush(self._timers, (self._now + delay, self._seq, fut, daemon))
         self._seq += 1
-        if not daemon:
-            self._essential += 1
+        if daemon:
+            self._daemons += 1
         return fut
 
-    def call_at(self, deadline: float, fn, *args) -> None:
+    def call_at(self, deadline: float, fn, *args, daemon: bool = False) -> None:
         """Exact: the callback runs at ``deadline`` itself (a sleep of
         ``deadline - now`` can land one ulp off); a past deadline runs
         at ``now``.  One call per core outcome, so it pushes directly."""
         now = self._now
-        heappush(
-            self._timers,
-            (now if now > deadline else deadline, self._seq, _Call(fn, args), False),
-        )
+        if daemon:
+            self._daemons += 1
+            fn, args = self._daemon_call, (fn, args)
+        heappush(self._timers, (now if now > deadline else deadline, self._seq, fn, args))
         self._seq += 1
-        self._essential += 1
+
+    def _daemon_call(self, fn, args) -> None:
+        self._daemons -= 1
+        fn(*args)
 
     async def run_until(self, deadline: float) -> None:
         """Advance to ``deadline``, firing every timer due on the way.
@@ -165,32 +171,27 @@ class VirtualClock(Clock):
         Daemon timers fire in that same order *while* essential work is
         pending; once only daemon timers remain the system can no longer
         change state on its own, so the driver stops firing them and
-        jumps to ``deadline``.
+        jumps to ``deadline``.  A cancelled sleep leaves the heap
+        without moving ``now``.
         """
         ready = getattr(asyncio.get_running_loop(), "_ready", None)
         timers = self._timers
         await _drain()
-        while self._essential > 0:
-            # next_deadline() inlined: drop cancelled sleeps off the top
-            while timers:
-                timer = timers[0][2]
-                if type(timer) is _Call or not timer.cancelled():
-                    break
-                if not heappop(timers)[3]:
-                    self._essential -= 1
-            if not timers or timers[0][0] > deadline:
-                break
-            when, _, timer, daemon = heappop(timers)
-            if not daemon:
-                self._essential -= 1
-            if when > self._now:
-                self._now = when
-            if type(timer) is _Call:
-                timer.fn(*timer.args)
+        while len(timers) > self._daemons and timers[0][0] <= deadline:
+            when, _, target, extra = heappop(timers)
+            if type(extra) is tuple:  # a callback: target(*args)
+                if when > self._now:
+                    self._now = when
+                target(*extra)
                 if ready is None or ready:
                     await _drain()
-            elif not timer.cancelled():
-                timer.set_result(None)
+                continue
+            if extra:
+                self._daemons -= 1
+            if not target.cancelled():
+                if when > self._now:
+                    self._now = when
+                target.set_result(None)
                 await _drain()
         if deadline > self._now:
             self._now = deadline
@@ -213,7 +214,7 @@ class WallClock(Clock):
             raise ValueError("cannot sleep a negative duration")
         await asyncio.sleep(delay / self.rate)
 
-    def call_at(self, deadline: float, fn, *args) -> None:
+    def call_at(self, deadline: float, fn, *args, daemon: bool = False) -> None:
         delay = max(deadline - self.now(), 0.0) / self.rate
         asyncio.get_running_loop().call_later(delay, fn, *args)
 

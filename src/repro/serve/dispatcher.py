@@ -138,7 +138,7 @@ class DispatchRuntime:
         self._resilience_rng = np.random.default_rng([seed, 0x7E5])
         self._rec = obs.recorder()  # re-resolved at each arun()
         self.cluster: "Cluster | None" = None  # the running core
-        self._tasks: list = []
+        self._tasks: set = set()  # live forward/supervisor/controller tasks
         self._sup_wake = None  # supervisor wake event, created in arun
         self._scheduled: list = []  # (delay, fn) buffered before arun
         self._running = False
@@ -194,14 +194,21 @@ class DispatchRuntime:
         for when, kind, node, epoch in outcomes:
             call_at(when, fire, cluster, kind, node, epoch)
 
+    # _fire and _arrive run once per event: they set their successor
+    # timers themselves rather than through _schedule/_next_arrival
     def _fire(self, cluster, kind: str, node: int, epoch: int) -> None:
         if not self._running or cluster is not self.cluster:
             return  # set by an earlier run (see _due)
-        now = self.clock.now()
+        clock = self.clock
+        now = clock.now()
         if kind == "kill" and self._guarded:
             job = cluster.kill(now, node, epoch)
             if job is not None:
-                self._tasks.append(asyncio.ensure_future(self._forward(job, node)))
+                # a finished forward leaves the set: a run keeps no
+                # object per kill
+                task = asyncio.ensure_future(self._forward(job, node))
+                self._tasks.add(task)
+                task.add_done_callback(self._tasks.discard)
             return
         if (
             kind == "complete"
@@ -209,24 +216,33 @@ class DispatchRuntime:
             and epoch == cluster.epoch[node]
         ):
             self.window_completions.append((now, cluster.queues[node][0].demand))
-        self._schedule(cluster.fire(now, kind, node, epoch))
+        call_at, fire = clock.call_at, self._fire
+        for when, kind, node, epoch in cluster.fire(now, kind, node, epoch):
+            call_at(when, fire, cluster, kind, node, epoch)
 
-    async def _sample_depths(self, rec, interval: float) -> None:
-        """Periodic ``serve.queue_depth`` gauges.
+    def _sample_depths(self, cluster, rec) -> None:
+        """File the ``serve.queue_depth`` gauges and set the next sample,
+        a daemon timer ``gauge_interval`` on.
 
         Depth is sampled on a timer rather than at every queue event:
         per-event gauges would dominate the dispatch cost (the CI gate
         holds enabled recording to <= 10%), and the exact time-averaged
         depths are kept by the core regardless.
         """
-        while True:
-            await self.clock.sleep(interval, daemon=True)
-            for i, length in enumerate(self.cluster.lengths):
-                rec.gauge("serve.queue_depth", length, node=i)
+        if not self._running or cluster is not self.cluster:
+            return  # set by an earlier run (see _due)
+        for i, length in enumerate(cluster.lengths):
+            rec.gauge("serve.queue_depth", length, node=i)
+        clock = self.clock
+        clock.call_at(
+            clock.now() + self.gauge_interval,
+            self._sample_depths, cluster, rec, daemon=True,
+        )
 
     def _next_arrival(self) -> None:
-        """Pull the next job from the load source and set its arrival
-        timer (a finite trace simply runs out)."""
+        """Pull the first job from the load source and set its arrival
+        timer; each arrival sets its successor's the same way (a finite
+        trace simply runs out)."""
         nxt = self.loadgen.next_job(self.rng)
         if nxt is not None:
             gap, demand = nxt
@@ -239,13 +255,23 @@ class DispatchRuntime:
     def _arrive(self, cluster, demand: float) -> None:
         if not self._running or cluster is not self.cluster:
             return  # set by an earlier run (see _due)
+        clock = self.clock
+        call_at = clock.call_at
+        now = clock.now()
         # the successor's timer before this arrival's outcomes: the order
         # sim pushes them, so same-instant ties break alike
-        self._next_arrival()
-        now = self.clock.now()
+        nxt = self.loadgen.next_job(self.rng)
+        if nxt is not None:
+            gap, next_demand = nxt
+            inj = self.faults
+            if inj is not None and inj.arrival_factor != 1.0:
+                gap = gap / inj.arrival_factor
+            call_at(now + gap, self._arrive, cluster, next_demand)
         if self.controller is not None:
             self.window_arrivals.append(now)
-        self._schedule(cluster.admit(now, demand))
+        fire = self._fire
+        for when, kind, node, epoch in cluster.admit(now, demand):
+            call_at(when, fire, cluster, kind, node, epoch)
 
     async def _forward(self, job: JobRecord, node: int) -> None:
         """Forward a killed job through the retry/breaker guard; ``node``
@@ -331,24 +357,24 @@ class DispatchRuntime:
         for delay, fn in self._scheduled:
             self._at(self.clock.now() + delay, fn)
         self._scheduled = []
-        tasks = self._tasks = []
+        tasks = self._tasks = set()
         if rec.enabled:
-            tasks.append(
-                asyncio.ensure_future(
-                    self._sample_depths(rec, self.gauge_interval)
-                )
+            self.clock.call_at(
+                self.clock.now() + self.gauge_interval,
+                self._sample_depths, cluster, rec, daemon=True,
             )
         if self.supervisor is not None:
             self._sup_wake = asyncio.Event()
             self.supervisor.bind(self)
-            tasks.append(asyncio.ensure_future(self.supervisor.run()))
+            tasks.add(asyncio.ensure_future(self.supervisor.run()))
         if self.controller is not None:
             self.controller.bind(self)
-            tasks.append(asyncio.ensure_future(self.controller.run()))
+            tasks.add(asyncio.ensure_future(self.controller.run()))
         try:
             await self.clock.run_until(t_end)
         finally:
             self._running = False
+            tasks = list(tasks)
             for task in tasks:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)

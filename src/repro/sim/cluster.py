@@ -42,6 +42,15 @@ admission and the timeout at service start.  On a kill the forward
 target starts its service, and draws, before the killing node starts its
 next job.
 
+**The job log** (``record_jobs=True``): a live job is a
+:class:`JobRecord`, so at most the capacities' sum of them (plus one per
+node held mid-forward) exist at a time.  A job that leaves writes one
+row of the columnar :class:`JobLog` and its object is dropped; the
+result writes rows, with outcome ``None``, for the jobs still in the
+system.  The per-completion ``responses``/``slowdowns``/``demands`` are
+``array("d")`` columns too, so a long run keeps bytes per job, not
+objects the garbage collector must walk.
+
 **Fault injection**: with a :class:`~repro.faults.FaultInjector` the
 core consults its node state (down nodes accept and start nothing,
 degradation scales the speed at service start, ``single_node`` mode
@@ -55,22 +64,38 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.sim.stats import batch_means_ci
 
-__all__ = ["Cluster", "JobRecord", "SimulationResult", "check_nodes"]
+__all__ = [
+    "OUTCOMES",
+    "Cluster",
+    "JobLog",
+    "JobRecord",
+    "JobRow",
+    "SimulationResult",
+    "check_nodes",
+]
+
+#: the job log's outcome codes: a job's code indexes this tuple, and 0
+#: (``None``) marks a job still queued, in service or held mid-forward
+#: when the run ended
+OUTCOMES = (None, "completed", "dropped_arrival", "dropped_forward", "lost_to_failure")
+_COMPLETED, _DROPPED_ARRIVAL, _DROPPED_FORWARD, _LOST = 1, 2, 3, 4
 
 
 @dataclass(slots=True)
 class JobRecord:
-    """One job: its arrival time, lifetime demand, the work still
-    outstanding (under resume policies, after kills), its kill count and,
-    once it has left the system, its ``outcome`` and the ``node`` it left
-    from.
+    """One live job: its arrival time, lifetime demand, the work still
+    outstanding (under resume policies, after kills) and its kill count.
+    When the job leaves the system its fields become one row of the
+    run's :class:`JobLog` and the object is dropped.
 
     ``remaining`` is genuinely optional (``None`` means "not yet
     started": it is filled with the full demand on construction), so it
@@ -83,12 +108,119 @@ class JobRecord:
     remaining: float | None = None
     job_id: int = -1
     kills: int = 0
-    outcome: str | None = None  # completed / dropped_* / lost_to_failure
-    node: int | None = None
 
     def __post_init__(self) -> None:
         if self.remaining is None:
             self.remaining = self.demand
+
+
+class JobLog(Sequence):
+    """The job log of one run: one row per offered job, in columns.
+
+    A job writes its row when it leaves the system (``add``); the
+    run's result adds a row, with outcome ``None``, for every job still
+    in it.  Each row costs ~40 bytes of ``array`` storage and no object.
+    Rows are stored in the order jobs left; as a sequence the log reads
+    in arrival (job id) order, each item a :class:`JobRow` view whose
+    fields write through to the columns.
+    """
+
+    def __init__(self) -> None:
+        self.job_id = array("q")
+        self.arrival_time = array("d")
+        self.demand = array("d")
+        self.remaining = array("d")
+        self.kills = array("l")
+        self.outcome = array("b")  # an index into OUTCOMES
+        self.node = array("h")  # -1 for no node
+        self._order = np.empty(0, dtype=np.intp)
+        self.add = self._writer()
+
+    def _writer(self):
+        """``add(job, outcome, node)``: write ``job``'s row, ``outcome``
+        indexing :data:`OUTCOMES`.  It runs once per job, so it closes
+        over the columns' ``append`` methods rather than looking them up
+        (as a method it cost ~10% of a replay)."""
+        job_ids, arrivals, demands, remainings, kills, outcomes, nodes = (
+            column.append
+            for column in (
+                self.job_id, self.arrival_time, self.demand, self.remaining,
+                self.kills, self.outcome, self.node,
+            )
+        )
+
+        def add(job: JobRecord, outcome: int, node: int) -> None:
+            job_ids(job.job_id)
+            arrivals(job.arrival_time)
+            demands(job.demand)
+            remainings(job.remaining)
+            kills(job.kills)
+            outcomes(outcome)
+            nodes(node)
+
+        return add
+
+    def _rows(self) -> np.ndarray:
+        """Row index of each job, in arrival order."""
+        if len(self._order) != len(self.job_id):
+            self._order = np.argsort(np.asarray(self.job_id), kind="stable")
+        return self._order
+
+    def __len__(self) -> int:
+        return len(self.job_id)
+
+    def __getitem__(self, i: int) -> "JobRow":
+        return JobRow(self, int(self._rows()[i]))
+
+    def __iter__(self):
+        for r in self._rows().tolist():
+            yield JobRow(self, r)
+
+    def outcomes(self) -> dict:
+        """``job_id -> (outcome, node, kills)`` for jobs that left, in
+        arrival order."""
+        order = self._rows()
+        left = order[np.asarray(self.outcome)[order] != 0]
+        columns = (self.job_id, self.outcome, self.node, self.kills)
+        return {
+            job_id: (OUTCOMES[code], node, kills)
+            for job_id, code, node, kills in zip(
+                *(np.asarray(c)[left].tolist() for c in columns)
+            )
+        }
+
+
+def _column(name: str, decode=None, encode=None) -> property:
+    def fget(row):
+        value = getattr(row.log, name)[row.index]
+        return value if decode is None else decode(value)
+
+    def fset(row, value):
+        getattr(row.log, name)[row.index] = value if encode is None else encode(value)
+
+    return property(fget, fset)
+
+
+class JobRow:
+    """One :class:`JobLog` row with :class:`JobRecord`'s fields plus the
+    ``outcome`` and the ``node`` the job left from (both ``None`` for a
+    job still in the system); assignments write to the log."""
+
+    __slots__ = ("log", "index")
+
+    def __init__(self, log: JobLog, index: int) -> None:
+        self.log = log
+        self.index = index
+
+    arrival_time = _column("arrival_time")
+    demand = _column("demand")
+    remaining = _column("remaining")
+    job_id = _column("job_id")
+    kills = _column("kills")
+    outcome = _column("outcome", OUTCOMES.__getitem__, OUTCOMES.index)
+    node = _column(
+        "node", lambda n: None if n < 0 else n, lambda n: -1 if n is None else n
+    )
 
 
 @dataclass
@@ -101,9 +233,9 @@ class SimulationResult:
     Harchol-Balter's evaluation revolves around slowdown by job size.
 
     ``jobs`` (only with ``record_jobs=True``, never pruned at warm-up) is
-    the :class:`JobRecord` of every offered job in arrival order, ids
-    assigned in arrival order; :meth:`job_outcomes` is the currency the
-    equivalence tests compare between the hosts.
+    the run's :class:`JobLog`: one :class:`JobRow` per offered job in
+    arrival order, ids assigned in arrival order; :meth:`job_outcomes`
+    is the currency the equivalence tests compare between the hosts.
 
     Failure accounting (all zero without fault injection):
     ``lost_to_failure`` counts jobs destroyed by node failure (crashed
@@ -126,7 +258,7 @@ class SimulationResult:
     demands: np.ndarray = field(default_factory=lambda: np.empty(0))
     # kept out of the repr: asyncio.run formats its main task's result
     # while restoring the SIGINT handler, and 10^5 records take seconds
-    jobs: "list | None" = field(default=None, repr=False)
+    jobs: "JobLog | None" = field(default=None, repr=False)
     lost_to_failure: int = 0
     work_wasted: float = 0.0
     still_queued: int = 0
@@ -137,11 +269,7 @@ class SimulationResult:
         """``job_id -> (outcome, node, kills)`` for finished jobs."""
         if self.jobs is None:
             raise ValueError("run with record_jobs=True to keep job logs")
-        return {
-            j.job_id: (j.outcome, j.node, j.kills)
-            for j in self.jobs
-            if j.outcome is not None
-        }
+        return self.jobs.outcomes()
 
     @property
     def throughput(self) -> float:
@@ -299,7 +427,9 @@ class Cluster:
         self.attempt: list = [None] * n
         # serving, or holding a killed job that is still being forwarded
         self.busy = [False] * n
-        self.jobs: "list | None" = [] if record_jobs else None
+        # the job each node holds between kill() and release()
+        self.held: list = [None] * n
+        self.log: "JobLog | None" = JobLog() if record_jobs else None
         self.next_id = 0  # job ids by arrival order; never reset at warm-up
         self._start_measuring(0.0)
 
@@ -315,9 +445,9 @@ class Cluster:
         self.dropped_arrival = self.dropped_forward = 0
         self.lost_to_failure = 0
         self.work_wasted = 0.0
-        self.responses: list = []
-        self.slowdowns: list = []
-        self.demands: list = []
+        self.responses = array("d")
+        self.slowdowns = array("d")
+        self.demands = array("d")
         # per node: length-time area since t0, time of the last change
         n = len(self.queues)
         self._t0 = now
@@ -331,17 +461,15 @@ class Cluster:
         self.offered += 1
         job = JobRecord(now, demand, demand, self.next_id)
         self.next_id += 1
-        if self.jobs is not None:
-            self.jobs.append(job)
         target = self.policy.route(self.lengths, self.rng)
         out: list = []
         if self.faults is not None and not self.faults.up[target]:
             # a down node accepts nothing; the arrival is shed
             self.lost_to_failure += 1
-            self._finish(job, now, "lost_to_failure", target)
+            self._finish(job, _LOST, target)
         elif self.lengths[target] >= self.capacities[target]:
             self.dropped_arrival += 1
-            self._finish(job, now, "dropped_arrival", target)
+            self._finish(job, _DROPPED_ARRIVAL, target)
         else:
             self._enqueue(now, job, target, out)
         return out
@@ -360,11 +488,11 @@ class Cluster:
             self.responses.append(response)
             self.slowdowns.append(response / demand)
             self.demands.append(demand)
-            self._finish(job, now, "completed", node)
+            self._finish(job, _COMPLETED, node)
         elif kind == "kill":
             # kill, forward and release in one pass; a runtime guarding
             # its forwards calls the three itself
-            job = self.kill(now, node, epoch)
+            job = self._kill(now, node, epoch)
             if job is None:
                 return out
             target = self.policy.forward(node)
@@ -381,8 +509,15 @@ class Cluster:
 
     def kill(self, now: float, node: int, epoch: int) -> "JobRecord | None":
         """The timeout won: take the killed job off ``node`` (None if the
-        outcome is stale).  ``node`` stays busy until :meth:`release`, so
-        a host forwarding the job itself holds the node meanwhile."""
+        outcome is stale).  ``node`` stays busy, holding the job, until
+        :meth:`release`, so a host forwarding the job itself holds the
+        node meanwhile."""
+        job = self._kill(now, node, epoch)
+        if job is not None:
+            self.held[node] = job
+        return job
+
+    def _kill(self, now: float, node: int, epoch: int) -> "JobRecord | None":
         if epoch != self.epoch[node]:
             return None  # scheduled before a crash; outcome voided
         job = self._pop(now, node)
@@ -410,13 +545,14 @@ class Cluster:
         target is down, dropped after timeout otherwise."""
         if target is not None and self.faults is not None and not self.faults.up[target]:
             self.lost_to_failure += 1
-            self._finish(job, now, "lost_to_failure", node)
+            self._finish(job, _LOST, node)
         else:
             self.dropped_forward += 1
-            self._finish(job, now, "dropped_forward", node)
+            self._finish(job, _DROPPED_FORWARD, node)
 
     def release(self, now: float, node: int) -> list:
         """``node``'s killed job is placed or gone: serve the next one."""
+        self.held[node] = None
         out: list = []
         self._start(now, node, out)
         return out
@@ -440,7 +576,7 @@ class Cluster:
         if self.faults.on_crash == "drop" and queue:
             self.lost_to_failure += len(queue)
             for job in queue:
-                self._finish(job, now, "lost_to_failure", node)
+                self._finish(job, _LOST, node)
             queue.clear()
             self._advance(now, node)
             self.lengths[node] = 0
@@ -523,22 +659,30 @@ class Cluster:
         self._area[node] += self.lengths[node] * (now - since[node])
         since[node] = now
 
-    def _finish(self, job: JobRecord, now: float, outcome: str, node: int) -> None:
-        job.outcome = outcome
-        job.node = node
+    def _finish(self, job: JobRecord, outcome: int, node: int) -> None:
+        """``job`` left from ``node``; ``outcome`` indexes :data:`OUTCOMES`."""
+        if self.log is not None:
+            self.log.add(job, outcome, node)
 
     # -- reporting ------------------------------------------------------
     def result(self, rec, host: str, t_wall0: float) -> SimulationResult:
         """The run's result; with ``rec`` enabled, also its ``<host>.run``
-        span (wall time since ``t_wall0``) and ``<host>.*`` counters."""
+        span (wall time since ``t_wall0``) and ``<host>.*`` counters.
+
+        Called once, at the end of the run: it writes the job log's rows
+        for the jobs still queued or held.  The result's arrays view the
+        core's."""
         t_end = self.t_end
         span = t_end - self._t0
         means = tuple(
             (area + length * (t_end - since)) / span if span > 0 else 0.0
             for area, length, since in zip(self._area, self.lengths, self._since)
         )
-        # a busy node with no attempt holds a job mid-forward
-        held = sum(b and a is None for b, a in zip(self.busy, self.attempt))
+        held = [job for job in self.held if job is not None]
+        log = self.log
+        if log is not None:
+            for job in (*(j for q in self.queues for j in q), *held):
+                log.add(job, 0, -1)
         if rec.enabled:
             rec.record_span(
                 f"{host}.run",
@@ -569,10 +713,10 @@ class Cluster:
             response_times=np.asarray(self.responses),
             slowdowns=np.asarray(self.slowdowns),
             demands=np.asarray(self.demands),
-            jobs=self.jobs,
+            jobs=log,
             lost_to_failure=self.lost_to_failure,
             work_wasted=self.work_wasted,
-            still_queued=sum(len(q) for q in self.queues) + held,
+            still_queued=sum(self.lengths) + len(held),
             killed=self.killed,
             forwarded=self.forwarded,
         )

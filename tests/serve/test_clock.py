@@ -133,6 +133,30 @@ class TestVirtualClock:
 
         assert run(main()) == (2.0, 0)
 
+    def test_daemon_callback_fires_in_order_but_keeps_nothing_running(self):
+        """A daemon callback takes its (deadline, creation) turn among
+        the essential timers; once only daemons remain the clock jumps
+        to the deadline without firing them."""
+
+        async def main():
+            clock = VirtualClock()
+            fired = []
+
+            def tick():
+                fired.append(("tick", clock.now()))
+                clock.call_at(clock.now() + 1.0, tick, daemon=True)
+
+            clock.call_at(1.0, tick, daemon=True)
+            clock.call_at(1.0, fired.append, ("work", 1.0))
+            clock.call_at(2.5, fired.append, ("work", 2.5))
+            await clock.run_until(1e9)
+            return fired, clock.now(), clock.pending_timers
+
+        fired, now, pending = run(main())
+        assert fired == [("tick", 1.0), ("work", 1.0), ("tick", 2.0), ("work", 2.5)]
+        assert now == 1e9
+        assert pending == 1  # the next tick, never fired
+
     def test_negative_sleep_rejected(self):
         async def main():
             clock = VirtualClock()
@@ -164,6 +188,16 @@ class TestWallClock:
             return clock.now()
 
         assert run(main()) >= 2.0
+
+    def test_call_at_ignores_daemon(self):
+        async def main():
+            clock = WallClock(rate=100.0)
+            fired = asyncio.Event()
+            clock.call_at(clock.now() + 1.0, fired.set, daemon=True)
+            await asyncio.wait_for(fired.wait(), 5.0)
+            return clock.now()
+
+        assert run(main()) >= 1.0
 
     def test_bad_rate(self):
         with pytest.raises(ValueError, match="rate"):

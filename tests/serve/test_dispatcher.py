@@ -1,6 +1,7 @@
 """The dispatcher runtime: semantics, admission control, live control,
 obs integration, wall-clock smoke."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -26,6 +27,8 @@ from repro.sim import (
     RoundRobinPolicy,
     TagsPolicy,
 )
+
+DEPTH_SAMPLES_SHA256 = "c4391b50af4aa5ce60b9119fc91326ec3940511edbcb503606ca5e3f28b3d3df"
 
 
 def make_tags_runtime(lam=5.0, mu=10.0, t=51.0, n=6, caps=(10, 10), **kw):
@@ -238,6 +241,33 @@ class TestObsIntegration:
         assert all(s.t0 >= rec.t_origin for s in rec.spans)
         depth = rec.gauges.get(("serve.queue_depth", (("node", 0),)))
         assert depth is not None and depth.count > 0
+
+    def test_depth_samples_pinned(self):
+        """The sampler files each node's depth every ``gauge_interval``
+        model-seconds.  Pinned: sha256 of every ``(model time, node,
+        depth)`` sample of a seeded run, recorded when the sampler was
+        an asyncio task."""
+
+        class Samples(obs.Recorder):
+            def gauge(self, name, value, **attrs):
+                if name == "serve.queue_depth":
+                    samples.append((rt.clock.now(), attrs["node"], float(value)))
+                super().gauge(name, value, **attrs)
+
+        samples = []
+        rt = DispatchRuntime(
+            PoissonLoad(9.0, Exponential(10.0)),
+            TagsPolicy(timeouts=(ErlangTimeout(6, 51.0),)),
+            (6, 4),
+            seed=3,
+            gauge_interval=7.0,
+        )
+        with obs.use(Samples()):
+            rt.run(1000.0, warmup=50.0)
+        assert len(samples) == 2 * 142  # t = 7, 14, ..., 994
+        assert samples[:2] == [(7.0, 0, 3.0), (7.0, 1, 1.0)]
+        digest = hashlib.sha256(repr(samples).encode()).hexdigest()
+        assert digest == DEPTH_SAMPLES_SHA256
 
     @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "faulted"])
     def test_trace_explains_the_elapsed_time(self, faulted):
