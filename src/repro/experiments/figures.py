@@ -8,8 +8,10 @@ Every solve routes through the shared :func:`repro.sweep.default_engine`,
 so figures over the same grid share one solve pass: ``figure6``/``figure7``
 (and ``figure9``/``figure10``) differ only in which metric they read, and
 the second call is answered entirely from the content-addressed cache.
-Set ``REPRO_SWEEP_WORKERS`` to fan a figure's grid sweeps, and the first
-probes of all its optimal-``t`` searches, out over a process pool.
+Set ``REPRO_SWEEP_WORKERS`` to fan a figure's grid sweeps out over a
+process pool. Figures 8, 11 and 12 run all their optimal-``t`` searches
+side by side through :meth:`repro.sweep.SweepEngine.drive`, so one pool
+solves every search's probes as soon as the search asks for them.
 
 Within one solve pass the state space is explored exactly once per
 *structure*: every grid point of a figure 6/7 or 9/10 sweep varies only
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro.approx.balance import erlang_balance_rate, exponential_balance_rate
 from repro.approx.fixed_point import TagsFixedPoint
-from repro.approx.optimizer import evaluator, grid_argmin, metric_sign, strided_probes
+from repro.approx.optimizer import spec_search
 from repro.batch import tags_batch_mean_response
 from repro.experiments.config import (
     FIG6_PARAMS,
@@ -154,21 +156,24 @@ def figure7(t_grid=FIG6_T_GRID) -> FigureData:
 _FIG8_T, _FIG11_T = range(25, 70), range(2, 80, 2)  # t searched by Figs 8, 11-12
 
 
-def _solve_strided(model_cls, param_sets, t_range) -> None:
-    """One sweep (over the engine's pool) solving the :func:`strided_probes`
-    of a search over ``t_range`` per parameter set: searches start cached."""
-    ts = strided_probes(t_range)
-    default_engine().sweep(model_cls, [dict(p, t=float(t)) for p in param_sets for t in ts])
+def _best_integer_ts(model_cls, param_sets, t_range, metric: str) -> list:
+    """For each parameter set, the integer timeout rate in ``t_range``
+    minimising ``metric`` (maximising it for throughput): one grid search
+    each, all run side by side by the shared engine's
+    :meth:`~repro.sweep.SweepEngine.drive`, whose probes are cached
+    solves, so the figures' re-solves at the optima are hits."""
+    t_range = list(t_range)
+    searches = [
+        spec_search(ModelSpec.of(model_cls, **params), t_range, metric)
+        for params in param_sets
+    ]
+    return [t_range[i] for i in default_engine().drive(model_cls, searches)]
 
 
 def _best_integer_t(model_cls, params: dict, t_range, metric: str) -> int:
-    """The integer timeout rate in ``t_range`` minimising ``metric``
-    (maximising it for throughput), by one grid search whose probes are
-    cached engine solves: the figures' re-solves at the optimum are hits."""
-    sign = metric_sign(metric)
-    t_range = list(t_range)
-    value = evaluator(ModelSpec.of(model_cls, **params), metric)
-    return t_range[grid_argmin(lambda t: sign * value(t), t_range)]
+    """:func:`_best_integer_ts` for one parameter set."""
+    (t_opt,) = _best_integer_ts(model_cls, [params], t_range, metric)
+    return t_opt
 
 
 def optimal_integer_t(
@@ -187,16 +192,12 @@ def figure8(lambdas=FIG8_LAMBDAS) -> FigureData:
     fig = FigureData(
         "Figure 8", "arrival rate lambda", "average response time", lams
     )
-    _solve_strided(TagsExponential, [{**FIG6_PARAMS, "lam": float(x)} for x in lams], _FIG8_T)
-    tag, opt_ts = [], []
-    for lam in lams:
-        t_opt = optimal_integer_t(lam)
-        opt_ts.append(t_opt)
-        m = _solve(
-            TagsExponential,
-            t=float(t_opt), **{**FIG6_PARAMS, "lam": float(lam)},
-        )
-        tag.append(m.response_time)
+    param_sets = [{**FIG6_PARAMS, "lam": float(lam)} for lam in lams]
+    opt_ts = _best_integer_ts(TagsExponential, param_sets, _FIG8_T, "mean_jobs")
+    tag = [
+        _solve(TagsExponential, t=float(t_opt), **params).response_time
+        for params, t_opt in zip(param_sets, opt_ts)
+    ]
     fig.add("TAG (optimal t)", tag)
     fig.add(
         "random",
@@ -284,8 +285,8 @@ def optimal_integer_t_h2(
 ) -> int:
     """Best integer timeout rate for an H2 system.
 
-    Figures 11 and 12 call this per alpha with different metrics after
-    one sweep has solved every alpha's :func:`strided_probes`."""
+    Figures 11 and 12 run this search for every alpha at once, with
+    different metrics."""
     return _best_integer_t(
         TagsHyperExponential, _h2_params(service, lam), t_range, metric
     )
@@ -296,12 +297,11 @@ def _figure11_12(metric: str, name: str, ylabel: str, alphas) -> FigureData:
     fig = FigureData(name, "proportion of short jobs alpha", ylabel, alphas)
     lam = 11.0
     services = [h2_service_fig11(float(a)) for a in alphas]
-    _solve_strided(TagsHyperExponential, [_h2_params(s, lam) for s in services], _FIG11_T)
-    tag, jsq, rnd, opts = [], [], [], []
-    for service in services:
-        t_opt = optimal_integer_t_h2(service, lam, metric=metric)
-        opts.append(t_opt)
-        m = _solve(TagsHyperExponential, **_h2_params(service, lam), t=float(t_opt))
+    param_sets = [_h2_params(service, lam) for service in services]
+    opts = _best_integer_ts(TagsHyperExponential, param_sets, _FIG11_T, metric)
+    tag, jsq, rnd = [], [], []
+    for service, params, t_opt in zip(services, param_sets, opts):
+        m = _solve(TagsHyperExponential, **params, t=float(t_opt))
         tag.append(getattr(m, metric))
         jsq.append(getattr(_solve(ShortestQueue, lam=lam, service=service, K=10), metric))
         rnd.append(getattr(_solve(RandomAllocation, lam=lam, service=service, K=10), metric))

@@ -16,6 +16,11 @@ steady-state solves over a parameter grid.  The engine runs such sweeps
 Every point is solved from scratch by the same deterministic solver, so
 parallel and serial results are bit-identical.
 
+Searches ask for points a few at a time, each batch depending on the
+last.  :meth:`SweepEngine.drive` runs several such coroutines side by
+side over one pool: every miss goes to a worker as soon as it is asked
+for, so the pool stays busy until the last search ends.
+
 The grid order is always preserved in the results, regardless of worker
 scheduling, and every point carries a :class:`~repro.sweep.stats.
 PointStats` record for observability.
@@ -35,10 +40,12 @@ recorder is the default :class:`~repro.obs.NullRecorder`.
 from __future__ import annotations
 
 import os
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Generator, Mapping, Sequence
 
 from repro import obs
 from repro.ctmc.steady import METHODS, steady_state
@@ -120,22 +127,50 @@ def _solve_chunk(
     return [solve_point(model_cls, p, method, tol) for p in param_list], None
 
 
-def _point_stats(
-    recorder, index: int, key: "str | None", rec: SolveRecord, hit: bool, end: float
-) -> PointStats:
-    """The :class:`PointStats` of one grid point, filed as a
-    ``sweep.point`` span (ending at ``end``) when recording is enabled.
-
-    Cache hits carry zero duration: no solver ran.
-    """
+def _point_stats(index: int, key: "str | None", rec: SolveRecord, hit: bool) -> PointStats:
+    """The :class:`PointStats` of one grid point; cache hits carry zero
+    duration: no solver ran."""
     wall = 0.0 if hit else rec.wall_time
-    stats = PointStats(
-        index, key, rec.method, hit, rec.iterations, rec.residual, wall
-    )
+    return PointStats(index, key, rec.method, hit, rec.iterations, rec.residual, wall)
+
+
+def _file_point(recorder, stats: PointStats, end: float) -> None:
+    """File ``stats`` as a ``sweep.point`` span ending at ``end`` when
+    recording is enabled."""
     if recorder.enabled:
         attrs = asdict(stats)
-        recorder.record_span("sweep.point", end - wall, attrs.pop("wall_time"), **attrs)
-    return stats
+        recorder.record_span("sweep.point", end - stats.wall_time, attrs.pop("wall_time"), **attrs)
+
+
+def _picklable(*objs) -> bool:
+    """Whether ``objs`` pickle, so a pool could take them as one task."""
+    try:
+        pickle.dumps(objs)
+    except Exception:
+        return False
+    return True
+
+
+def _start_pool(n_workers: int) -> "ProcessPoolExecutor | None":
+    """A pool of ``n_workers`` processes, or None where the platform
+    cannot start one (no fork, no semaphores, no processes left).
+
+    It uses the platform's default start method (fork on Linux), so
+    workers inherit the parent's imports instead of paying them again."""
+    try:
+        return ProcessPoolExecutor(max_workers=n_workers)
+    except (OSError, NotImplementedError, ImportError):
+        return None
+
+
+_POOL_DOWN = (BrokenProcessPool, OSError)
+"""Raised by ``submit`` when the pool cannot run a task (a worker died or
+could not start)."""
+
+_RESULT_LOST = (BrokenProcessPool, pickle.PicklingError)
+"""Raised by ``Future.result`` when the pool, not the point, failed (a
+worker died, or its result did not pickle); any other exception is the
+point's own and propagates."""
 
 
 @dataclass(frozen=True)
@@ -248,19 +283,26 @@ class SweepEngine:
 
         Returns ``(metrics, PointStats)``.  Useful for optimiser probes
         and one-off reference points that should share the sweep cache.
+        A miss solves inside its ``sweep.point`` span, so the solver's
+        own spans nest under it.
         """
         recorder = obs.recorder()
         key = self._key(model_cls, params)
         rec = self.cache.get(key) if key is not None else None
-        hit = rec is not None
-        if rec is None:
+        if rec is not None:
+            recorder.add("sweep.cache.hit")
+            stats = _point_stats(0, key, rec, True)
+            _file_point(recorder, stats, time.perf_counter())
+            return rec.metrics, stats
+        recorder.add("sweep.cache.miss")
+        with recorder.span("sweep.point") as span:
             rec = solve_point(model_cls, params, self.method, self.tol)
-            if key is not None:
-                self.cache.put(key, rec)
-        recorder.add("sweep.cache.hit" if hit else "sweep.cache.miss")
-        return rec.metrics, _point_stats(
-            recorder, 0, key, rec, hit, time.perf_counter()
-        )
+            stats = _point_stats(0, key, rec, False)
+            if recorder.enabled:
+                span.set(**{k: v for k, v in asdict(stats).items() if k != "wall_time"})
+        if key is not None:
+            self.cache.put(key, rec)
+        return rec.metrics, stats
 
     def sweep(self, model_cls: type, grid: Sequence[Mapping]) -> SweepResult:
         """Solve every parameter point of ``grid`` (a sequence of
@@ -273,8 +315,9 @@ class SweepEngine:
         size would otherwise leave one worker all the large chains); the
         pool is forked once per call, so each worker still pays its
         process start-up and imports once.  If the pool cannot be used
-        (unpicklable model, restricted platform) the engine falls back to
-        the serial path.
+        (unpicklable model, restricted platform, a worker that died) the
+        engine falls back to the serial path; a point's own exception
+        propagates.
         """
         recorder = obs.recorder()
         t_start = time.perf_counter()
@@ -316,9 +359,8 @@ class SweepEngine:
             for i in range(len(grid)):
                 rec = records[i]
                 metrics.append(rec.metrics)
-                stats.append(
-                    _point_stats(recorder, i, keys[i], rec, hit_flags[i], end)
-                )
+                stats.append(_point_stats(i, keys[i], rec, hit_flags[i]))
+                _file_point(recorder, stats[-1], end)
             sweep_span.set(
                 workers=n_workers, cache_hits=n_hits, solves=len(misses)
             )
@@ -329,6 +371,127 @@ class SweepEngine:
                 workers=n_workers,
                 params=grid,
             )
+
+    def drive(self, model_cls: type, searches: Sequence[Generator]) -> list:
+        """Run coroutines that ask for points of ``model_cls`` side by
+        side, and return what each returns, in order.
+
+        Each coroutine yields a batch of constructor-kwarg mappings and is
+        sent their metrics in the same order (as
+        :func:`repro.approx.optimizer.spec_search` does).  Hits are
+        answered at once; a miss goes to one process pool as soon as it is
+        asked for, and a coroutine resumes as soon as its batch is back.
+        A worker's record enters the cache (one ``sweep.cache.miss``) and
+        is read back through :meth:`solve`, which every probe passes.  The
+        pool starts once more than one miss waits and
+        :meth:`resolve_workers` gives more than one worker; until then,
+        with one worker, without a cache key, or when the pool cannot run
+        (unpicklable model, no fork, a broken pool), :meth:`solve` solves
+        misses in-process.  A point's own exception propagates.  One
+        ``drive`` span holds the coroutines' (overlapping) spans, the
+        solved points and the workers' merged spans.
+        """
+        recorder = obs.recorder()
+        searches = list(searches)
+        returned = [None] * len(searches)
+        answers: dict = {}  # search -> metrics of its batch
+        left: dict = {}  # search -> points of its batch not answered yet
+        asks: dict = {}  # key -> (params, [(search, slot), ...]) unsolved
+        todo: list = []  # keys of asks not handed to a worker
+        flying: dict = {}  # future -> key
+        ready = list(range(len(searches)))
+        pool, serial, workers = None, False, 1
+
+        def answer(k: int, slot: int, params) -> None:
+            answers[k][slot] = self.solve(model_cls, params)[0]
+            left[k] -= 1
+            if not left[k]:
+                ready.append(k)
+
+        def pool_down() -> None:
+            nonlocal pool, serial
+            pool.shutdown(cancel_futures=True)
+            todo.extend(flying.values())
+            flying.clear()
+            pool, serial = None, True
+
+        with recorder.span(
+            "drive", model=model_cls.__name__, searches=len(searches)
+        ) as span:
+            try:
+                while ready or todo or flying:
+                    while ready:  # resume each search whose batch is answered
+                        k = ready.pop(0)
+                        try:
+                            batch = searches[k].send(answers.pop(k, None))
+                        except StopIteration as stop:
+                            returned[k] = stop.value
+                            continue
+                        answers[k], left[k] = [None] * len(batch), len(batch)
+                        if not batch:
+                            ready.append(k)
+                        for slot, params in enumerate(batch):
+                            key = self._key(model_cls, params)
+                            if key is None or key in self.cache:
+                                answer(k, slot, params)
+                            elif key in asks:
+                                asks[key][1].append((k, slot))
+                            else:
+                                asks[key] = (params, [(k, slot)])
+                                todo.append(key)
+                    # the pool starts once more than one miss waits
+                    if len(todo) > 1 and pool is None and not serial:
+                        workers = self.resolve_workers(None, len(todo))
+                        if workers > 1 and _picklable(
+                            model_cls, [asks[key][0] for key in todo]
+                        ):
+                            pool = _start_pool(workers)
+                        serial = pool is None
+                    if pool is not None:
+                        try:
+                            while todo:
+                                key = todo[0]
+                                params, waiters = asks[key]
+                                if self.cache.get(key) is not None:  # on disk
+                                    del asks[key]
+                                    for k, slot in waiters:
+                                        answer(k, slot, params)
+                                else:
+                                    flying[pool.submit(
+                                        _solve_chunk, model_cls, [params],
+                                        self.method, self.tol, recorder.enabled,
+                                    )] = key
+                                todo.pop(0)
+                        except _POOL_DOWN:
+                            pool_down()
+                    if pool is None:  # solve what waits in-process
+                        for key in todo:
+                            params, waiters = asks.pop(key)
+                            for k, slot in waiters:
+                                answer(k, slot, params)
+                        todo.clear()
+                        continue
+                    # take back what the workers have finished
+                    done, _ = wait(flying, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        try:
+                            (rec,), payload = future.result()
+                        except _RESULT_LOST:
+                            pool_down()
+                            break
+                        key = flying.pop(future)
+                        recorder.merge(payload)
+                        recorder.add("sweep.cache.miss")
+                        _file_point(recorder, _point_stats(0, key, rec, False), time.perf_counter())
+                        self.cache.put(key, rec)
+                        params, waiters = asks.pop(key)
+                        for k, slot in waiters:
+                            answer(k, slot, params)
+            finally:
+                if pool is not None:
+                    pool.shutdown(cancel_futures=True)
+            span.set(workers=1 if serial else workers)
+        return returned
 
     # ------------------------------------------------------------------
     def _run_serial(self, model_cls, grid, misses) -> "list[SolveRecord]":
@@ -341,8 +504,9 @@ class SweepEngine:
     def _run_parallel(
         self, model_cls, grid, misses, n_workers
     ) -> "list[SolveRecord] | None":
-        """Fan the misses out over a process pool; None on failure (the
-        caller then falls back to the serial path).
+        """Fan the misses out over a process pool; None when the pool
+        cannot run them (the caller then solves them serially).  A
+        point's own exception cancels the rest and propagates.
 
         When the parent is recording, each task records into a private
         recorder and returns its drained buffer with its record; the
@@ -350,8 +514,13 @@ class SweepEngine:
         worker-side solver spans appear as its children in the export.
         """
         recorder = obs.recorder()
-        try:
-            with ProcessPoolExecutor(max_workers=min(n_workers, len(misses))) as pool:
+        if not _picklable(model_cls, [grid[i] for i in misses]):
+            return None
+        pool = _start_pool(min(n_workers, len(misses)))
+        if pool is None:
+            return None
+        with pool:
+            try:
                 futures = [
                     pool.submit(
                         _solve_chunk,
@@ -363,9 +532,15 @@ class SweepEngine:
                     )
                     for i in misses
                 ]
+            except _POOL_DOWN:
+                return None
+            try:
                 solved = [f.result() for f in futures]
-        except Exception:  # unpicklable model, no fork support, ...
-            return None
+            except _RESULT_LOST:
+                return None
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
         records = []
         for recs, payload in solved:
             recorder.merge(payload)

@@ -4,6 +4,8 @@ Oracles are full scans of the same grid, so a wrong bracket, a lost
 probe or a broken tie rule shows up as a different index.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +14,13 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.approx import TagsFixedPoint, optimise_timeout
 from repro.approx.optimizer import (
-    METRIC_SIGNS, evaluator, grid_argmin, metric_sign, strided_probes,
+    METRIC_SIGNS, evaluator, grid_argmin, grid_search, metric_sign, strided_probes,
 )
 from repro.approx.sensitivity import tuning_tolerance
 from repro.experiments import figures
 from repro.experiments.config import (
     FIG6_PARAMS,
     FIG8_LAMBDAS,
-    FIG9_PARAMS,
     FIG11_ALPHAS,
     h2_service_fig11,
 )
@@ -245,9 +246,10 @@ class TestFigureOracles:
         assert rec.counter_total("search.fallback") > 0
 
 
-class TestBatchedFirstProbes:
-    """The optimal-t figures solve every search's strided probes in one
-    sweep before searching; the searches then find them cached."""
+class TestDrivenSearches:
+    """A figure's searches run side by side through
+    ``SweepEngine.drive``: the same probes and optima as one search at a
+    time, whatever order the pool answers in."""
 
     @staticmethod
     def run(monkeypatch, workers, figure, *args):
@@ -256,6 +258,12 @@ class TestBatchedFirstProbes:
             fig = figure(*args)
         return fig, rec
 
+    @staticmethod
+    def probes(rec):
+        """``probes`` of each ``search`` span, in the order the searches
+        started (they may finish in any order)."""
+        return [s.attrs["probes"] for s in sorted(rec.find_spans("search"), key=lambda s: s.t0)]
+
     def test_figure8_parallel_equals_serial(self, monkeypatch):
         serial, rec1 = self.run(monkeypatch, 1, figures.figure8)
         parallel, rec2 = self.run(monkeypatch, 2, figures.figure8)
@@ -263,20 +271,15 @@ class TestBatchedFirstProbes:
         for label, values in serial.series.items():
             assert np.array_equal(values, parallel.series[label]), label
         assert list(parallel.series["optimal t"]) == [51, 48, 46, 42]
-        # batching adds no solve, and each search probes as many points as
-        # the unbatched search did (its strided probes are now cache hits)
+        # the pool adds no solve, and each search probes the same points
         assert rec1.counter_total("sweep.cache.miss") == rec2.counter_total("sweep.cache.miss")
         for rec in (rec1, rec2):
-            assert [s.attrs["probes"] for s in rec.find_spans("search")] == [16, 15, 15, 15]
-        (batch,) = [s for s in rec2.find_spans("sweep") if s.attrs["model"] == "TagsExponential"]
-        assert batch.attrs["solves"] == 4 * 12 and batch.attrs["workers"] == 2
+            assert self.probes(rec) == [16, 15, 15, 15]
+        (drive1,), (drive2,) = rec1.find_spans("drive"), rec2.find_spans("drive")
+        assert (drive1.attrs["workers"], drive2.attrs["workers"]) == (1, 2)
 
-    def test_figure12_after_figure11_batch_is_cached(self, monkeypatch):
-        """On a reduced Figure 5 chain (n = 3, K1 = K2 = 4): Figure 12's
-        strided probes are Figure 11's, so its sweep solves nothing and
-        starts no pool."""
-        monkeypatch.setattr(figures, "FIG9_PARAMS", dict(FIG9_PARAMS, n=3, K1=4, K2=4))
-        _, rec11 = self.run(monkeypatch, 2, figures.figure11)
+    def test_second_figure8_starts_no_pool(self, monkeypatch):
+        first, _ = self.run(monkeypatch, 2, figures.figure8)
         pools = []
 
         def no_pool(*args, **kwargs):
@@ -284,11 +287,81 @@ class TestBatchedFirstProbes:
             raise RuntimeError("no pool expected")
 
         monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", no_pool)
-        with obs.use(obs.Recorder()) as rec12:
-            figures.figure12()
-        n = len(FIG11_ALPHAS) * len(strided_probes(range(2, 80, 2)))
-        (first,) = rec11.find_spans("sweep")
-        (again,) = rec12.find_spans("sweep")
-        assert (first.attrs["solves"], first.attrs["workers"]) == (n, 2)
-        assert (again.attrs["solves"], again.attrs["cache_hits"]) == (0, n)
-        assert again.attrs["workers"] == 1 and pools == []
+        with obs.use(obs.Recorder()) as rec:
+            again = figures.figure8()
+        assert pools == [] and rec.counter_total("sweep.cache.miss") == 0
+        for label, values in first.series.items():
+            assert np.array_equal(values, again.series[label]), label
+        assert self.probes(rec) == [16, 15, 15, 15]
+
+    def test_unpicklable_model_falls_back_to_serial(self, monkeypatch):
+        """On a reduced Figure 3 chain: a local class does not pickle, so
+        the driver starts no pool and solves in-process."""
+
+        class LocalTags(TagsExponential):  # local class: not picklable
+            pass
+
+        params = [dict(FIG6_PARAMS, lam=lam, n=3, K1=4, K2=4) for lam in (5.0, 9.0)]
+        monkeypatch.setattr(engine_mod, "_DEFAULT_ENGINE", SweepEngine(workers=1))
+        want = figures._best_integer_ts(TagsExponential, params, range(2, 60), "mean_jobs")
+        pools = []
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", lambda *a, **k: pools.append(a))
+        monkeypatch.setattr(engine_mod, "_DEFAULT_ENGINE", SweepEngine(workers=2))
+        with obs.use(obs.Recorder()) as rec:
+            got = figures._best_integer_ts(LocalTags, params, range(2, 60), "mean_jobs")
+        assert got == want and pools == []
+        (drive,) = rec.find_spans("drive")
+        assert drive.attrs["workers"] == 1
+        assert rec.counter_total("sweep.cache.miss") == sum(self.probes(rec))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=60), min_size=1, max_size=5),
+        st.randoms(use_true_random=False),
+    )
+    def test_interleaved_searches_match_grid_argmin(self, sequences, rnd):
+        """Several searches at once, their probes answered one at a time
+        in random order: each returns ``grid_argmin``'s index and probes
+        the same points, none twice."""
+        searches = [grid_search(len(values)) for values in sequences]
+        asked = [[] for _ in sequences]
+        returned = [None] * len(sequences)
+        batches, out = {}, []
+
+        def resume(k, values):
+            try:
+                batch = searches[k].send(values)
+            except StopIteration as stop:
+                returned[k] = stop.value
+                return
+            batches[k] = (batch, {})
+            asked[k].extend(batch)
+            out.extend((k, i) for i in batch)
+
+        for k in range(len(searches)):
+            resume(k, None)
+        while out:
+            k, i = out.pop(rnd.randrange(len(out)))
+            batch, got = batches[k]
+            got[i] = sequences[k][i]
+            if len(got) == len(batch):
+                resume(k, [got[j] for j in batch])
+        for values, probed, (index, probes, fallback) in zip(sequences, asked, returned):
+            assert (index, sorted(probed), fallback) == search(values)
+            assert probes == len(probed) == len(set(probed))
+
+    def test_recorded_figure8_trace_is_honest(self, monkeypatch):
+        """The searches overlap inside one ``drive`` span, so root spans
+        stay disjoint and the trace's wall time is the program's."""
+        monkeypatch.setattr(engine_mod, "_DEFAULT_ENGINE", SweepEngine(workers=2))
+        t0 = time.perf_counter()
+        with obs.use(obs.Recorder()) as rec:
+            figures.figure8()
+        elapsed = time.perf_counter() - t0
+        roots = sorted((s.t0, s.end) for s in rec.spans if s.parent_id is None)
+        assert all(later[0] >= earlier[1] for earlier, later in zip(roots, roots[1:]))
+        assert rec.wall_time() <= elapsed
+        assert len(rec.find_spans("search")) == 4
+        (drive,) = rec.find_spans("drive")
+        assert {s.parent_id for s in rec.find_spans("search")} == {drive.span_id}
+        assert {s.parent_id for s in rec.find_spans("steady_state")} >= {drive.span_id}

@@ -6,6 +6,7 @@ exactly how many times a steady-state solve was triggered, which is how
 the cache tests assert "solver not re-invoked".
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,3 +53,41 @@ class CountingMM1K:
             throughput=throughput,
             offered_load=self.lam,
         )
+
+
+@dataclass
+class FailingPoint:
+    """A closed-form model whose point ``x == fail_at`` raises when built.
+
+    ``constructed`` counts the constructions made in this process: pool
+    workers count in their own copies, so a parallel sweep leaves the
+    parent's count at 0.
+    """
+
+    x: float
+    fail_at: float = 3.0
+
+    constructed = 0  # class-level counter, incremented per construction
+
+    def __post_init__(self):
+        type(self).constructed += 1
+        if self.x == self.fail_at:
+            raise ValueError(f"point {self.x} fails")
+
+    def metrics(self):
+        return from_population_and_throughput(
+            mean_jobs_per_node=(self.x,), throughput=1.0, offered_load=1.0
+        )
+
+
+_PARENT_PID = os.getpid()  # the process that imported this module
+
+
+class DiesInWorker(FailingPoint):
+    """A :class:`FailingPoint` whose construction kills any other process
+    (a forked pool worker) on the spot, so a pool running it breaks."""
+
+    def __post_init__(self):
+        if os.getpid() != _PARENT_PID:
+            os._exit(1)
+        super().__post_init__()

@@ -5,11 +5,12 @@ guarantee."""
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.models import TagsExponential
 from repro.sweep import SolveCache, SweepEngine, default_engine
 from repro.sweep.engine import WORKERS_ENV_VAR
 
-from tests.sweep._counting_model import CountingMM1K
+from tests.sweep._counting_model import CountingMM1K, DiesInWorker, FailingPoint
 
 # a small Figure 6 system (reduced buffers) so chains stay a few hundred
 # states and the suite stays fast; same structure as the paper's sweep
@@ -111,6 +112,62 @@ class TestParallelFallback:
         )
         assert res.workers == 1  # fell back
         assert res.n_points == 3
+
+    @pytest.mark.parametrize("workers, built", [(2, 0), (1, 4)])
+    def test_failing_point_raises_after_one_solve(self, monkeypatch, workers, built):
+        """A point's own exception is not a pool failure: the parallel
+        sweep raises it without re-solving the grid in the parent (which
+        builds no model), the serial one after building points 0-3."""
+        monkeypatch.setattr(FailingPoint, "constructed", 0)
+        grid = [dict(x=float(x)) for x in range(6)]
+        with pytest.raises(ValueError, match="point 3.0 fails"):
+            SweepEngine(workers=workers, cache=False).sweep(FailingPoint, grid)
+        assert FailingPoint.constructed == built
+
+    @pytest.mark.parametrize("workers, built", [(2, 0), (1, 4)])
+    def test_failing_point_raises_from_drive(self, monkeypatch, workers, built):
+        """The search driver follows the same rule."""
+        monkeypatch.setattr(FailingPoint, "constructed", 0)
+
+        def asks():
+            yield [dict(x=float(x)) for x in range(6)]
+
+        with pytest.raises(ValueError, match="point 3.0 fails"):
+            SweepEngine(workers=workers).drive(FailingPoint, [asks()])
+        assert FailingPoint.constructed == built
+
+    def test_broken_pool_falls_back_to_serial(self):
+        """A worker that dies breaks the pool, not the sweep: the points
+        are solved in-process instead."""
+        grid = [dict(x=float(x), fail_at=-1.0) for x in range(3)]
+        res = SweepEngine(workers=2, cache=False).sweep(DiesInWorker, grid)
+        assert res.workers == 1 and res.values("mean_jobs") == [0.0, 1.0, 2.0]
+
+        def asks():
+            return (yield grid)
+
+        with obs.use(obs.Recorder()) as rec:
+            (metrics,) = SweepEngine(workers=2).drive(DiesInWorker, [asks()])
+        assert [m.mean_jobs for m in metrics] == [0.0, 1.0, 2.0]
+        assert rec.find_spans("drive")[0].attrs["workers"] == 1
+        assert rec.counter_total("sweep.cache.miss") == len(grid)
+
+    def test_drive_answers_disk_records_in_process(self, tmp_path):
+        """A record on the disk layer is a cache hit: it never reaches a
+        worker, so the driver counts no miss."""
+        grid = [dict(x=float(x), fail_at=-1.0) for x in range(4)]
+        SweepEngine(workers=1, cache=SolveCache(disk_dir=tmp_path)).sweep(FailingPoint, grid)
+
+        def asks():
+            return (yield grid)
+
+        with obs.use(obs.Recorder()) as rec:
+            (metrics,) = SweepEngine(workers=2, cache=SolveCache(disk_dir=tmp_path)).drive(
+                FailingPoint, [asks()]
+            )
+        assert [m.mean_jobs for m in metrics] == [0.0, 1.0, 2.0, 3.0]
+        assert rec.counter_total("sweep.cache.miss") == 0
+        assert rec.counter_total("sweep.cache.hit") == len(grid)
 
     def test_parallel_results_enter_parent_cache(self):
         eng = SweepEngine(workers=2)
