@@ -9,6 +9,11 @@ the rate column and fills the kept CSR generator pattern per point.
 Gate: the compiled sweep must be at least 2x faster end-to-end (both
 sides include the linear solve, which is the shared floor) while
 producing the same metrics.
+
+The cold-build benchmarks time what every structure-cache miss pays
+(compile, explore, first generator) on the 15 buffer/phase shapes of
+the structure scan and on the Figure 5 chain; they record the trend and
+gate nothing.
 """
 
 import time
@@ -16,13 +21,14 @@ import time
 import numpy as np
 
 from repro.ctmc import action_throughput, steady_state
-from repro.models import TagsPepa, build_tags_model
+from repro.models import TagsHyperExponential, TagsPepa, build_tags_model
 from repro.models.tags_pepa import TagsParameters
 from repro.pepa import explore_interpreter, to_generator
 from repro.pepa.compiled import compile_model
 from repro.sweep import structure_cache
 
 LAMS = np.linspace(2.0, 9.5, 16)
+SCAN_SHAPES = [(K, n) for K in (2, 4, 6, 8, 10) for n in (2, 4, 6)]
 
 
 # flattened local names of a Figure 3 state: Q1_i, Timer1_k, Q2*_j, Timer2_k
@@ -68,6 +74,36 @@ def test_compile_and_first_explore(once):
         f"{cs.n_transitions} transitions"
     )
     assert cs.n_states == 4331
+
+
+def _cold_builds(models):
+    """Compile, explore and assemble the first generator of each model;
+    returns the wall time and the generators."""
+    t0 = time.perf_counter()
+    gens = [compile_model(m).explore().generator() for m in models]
+    return time.perf_counter() - t0, gens
+
+
+def test_cold_build_structure_scan(once):
+    """Cold structure builds of the 15 structure-scan shapes."""
+    models = [
+        build_tags_model(TagsParameters(lam=5.0, mu=10.0, t=51.0, n=n, K1=K, K2=K))
+        for K, n in SCAN_SHAPES
+    ]
+    elapsed, gens = once(_cold_builds, models)
+    print()
+    print(f"P1: cold builds of the 15 structure-scan shapes {elapsed * 1e3:.1f} ms")
+    assert [g.n_states for g in gens] == [
+        (K * n + 1) * (K * (n + 1) + 1) for K, n in SCAN_SHAPES
+    ]
+
+
+def test_cold_build_figure5(once):
+    """Cold structure build of the Figure 5 chain (n = 6, K1 = K2 = 10)."""
+    elapsed, (gen,) = once(_cold_builds, [TagsHyperExponential().build()])
+    print()
+    print(f"P1: cold build of the Figure 5 chain {elapsed * 1e3:.1f} ms")
+    assert gen.n_states == 9801
 
 
 def test_sweep_speedup_compiled_vs_interpreter(once):

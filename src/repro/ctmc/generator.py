@@ -31,16 +31,40 @@ __all__ = ["Generator", "GeneratorPattern", "TransitionBatch", "assemble_generat
 
 
 def stable_groups(idx: np.ndarray, *keys: np.ndarray):
-    """Sort transitions ``idx`` stably by ``keys`` (most significant
-    first); return them with each one's group id (equal keys share one)
-    and the first transition of every group."""
-    order = idx[np.lexsort(tuple(k[idx] for k in reversed(keys)))]
+    """Sort transitions ``idx`` stably by the integer ``keys`` (most
+    significant first); return them with each one's group id (equal keys
+    share one) and the first transition of every group."""
+    cols = [k[idx] for k in keys]
+    packed = _packed(cols)
+    if packed is None:
+        perm = np.lexsort(cols[::-1])
+        sorted_cols = [c[perm] for c in cols]
+    else:
+        perm = np.argsort(packed, kind="stable")
+        sorted_cols = [packed[perm]]
+    order = idx[perm]
     new = np.zeros(order.size, dtype=bool)
     new[:1] = True
-    for k in keys:
-        ks = k[order]
+    for ks in sorted_cols:
         new[1:] |= ks[1:] != ks[:-1]
     return order, np.cumsum(new) - 1, order[new]
+
+
+def _packed(cols: list) -> "np.ndarray | None":
+    """Integer columns as one ``int64`` key of the same lexicographic
+    order (one stable sort instead of one per column), or ``None`` when
+    their value ranges multiply past ``int64``."""
+    bounds = [(int(c.min()), int(c.max())) for c in cols] if cols[0].size else []
+    span = 1
+    for lo, hi in bounds:
+        span *= hi - lo + 1
+    if span >= 2**63:
+        return None
+    packed = np.zeros(cols[0].size, dtype=np.int64)
+    for c, (lo, hi) in zip(cols, bounds):
+        packed *= hi - lo + 1
+        packed += c - lo
+    return packed
 
 
 def _indptr(rows: np.ndarray, n: int, dtype) -> np.ndarray:
@@ -123,7 +147,7 @@ class GeneratorPattern:
             name: sp.csr_matrix((vals[lo:hi], cols.copy(), ptr.copy()), shape=(n, n))
             for name, lo, hi, cols, ptr in self._actions
         }
-        return Generator(Q, action_rates=action_rates, validate=False)
+        return Generator._adopt(Q, action_rates)
 
 
 def assemble_generator(n, src, dst, rate, act: Sequence) -> "Generator":
@@ -237,6 +261,15 @@ class Generator:
             a: sp.csr_matrix(m, dtype=np.float64)
             for a, m in (action_rates or {}).items()
         }
+
+    @classmethod
+    def _adopt(cls, Q: sp.csr_matrix, action_rates: dict) -> "Generator":
+        """Wrap CSR float64 matrices as they are: no copy, no checks (for
+        :meth:`GeneratorPattern.fill`, which builds them that way)."""
+        g = cls.__new__(cls)
+        g.Q = Q
+        g.action_rates = action_rates
+        return g
 
     # ------------------------------------------------------------------
     # construction helpers

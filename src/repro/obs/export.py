@@ -124,23 +124,25 @@ def format_summary(rec: Recorder) -> str:
         f"wall {rec.wall_time():.3f} s, span coverage {rec.coverage():.1%}"
     ]
 
+    # "total s" sums durations; "wall s" is the length of the union of
+    # the name's intervals, which concurrent spans cannot push past the run
     by_name: dict = {}
     for s in rec.spans:
-        agg = by_name.setdefault(s.name, [0, 0.0, 0.0])
-        agg[0] += 1
-        agg[1] += s.duration
-        agg[2] = max(agg[2], s.duration)
+        by_name.setdefault(s.name, []).append((s.t0, s.t0 + s.duration))
     if by_name:
-        rows = [
-            [name, n, total, total / n, mx]
-            for name, (n, total, mx) in sorted(
-                by_name.items(), key=lambda kv: -kv[1][1]
+        rows = []
+        for name, spans in by_name.items():
+            durations = [t1 - t0 for t0, t1 in spans]
+            total = sum(durations)
+            rows.append(
+                [name, len(spans), total, _union_length(spans),
+                 total / len(spans), max(durations)]
             )
-        ]
+        rows.sort(key=lambda row: -row[2])
         lines += [
             "",
             render_table(
-                ["span", "count", "total s", "mean s", "max s"], rows
+                ["span", "count", "total s", "wall s", "mean s", "max s"], rows
             ),
         ]
 
@@ -176,6 +178,16 @@ def format_summary(rec: Recorder) -> str:
             render_table(["trace", "points", "last step", "last value"], rows),
         ]
     return "\n".join(lines)
+
+
+def _union_length(intervals) -> float:
+    """Length of the union of ``(t0, t1)`` intervals."""
+    length, reach = 0.0, float("-inf")
+    for t0, t1 in sorted(intervals):
+        if t1 > reach:
+            length += t1 - max(t0, reach)
+            reach = t1
+    return length
 
 
 def _key_label(name: str, attrs: tuple) -> str:

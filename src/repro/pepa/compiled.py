@@ -21,12 +21,14 @@ cross-product table of participating leaf moves with
   treatment of the active/passive synchronisation).
 
 **Exploration** (:meth:`CompiledModel.explore`) packs global states into
-an ``int64`` array and runs a level-synchronous BFS: per level, each
-rule is matched against the whole frontier with ``searchsorted`` over
-its sorted key table, successors come from adding code deltas, and the
-frontier is deduplicated with ``np.unique`` -- no AST objects are
-touched until :meth:`CompiledSpace.statespace` reconstructs the
-expressions for presentation.
+an ``int64`` array and runs a level-synchronous BFS: per level, one pass
+matches every rule against the whole frontier (one matrix product gives
+each rule's key for each state, one ``searchsorted`` over the rules'
+joined key tables finds the enabled rows), successors come from adding
+code deltas, and the fresh ones are merged into a sorted index of the
+known codes -- no AST objects are touched until
+:meth:`CompiledSpace.statespace` reconstructs the expressions for
+presentation.
 
 The supported fragment is exactly what the apparent-rate algebra keeps
 *factorable*: every synchronised action must pair one active side with a
@@ -109,15 +111,23 @@ def _flat_names(comp) -> tuple:
 
 
 class _LeafAction:
-    """Aggregated local transitions of one action within one leaf."""
+    """Aggregated local transitions of one action within one leaf.
 
-    __slots__ = ("src", "dst", "val", "passive")
+    ``raw`` keeps the enumerated ``(src, dst)`` lists and ``order`` /
+    ``group`` how they aggregate, so a refill that enumerates the same
+    lists sums its new rates without sorting again.
+    """
 
-    def __init__(self, src, dst, val, passive) -> None:
+    __slots__ = ("src", "dst", "val", "passive", "raw", "order", "group")
+
+    def __init__(self, src, dst, val, passive, raw, order, group) -> None:
         self.src = src
         self.dst = dst
         self.val = val
         self.passive = passive
+        self.raw = raw
+        self.order = order
+        self.group = group
 
 
 class _Leaf:
@@ -134,9 +144,16 @@ class _Leaf:
         self.n = len(states)
 
 
-def _leaf_table(comp, ctx: TransitionContext) -> _Leaf:
+def _leaf_table(
+    comp, ctx: TransitionContext, template: "_Leaf | None" = None
+) -> _Leaf:
     """Explore a sequential component in isolation (BFS over its local
-    derivatives) and aggregate multi-transitions per (src, dst)."""
+    derivatives) and aggregate multi-transitions per (src, dst).
+
+    With a ``template`` leaf, an action whose enumerated (src, dst)
+    lists match the template's reuses its aggregation, and equal local
+    states reuse its names.
+    """
     index = {comp: 0}
     states = [comp]
     raw: dict = {}  # action -> ([src], [dst], [val], passive)
@@ -161,19 +178,29 @@ def _leaf_table(comp, ctx: TransitionContext) -> _Leaf:
             ent[0].append(index[s])
             ent[1].append(j)
             ent[2].append(rate.value)
+    old = template.mats if template is not None else {}
     mats = {}
     for action, (src, dst, val, passive) in raw.items():
-        src_a = np.asarray(src, dtype=np.int64)
-        dst_a = np.asarray(dst, dtype=np.int64)
-        # aggregate duplicate (src, dst) pairs: PEPA's multiset semantics
-        # sums them (in enumeration order, as the interpreter does), and
-        # a single entry per pair keeps the cross-product tables minimal
-        order, group, first = stable_groups(np.arange(src_a.size), src_a, dst_a)
+        ref = old.get(action)
+        if ref is not None and ref.raw == (src, dst):
+            order, group, src_a, dst_a = ref.order, ref.group, ref.src, ref.dst
+        else:
+            src_a = np.asarray(src, dtype=np.int64)
+            dst_a = np.asarray(dst, dtype=np.int64)
+            # aggregate duplicate (src, dst) pairs: PEPA's multiset
+            # semantics sums them (in enumeration order, as the
+            # interpreter does), and a single entry per pair keeps the
+            # cross-product tables minimal
+            order, group, first = stable_groups(np.arange(src_a.size), src_a, dst_a)
+            src_a, dst_a = src_a[first], dst_a[first]
         val_a = np.asarray(val, dtype=np.float64)[order]
         mats[action] = _LeafAction(
-            src_a[first], dst_a[first], np.bincount(group, val_a), passive
+            src_a, dst_a, np.bincount(group, val_a), passive, (src, dst), order, group
         )
-    names = [_flat_names(s) for s in states]
+    if template is not None and template.states == states:
+        names = template.names
+    else:
+        names = [_flat_names(s) for s in states]
     return _Leaf(comp, states, names, mats)
 
 
@@ -317,11 +344,14 @@ def _match_skeleton(comp, skeleton, out: list) -> None:
 
 
 class _Rule:
-    """One transition family, ready for vectorized matching.
+    """One transition family: the cross-product table of its factors.
 
     ``idx`` holds, per table row and per factor, the row index into the
-    factor's leaf-action entry arrays; everything else is precomputed
-    from it.  Rate values live *outside* the rule (recomputed on refill).
+    factor's leaf-action entry arrays; ``key`` packs each row's source
+    local states in the rule-local mixed radix ``strides`` over the
+    participating leaves ``leaf_cols`` (``key_space`` codes in all), and
+    ``delta`` is the row's packed-code change.  Rate values live
+    *outside* the rule (recomputed on refill).
     """
 
     __slots__ = (
@@ -329,14 +359,11 @@ class _Rule:
         "factors",
         "leaf_cols",
         "strides",
+        "key_space",
         "idx",
+        "key",
         "delta",
         "n_rows",
-        "offset",
-        "key_unique",
-        "row_start",
-        "row_count",
-        "rows_sorted",
     )
 
     def __init__(self, action, term: _Term, leaves, mult) -> None:
@@ -353,57 +380,100 @@ class _Rule:
                 "rows; model too entangled for the compiled engine"
             )
         self.n_rows = n_rows
-        self.offset = 0  # set by CompiledModel
-        grids = np.meshgrid(
-            *(np.arange(s, dtype=np.int64) for s in sizes), indexing="ij"
-        )
-        self.idx = np.stack([g.ravel() for g in grids], axis=1)
+        # row-major cross product, last factor fastest (a meshgrid would
+        # cap the factor count at numpy's 32 dimensions)
+        flat = np.arange(n_rows, dtype=np.int64)
+        self.idx = np.empty((n_rows, len(sizes)), dtype=np.int64)
+        step = 1
+        for k in reversed(range(len(sizes))):
+            self.idx[:, k] = flat // step % sizes[k]
+            step *= sizes[k]
         leaf_ids = [leaf for leaf, _, _ in term.factors]
         self.leaf_cols = np.asarray(leaf_ids, dtype=np.intp)
-        # rule-local mixed-radix strides over the participating leaves
         strides = np.empty(len(leaf_ids), dtype=np.int64)
         acc = 1
         for k in reversed(range(len(leaf_ids))):
             strides[k] = acc
             acc *= leaves[leaf_ids[k]].n
         self.strides = strides
+        self.key_space = acc
         key = np.zeros(n_rows, dtype=np.int64)
         delta = np.zeros(n_rows, dtype=np.int64)
         for k, m in enumerate(mats):
             rows = self.idx[:, k]
             key += m.src[rows] * strides[k]
             delta += (m.dst[rows] - m.src[rows]) * mult[leaf_ids[k]]
+        self.key = key
         self.delta = delta
-        order = np.argsort(key, kind="stable")
-        key_sorted = key[order]
-        self.rows_sorted = order
-        self.key_unique, counts = np.unique(key_sorted, return_counts=True)
-        self.row_count = counts
-        self.row_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
+
+
+class _RuleTable:
+    """A list of rules matched against a frontier in one pass.
+
+    The rules' strides form one rules x leaves matrix (zero off each
+    rule's own leaves) and their key tables one sorted array, each rule's
+    keys shifted by the key spaces of the rules before it.  A frontier's
+    keys are then one matrix product and its enabled rows one
+    ``searchsorted``.  Table rows are numbered across the rules in list
+    order (rule ``r``'s rows start at ``offsets[r]``).
+    """
+
+    def __init__(self, rules: list, n_leaves: int) -> None:
+        space = sum(rule.key_space for rule in rules)  # exact Python int
+        if space >= _MAX_CODE:
+            raise CompileError(
+                f"rule key tables span {space} codes; they overflow the "
+                "packed int64 encoding"
+            )
+        self.strides = np.zeros((len(rules), n_leaves), dtype=np.int64)
+        for r, rule in enumerate(rules):
+            self.strides[r, rule.leaf_cols] = rule.strides
+        spaces = np.array([rule.key_space for rule in rules], dtype=np.int64)
+        key_off = np.cumsum(spaces) - spaces
+        self.key_off = key_off[:, None]
+        sizes = np.array([rule.n_rows for rule in rules], dtype=np.int64)
+        self.offsets = np.cumsum(sizes) - sizes
+        self.n_rows = int(sizes.sum())
+        keys = np.concatenate(
+            [rule.key + off for rule, off in zip(rules, key_off)]
+            or [np.empty(0, dtype=np.int64)]
+        )
+        # stable: within one key, rows keep their table order
+        self.rows_sorted = np.argsort(keys, kind="stable")
+        self.key_unique, self.row_start, self.row_count = np.unique(
+            keys[self.rows_sorted], return_index=True, return_counts=True
+        )
 
     def match(self, locals_: np.ndarray):
-        """Match the rule against a frontier's local-state matrix.
+        """Match every rule against a frontier's local-state matrix.
 
         Returns ``(frontier_rows, table_rows)``: parallel arrays with one
-        entry per (state, enabled table row) pair.
+        entry per (state, enabled table row) pair, rule by rule, then in
+        frontier order, then in table order.
         """
-        keys = locals_[:, self.leaf_cols] @ self.strides
+        n = locals_.shape[0]
+        empty = np.empty(0, dtype=np.int64)
+        if not self.key_unique.size:
+            return empty, empty
+        # rules x frontier, flattened rule-major: the output order
+        keys = (self.strides @ locals_.T + self.key_off).ravel()
         pos = np.searchsorted(self.key_unique, keys)
-        pos_c = np.minimum(pos, self.key_unique.size - 1)
-        ok = self.key_unique[pos_c] == keys
-        fi = np.flatnonzero(ok)
-        if fi.size == 0:
-            return fi, fi
-        counts = self.row_count[pos[fi]]
-        starts = self.row_start[pos[fi]]
+        np.minimum(pos, self.key_unique.size - 1, out=pos)
+        hit = np.flatnonzero(self.key_unique[pos] == keys)
+        if not hit.size:
+            return empty, empty
+        pos = pos[hit]
+        fi = hit % n
+        starts = self.row_start[pos]
+        counts = self.row_count[pos]
         total = int(counts.sum())
-        rep_fi = np.repeat(fi, counts)
-        base = np.repeat(starts, counts)
-        offs = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        rows = self.rows_sorted[base + offs]
-        return rep_fi, rows
+        if total == hit.size:  # every matched key enables a single row
+            return fi, self.rows_sorted[starts]
+        ends = np.cumsum(counts)
+        offs = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+        return np.repeat(fi, counts), self.rows_sorted[
+            np.repeat(starts, counts) + offs
+        ]
 
 
 def _rule_values(rule: _Rule, leaves, norm_cache: dict) -> np.ndarray:
@@ -472,17 +542,22 @@ class CompiledModel:
                 for term in table[action]:
                     rule = _Rule(action, term, self.leaves, mult)
                     (self.poison if term.passive else self.rules).append(rule)
-            offset = 0
-            for rule in self.rules:
-                rule.offset = offset
-                offset += rule.n_rows
-            self.n_table_rows = offset
+            self._table = _RuleTable(self.rules, L)
+            self._poison = _RuleTable(self.poison, L)
+            self.n_table_rows = self._table.n_rows
             # canonical action ordering (independent of rule order)
             names = sorted({r.action for r in self.rules})
             self.action_names = names
             name_rank = {a: i for i, a in enumerate(names)}
             self.rule_action = np.array(
                 [name_rank[r.action] for r in self.rules], dtype=np.int64
+            )
+            # per table row: packed-code change and action code
+            self._row_delta = np.concatenate(
+                [r.delta for r in self.rules] or [np.empty(0, dtype=np.int64)]
+            )
+            self._row_act = np.repeat(
+                self.rule_action, [r.n_rows for r in self.rules]
             )
             sp.set(
                 leaves=L,
@@ -508,6 +583,11 @@ class CompiledModel:
         and per leaf the same local derivative graph (state counts,
         actions, (src, dst) arrays and active/passive kinds).  Raises
         :class:`TemplateMismatch` otherwise.
+
+        Each leaf is derived against the one it replaces: an action
+        whose enumerated (src, dst) lists are unchanged keeps its
+        aggregation order and groups, and unchanged local states keep
+        their names, so a rate-only refill sorts nothing.
         """
         exprs: list = []
         _match_skeleton(model.system, self.skeleton, exprs)
@@ -516,16 +596,17 @@ class CompiledModel:
         ctx = TransitionContext(model)
         new_leaves = []
         for old, comp in zip(self.leaves, exprs):
-            new = _leaf_table(comp, ctx)
+            new = _leaf_table(comp, ctx, old)
             if new.n != old.n or set(new.mats) != set(old.mats):
                 raise TemplateMismatch("local derivative graph differs")
             for action, mat in new.mats.items():
                 ref = old.mats[action]
-                if (
-                    mat.passive != ref.passive
-                    or mat.src.size != ref.src.size
-                    or not np.array_equal(mat.src, ref.src)
-                    or not np.array_equal(mat.dst, ref.dst)
+                if mat.passive != ref.passive or (
+                    mat.src is not ref.src  # else it reused ref's aggregation
+                    and not (
+                        np.array_equal(mat.src, ref.src)
+                        and np.array_equal(mat.dst, ref.dst)
+                    )
                 ):
                     raise TemplateMismatch(
                         f"local transitions of action {action!r} differ"
@@ -548,53 +629,53 @@ class CompiledModel:
         return space
 
     def _explore(self, max_states: int, rec) -> "CompiledSpace":
+        """The BFS behind :meth:`explore`.
+
+        Per level, one :class:`_RuleTable` pass matches every rule
+        against the frontier (the poison rules' table first); matches
+        come out rule by rule, then in frontier order, so the match
+        sequence -- and with it the state numbering (BFS level, then
+        packed code), the transition order and every float sum -- is
+        fixed by the model alone.  New codes are merged into one sorted
+        index of every known code, which tells fresh successors apart.
+        """
         rec_on = rec.enabled
         level_codes = [np.zeros(1, dtype=np.int64)]  # all leaves start at 0
-        sorted_codes = level_codes[0]
-        sorted_ids = np.zeros(1, dtype=np.int64)
+        known = level_codes[0]  # every code found so far, sorted
         n_total = 1
+        level_start = 0  # state id of the frontier's first code
         frontier = level_codes[0]
         frontier_sizes: list = []
         m_src: list = []
         m_succ: list = []
-        m_rule: list = []
         m_row: list = []
         while frontier.size:
             frontier_sizes.append((len(frontier_sizes), int(frontier.size)))
             if rec_on:
                 rec.gauge("pepa.frontier", frontier.size)
-            locals_ = (frontier[:, None] // self.mult[None, :]) % self.radices[
-                None, :
-            ]
-            for prule in self.poison:
-                fi, _rows = prule.match(locals_)
-                if fi.size:
-                    state = self._describe(frontier[int(fi[0])])
-                    raise PassiveRateError(
-                        f"passive rate for action {prule.action!r} reachable "
-                        f"at the top level in state {state}; the model is "
-                        "incomplete (a 'T' rate never synchronised with an "
-                        "active partner)"
-                    )
-            succ_parts: list = []
-            for ri, rule in enumerate(self.rules):
-                fi, rows = rule.match(locals_)
-                if fi.size == 0:
-                    continue
-                src_c = frontier[fi]
-                succ_c = src_c + rule.delta[rows]
-                m_src.append(src_c)
-                m_succ.append(succ_c)
-                m_rule.append(np.full(rows.size, ri, dtype=np.int64))
-                m_row.append(rows + rule.offset)
-                succ_parts.append(succ_c)
-            if not succ_parts:
+            locals_ = self.decode(frontier)
+            fi, rows = self._poison.match(locals_)
+            if fi.size:
+                # the first match is the first enabled poison rule's
+                r = int(np.searchsorted(self._poison.offsets, rows[0], "right"))
+                state = self._describe(frontier[int(fi[0])])
+                raise PassiveRateError(
+                    f"passive rate for action {self.poison[r - 1].action!r} "
+                    f"reachable at the top level in state {state}; the "
+                    "model is incomplete (a 'T' rate never synchronised "
+                    "with an active partner)"
+                )
+            fi, rows = self._table.match(locals_)
+            if not fi.size:
                 break
-            cand = np.unique(np.concatenate(succ_parts))
-            pos = np.minimum(
-                np.searchsorted(sorted_codes, cand), sorted_codes.size - 1
-            )
-            new_codes = cand[sorted_codes[pos] != cand]
+            succ = frontier[fi] + self._row_delta[rows]
+            m_src.append(fi + level_start)
+            m_succ.append(succ)
+            m_row.append(rows)
+            cand = np.unique(succ)
+            pos = np.searchsorted(known, cand)
+            fresh = known[np.minimum(pos, known.size - 1)] != cand
+            new_codes = cand[fresh]
             if not new_codes.size:
                 break
             if n_total + new_codes.size > max_states:
@@ -602,22 +683,27 @@ class CompiledModel:
                     f"state space exceeded max_states={max_states}"
                 )
             level_codes.append(new_codes)
+            # merge: new code k lands after the pos[k] old codes below it
+            # and the k new codes before it
+            at = pos[fresh] + np.arange(new_codes.size)
+            keep = np.ones(known.size + new_codes.size, dtype=bool)
+            keep[at] = False
+            merged = np.empty(keep.size, dtype=np.int64)
+            merged[at] = new_codes
+            merged[keep] = known
+            known = merged
+            level_start = n_total
             n_total += new_codes.size
-            all_codes = np.concatenate(level_codes)
-            order = np.argsort(all_codes, kind="stable")
-            sorted_codes = all_codes[order]
-            sorted_ids = order
             frontier = new_codes
 
         codes = np.concatenate(level_codes)
         if m_src:
-            src_codes = np.concatenate(m_src)
-            succ_codes = np.concatenate(m_succ)
-            rule_ids = np.concatenate(m_rule)
+            src_ids = np.concatenate(m_src)
             table_rows = np.concatenate(m_row)
-            src_ids = sorted_ids[np.searchsorted(sorted_codes, src_codes)]
-            dst_ids = sorted_ids[np.searchsorted(sorted_codes, succ_codes)]
-            act = self.rule_action[rule_ids]
+            dst_ids = np.argsort(codes)[
+                np.searchsorted(known, np.concatenate(m_succ))
+            ]
+            act = self._row_act[table_rows]
             # canonical transition order: (src, action, dst); stable, so
             # equal-key match rows keep their deterministic BFS order and
             # the float aggregation in CompiledSpace._fill is reproducible

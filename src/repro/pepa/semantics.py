@@ -85,7 +85,7 @@ class TransitionContext:
             return ((comp.activity.action, comp.activity.rate, comp.continuation),)
 
         if isinstance(comp, Choice):
-            return self._derive_sub(comp.left) + self._derive_sub(comp.right)
+            return self._derive_choice(comp)
 
         if isinstance(comp, Constant):
             if comp.name in unfolding:
@@ -107,6 +107,26 @@ class TransitionContext:
             return self._derive_cooperation(comp)
 
         raise TypeError(f"not a PEPA component: {comp!r}")
+
+    def _derive_choice(self, comp: Choice) -> tuple:
+        """The branches' transitions, left to right.
+
+        A choice chain is walked with an explicit stack, and only its
+        ``Constant`` branches go through the memo (their keys hash a
+        name): memoising every nested ``Choice`` by value would hash
+        each left-nested chain from scratch, quadratic in its length.
+        """
+        out: list = []
+        stack = [comp]
+        while stack:
+            c = stack.pop()
+            if isinstance(c, Choice):
+                stack += (c.right, c.left)
+            elif isinstance(c, Constant):
+                out += self.transitions(c)
+            else:  # a new guardedness scope, as for any sub-derivation
+                out += self._derive(c, ())
+        return tuple(out)
 
     def _derive_sub(self, comp) -> tuple:
         """Memoised recursion (fresh unfolding stack: a sub-derivation is a

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ctmc import Generator, GeneratorPattern, assemble_generator
-from repro.ctmc.generator import TransitionBatch
+from repro.ctmc.generator import TransitionBatch, stable_groups
 
 
 def two_state_Q(a=2.0, b=3.0):
@@ -230,6 +230,53 @@ class TestOneAssembler:
     def test_unlabelled_transitions_skip_action_matrices(self):
         g = assemble_generator(2, [0, 1], [1, 0], [1.0, 2.0], [None, "back"])
         assert list(g.action_rates) == ["back"]
+
+
+class TestStableGroups:
+    """``stable_groups`` against a plain ``np.lexsort`` grouping, on keys
+    it packs into one sort and on keys whose ranges it cannot pack."""
+
+    @staticmethod
+    def lexsort_groups(idx, *keys):
+        order = idx[np.lexsort(tuple(k[idx] for k in reversed(keys)))]
+        new = np.zeros(order.size, dtype=bool)
+        new[:1] = True
+        for k in keys:
+            ks = k[order]
+            new[1:] |= ks[1:] != ks[:-1]
+        return order, np.cumsum(new) - 1, order[new]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=60),
+        st.sampled_from([(0, 3), (-5, 5), (0, 2**40), (-(2**62), 2**62)]),
+        st.data(),
+    )
+    def test_matches_lexsort(self, n_keys, size, bounds, data):
+        lo, hi = bounds
+        keys = [
+            np.array(
+                data.draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)),
+                dtype=np.int64,
+            )
+            for _ in range(n_keys)
+        ]
+        idx = np.array(
+            data.draw(st.permutations(range(size)))[: data.draw(st.integers(0, size))],
+            dtype=np.int64,
+        )
+        got = stable_groups(idx, *keys)
+        want = self.lexsort_groups(idx, *keys)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_ranges_past_int64_fall_back(self):
+        big = np.array([2**62, 0, 2**62, 0], dtype=np.int64)
+        small = np.array([1, 1, 0, 0], dtype=np.int64)
+        order, group, first = stable_groups(np.arange(4), big, small, big)
+        assert order.tolist() == [3, 1, 2, 0]
+        assert group.tolist() == [0, 1, 2, 3]
 
 
 class TestAssemblerInputs:

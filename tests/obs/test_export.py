@@ -95,6 +95,21 @@ class TestFormatSummary:
         text = obs.format_summary(recorded())
         assert "span coverage" in text and "%" in text
 
+    def test_wall_column_is_the_union_of_overlapping_spans(self):
+        rec = Recorder()
+        t = rec.t_origin
+        rec.record_span("search", t, 2.0)
+        rec.record_span("search", t + 1.0, 2.0)  # overlaps the first
+        rec.record_span("search", t + 5.0, 0.5)  # disjoint
+        rec.record_span("solve", t + 1.5, 0.25)  # nested in both searches
+        rows = {}
+        for line in obs.format_summary(rec).splitlines():
+            if line.split()[:1] in (["span"], ["search"], ["solve"]):
+                rows[line.split()[0]] = line.split()[1:]
+        assert rows["span"] == "count total s wall s mean s max s".split()
+        assert rows["search"] == ["3", "4.5000", "3.5000", "1.5000", "2.0000"]
+        assert rows["solve"] == ["1", "0.2500", "0.2500", "0.2500", "0.2500"]
+
     def test_empty_recorder_is_one_line(self):
         text = obs.format_summary(Recorder())
         assert text.startswith("obs summary: 0 spans")

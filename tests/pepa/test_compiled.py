@@ -122,6 +122,21 @@ def assert_equivalent(model, *, rate_rtol=None):
     return si, sc, order_i, order_c
 
 
+def _digests(gen) -> dict:
+    """sha256 of the CSR arrays of ``Q`` and of every action matrix."""
+    import hashlib
+
+    def digest(m):
+        h = hashlib.sha256()
+        for arr in (m.data, m.indices, m.indptr):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        return h.hexdigest()
+
+    out = {a: digest(m) for a, m in gen.action_rates.items()}
+    out[None] = digest(gen.Q)
+    return out
+
+
 BUILDERS = {
     "figure3": lambda: build_tags_model(TagsParameters(n=3, K1=4, K2=4)),
     "figure3_tick": lambda: build_tags_model(
@@ -243,6 +258,24 @@ class TestFragmentFallback:
     def test_hidden_passive_rejected(self):
         with pytest.raises(CompileError):
             compile_model(parse_model(HIDDEN_PASSIVE))
+
+    def test_rule_key_space_overflow_falls_back(self):
+        """Two rules that each span all 61 two-state leaves need 2**62
+        packed keys between them: past the int64 headroom, so the model
+        compiles to nothing and ``explore`` takes the interpreter."""
+        defs = {"A0": Prefix(Activity("a", Rate(1.0)), Constant("A1")),
+                "A1": Prefix(Activity("b", Rate(2.0)), Constant("A0"))}
+        system = Constant("A0")
+        for i in range(1, 61):
+            defs[f"B{i}_0"] = Prefix(Activity("a", top()), Constant(f"B{i}_1"))
+            defs[f"B{i}_1"] = Prefix(Activity("b", top()), Constant(f"B{i}_0"))
+            system = Cooperation(system, Constant(f"B{i}_0"), frozenset("ab"))
+        m = Model(defs, system)
+        with pytest.raises(CompileError, match="overflow"):
+            compile_model(m)
+        space = explore(m)
+        assert space.n_states == 2
+        assert sorted(space.action) == ["a", "b"]
 
 
 class TestPassivePoison:
@@ -377,6 +410,49 @@ class TestRefill:
         cs = compile_model(parse_model(MM1K)).explore()
         with pytest.raises(TemplateMismatch):
             cs.refill(parse_model(SYNC))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda lam: build_tags_model(TagsParameters(lam=lam)),
+            lambda lam: TagsHyperExponential(lam=lam).build(),
+        ],
+        ids=["figure3", "figure5"],
+    )
+    def test_warm_refill_sorts_nothing(self, build, monkeypatch):
+        """A rate-only refill of a built structure reuses every
+        aggregation order: ``stable_groups`` is never called, and the
+        generator is bit-equal to a cold build."""
+        from repro.ctmc import generator as generator_mod
+        from repro.pepa import compiled as compiled_mod
+
+        cs = compile_model(build(5.0)).explore()
+        cs.generator()
+        other = build(7.5)
+        calls = []
+        real = generator_mod.stable_groups
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(compiled_mod, "stable_groups", counting)
+        monkeypatch.setattr(generator_mod, "stable_groups", counting)
+        warm = cs.refill(other).generator()
+        assert calls == []
+        cold = compile_model(other).explore().generator()
+        assert calls  # the cold build does sort
+        assert _digests(warm) == _digests(cold)
+
+    def test_refill_of_renamed_constants_renames_states(self):
+        renamed = MM1K.replace("Q", "R")
+        cs = compile_model(parse_model(MM1K)).explore()
+        before = cs.names()
+        cs.refill(parse_model(renamed))
+        assert cs.names() == [tuple(n.replace("Q", "R") for n in t) for t in before]
+        fresh = compile_model(parse_model(renamed)).explore()
+        assert cs.names() == fresh.names()
+        assert np.array_equal(cs.rate, fresh.rate)
 
     def test_state_reward_memoised_and_refreshed(self):
         p0 = TagsParameters(lam=5.0, n=3, K1=4, K2=4)

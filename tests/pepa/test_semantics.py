@@ -58,6 +58,75 @@ class TestPrefixChoice:
             transitions(P, m)
 
 
+def left_chain(branches):
+    """``b0 + b1 + ... + bk`` as the parser nests it: to the left."""
+    body = branches[0]
+    for b in branches[1:]:
+        body = Choice(body, b)
+    return body
+
+
+class TestLongChoice:
+    """A choice chain is derived branch by branch, left to right, with
+    no memo entry per nested ``Choice`` (hashing each sub-chain by value
+    made long chains quadratic, and deep enough ones overflow the stack)."""
+
+    def _model(self, k):
+        """``P = (a0, 1).S0 + ... + (a{k-1}, k).S{k-1}``; ``Si = (b, 1).P``."""
+        defs = {f"S{i}": act("b", 1.0, P) for i in range(k)}
+        defs["P"] = left_chain(
+            [act(f"a{i}", 1.0 + i, Constant(f"S{i}")) for i in range(k)]
+        )
+        return model(defs, P)
+
+    def test_500_branches_in_order(self):
+        trs = transitions(P, self._model(500))
+        assert trs == tuple(
+            (f"a{i}", Rate(1.0 + i), Constant(f"S{i}")) for i in range(500)
+        )
+
+    def test_nested_both_ways_keeps_left_to_right_order(self):
+        a, b, c, d = (act(x, 1.0, P) for x in "abcd")
+        m = model({"P": Choice(Choice(a, b), Choice(c, d))}, P)
+        assert [t[0] for t in transitions(P, m)] == list("abcd")
+
+    def test_hash_calls_grow_linearly(self, monkeypatch):
+        calls = [0]
+        for cls in (Choice, Prefix, Constant, Activity):
+            real = cls.__hash__
+
+            def counting(self, real=real):
+                calls[0] += 1
+                return real(self)
+
+            monkeypatch.setattr(cls, "__hash__", counting)
+
+        def count(k):
+            m = self._model(k)
+            calls[0] = 0
+            for i in range(k):  # every local state, as a leaf BFS visits them
+                transitions(Constant(f"S{i}"), m)
+            transitions(P, m)
+            return calls[0]
+
+        n = {k: count(k) for k in (125, 250, 500)}
+        assert n[500] > 0
+        assert n[250] <= 2 * n[125] + 4 and n[500] <= 2 * n[250] + 4, n
+
+    def test_self_reference_deep_in_a_chain_is_unguarded(self):
+        A = Constant("A")
+        branches = [act(f"a{i}", 1.0, P) for i in range(200)]
+        m = model({"A": left_chain([A] + branches), "P": act("p", 1.0, A)}, A)
+        with pytest.raises(RecursionError, match="unguarded"):
+            transitions(A, m)
+
+    def test_a_equals_a_plus_prefix_is_unguarded(self):
+        A = Constant("A")
+        m = model({"A": Choice(A, act("a", 1.0, P)), "P": act("p", 1.0, A)}, A)
+        with pytest.raises(RecursionError, match="unguarded"):
+            transitions(A, m)
+
+
 class TestHiding:
     def test_hidden_becomes_tau(self):
         m = model({"P": act("a", 2.0, P)}, P)
