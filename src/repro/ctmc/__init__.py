@@ -46,7 +46,6 @@ from repro.ctmc.passage import (
     absorption_probabilities,
     absorbing_on_action,
 )
-from repro.ctmc.lumping import lump_generator, ordinary_lumping_partition
 from repro.ctmc.accumulate import expected_accumulated_reward
 from repro.ctmc.bfs import (
     Chain,
@@ -74,8 +73,6 @@ __all__ = [
     "mean_first_passage_times",
     "absorption_probabilities",
     "absorbing_on_action",
-    "lump_generator",
-    "ordinary_lumping_partition",
     "expected_accumulated_reward",
     "Chain",
     "TupleChain",

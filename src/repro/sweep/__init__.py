@@ -4,8 +4,9 @@ Every paper figure is 30-60 independent steady-state solves; threshold-
 and timeout-tuning studies need the same shape of dense grid.  This
 package makes those sweeps cheap three ways:
 
-* :class:`SweepEngine` fans independent points out over a process pool
-  (``REPRO_SWEEP_WORKERS`` or ``workers=`` to configure; serial
+* :class:`SweepEngine` runs grids and timeout searches through one
+  dispatch loop that fans misses out over a process pool
+  (``REPRO_SWEEP_WORKERS`` or ``workers=`` to configure; in-process
   fallback), preserving grid order and determinism;
 * :class:`SolveCache` memoizes solves content-addressed by
   ``(model class, params, method, tol)`` -- in-memory LRU plus an

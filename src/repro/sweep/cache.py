@@ -247,7 +247,11 @@ class SolveCache:
         return len(self._mem)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._mem
+        """Whether a record is stored for ``key``, in memory or on disk
+        (uncounted; :meth:`get` reads it)."""
+        if key in self._mem:
+            return True
+        return self.disk_dir is not None and os.path.exists(self._path(key))
 
     def clear(self, disk: bool = False) -> None:
         """Drop the memory layer (and the disk layer if ``disk=True``);

@@ -1,36 +1,36 @@
 """The parallel sweep engine.
 
 Paper figures and tuning studies are *sweeps*: 30-60 independent
-steady-state solves over a parameter grid.  The engine runs such sweeps
+steady-state solves over a parameter grid, or a set of timeout searches
+that ask for a few points at a time, each batch depending on the last.
+The engine runs both through one dispatch loop:
 
-* **in parallel** -- independent points fan out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` (serial fallback when
-  one worker is enough or multiprocessing is unavailable).  The worker
-  count comes from, in order: the engine's ``workers`` attribute, the
-  ``REPRO_SWEEP_WORKERS`` environment variable, ``os.cpu_count()``;
+* **in parallel** -- the loop runs coroutines that yield batches of
+  points side by side.  Asks for one cache key are merged; once more
+  than one miss waits, a :class:`concurrent.futures.ProcessPoolExecutor`
+  starts and every miss becomes its own task, handed out as soon as it
+  is asked for (in-process fallback when one worker is enough, the model
+  does not pickle or the pool fails).  The worker count comes from, in
+  order: the engine's ``workers`` attribute, the ``REPRO_SWEEP_WORKERS``
+  environment variable, ``os.cpu_count()``;
 * **cached** -- every point is first looked up in a content-addressed
   :class:`~repro.sweep.cache.SolveCache`, so re-running a figure, a
   second figure over the same grid, or an optimiser re-probing a point
   costs a dict lookup instead of a solve.
 
-Every point is solved from scratch by the same deterministic solver, so
-parallel and serial results are bit-identical.
-
-Searches ask for points a few at a time, each batch depending on the
-last.  :meth:`SweepEngine.drive` runs several such coroutines side by
-side over one pool: every miss goes to a worker as soon as it is asked
-for, so the pool stays busy until the last search ends.
-
-The grid order is always preserved in the results, regardless of worker
-scheduling, and every point carries a :class:`~repro.sweep.stats.
-PointStats` record for observability.
+:meth:`SweepEngine.sweep` is that loop driving one coroutine that asks
+for the whole grid at once; :meth:`SweepEngine.drive` is the same loop
+over a figure's searches.  Every point is solved from scratch by the
+same deterministic solver, so parallel and serial results are
+bit-identical, and grid order is preserved regardless of worker
+scheduling.
 
 Observability is native, not bolted on: every ``sweep()`` runs inside a
-``sweep`` span, every grid point's :class:`PointStats` is built from its
-solve record and cache-hit flag, and, when recording, filed with the
-same fields as a ``sweep.point`` span under it; cache traffic
-increments the ``sweep.cache.hit`` /
-``sweep.cache.miss`` counters, and pool workers record into their own
+``sweep`` span, every grid point's :class:`~repro.sweep.stats.PointStats`
+is built from its solve record and cache-hit flag, and, when recording,
+filed with the same fields as a ``sweep.point`` span under it; cache
+traffic increments the ``sweep.cache.hit`` / ``sweep.cache.miss``
+counters, and pool workers record into their own
 :class:`repro.obs.Recorder` whose drained buffer rides back with each
 task's result and is merged into the parent recorder.  All of it
 vanishes behind a single attribute check when the process-global
@@ -42,6 +42,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
+from contextlib import nullcontext
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
@@ -103,28 +104,22 @@ def solve_point(
     )
 
 
-def _solve_chunk(
-    model_cls: type,
-    param_list: Sequence[Mapping],
-    method: str,
-    tol: float,
-    record: bool = False,
-) -> "tuple[list[SolveRecord], dict | None]":
-    """Worker entry point: solve a chunk of points in order.  Top-level
-    so it pickles.
+def _solve_task(
+    model_cls: type, params: Mapping, method: str, tol: float, record: bool
+) -> "tuple[SolveRecord, dict | None]":
+    """Pool worker entry point: solve one point.  Top-level so it pickles.
 
-    Returns ``(records, obs_payload)``.  With ``record=True`` (the parent
-    process has a live recorder) the chunk runs under a private
-    :class:`repro.obs.Recorder` and ships its drained buffer back for the
-    parent to merge; otherwise the payload is ``None`` and events flow to
-    whatever recorder is globally installed (the in-process serial case).
+    Returns ``(record, obs_payload)``.  With ``record=True`` (the parent
+    process has a live recorder) the point is solved under a private
+    :class:`repro.obs.Recorder` whose drained buffer rides back for the
+    parent to merge; otherwise the payload is ``None``.
     """
-    if record:
-        child = obs.Recorder()
-        with obs.use(child):
-            records, _ = _solve_chunk(model_cls, param_list, method, tol)
-        return records, child.drain()
-    return [solve_point(model_cls, p, method, tol) for p in param_list], None
+    if not record:
+        return solve_point(model_cls, params, method, tol), None
+    child = obs.Recorder()
+    with obs.use(child):
+        rec = solve_point(model_cls, params, method, tol)
+    return rec, child.drain()
 
 
 def _point_stats(index: int, key: "str | None", rec: SolveRecord, hit: bool) -> PointStats:
@@ -211,9 +206,9 @@ class SweepEngine:
     Parameters
     ----------
     workers :
-        Default worker count for :meth:`sweep`.  ``None`` defers to the
-        ``REPRO_SWEEP_WORKERS`` environment variable, then
-        ``os.cpu_count()``.  ``1`` forces the serial path.
+        Default worker count for :meth:`sweep` and :meth:`drive`.
+        ``None`` defers to the ``REPRO_SWEEP_WORKERS`` environment
+        variable, then ``os.cpu_count()``.  ``1`` solves in-process.
     cache :
         A :class:`~repro.sweep.cache.SolveCache` to share with other
         engines, ``None`` for a private cache, or ``False`` to disable
@@ -278,6 +273,18 @@ class SweepEngine:
             return None
 
     # ------------------------------------------------------------------
+    def _recall(self, model_cls: type, params: Mapping, key, span=nullcontext()):
+        """``(record, hit)``: the cached record of ``key``, else a point
+        solved in-process inside ``span`` that then enters the cache."""
+        rec = self.cache.get(key) if key is not None else None
+        if rec is not None:
+            return rec, True
+        with span:
+            rec = solve_point(model_cls, params, self.method, self.tol)
+        if key is not None:
+            self.cache.put(key, rec)
+        return rec, False
+
     def solve(self, model_cls: type, params: Mapping):
         """Cache-aware single-point solve.
 
@@ -288,20 +295,16 @@ class SweepEngine:
         """
         recorder = obs.recorder()
         key = self._key(model_cls, params)
-        rec = self.cache.get(key) if key is not None else None
-        if rec is not None:
+        span = recorder.span("sweep.point")
+        rec, hit = self._recall(model_cls, params, key, span)
+        stats = _point_stats(0, key, rec, hit)
+        if hit:
             recorder.add("sweep.cache.hit")
-            stats = _point_stats(0, key, rec, True)
             _file_point(recorder, stats, time.perf_counter())
-            return rec.metrics, stats
-        recorder.add("sweep.cache.miss")
-        with recorder.span("sweep.point") as span:
-            rec = solve_point(model_cls, params, self.method, self.tol)
-            stats = _point_stats(0, key, rec, False)
-            if recorder.enabled:
+        else:
+            recorder.add("sweep.cache.miss")
+            if recorder.enabled:  # the filed span shares this attrs dict
                 span.set(**{k: v for k, v in asdict(stats).items() if k != "wall_time"})
-        if key is not None:
-            self.cache.put(key, rec)
         return rec.metrics, stats
 
     def sweep(self, model_cls: type, grid: Sequence[Mapping]) -> SweepResult:
@@ -309,66 +312,42 @@ class SweepEngine:
         constructor-kwarg mappings) and return a :class:`SweepResult`
         in grid order.
 
-        Cache hits never reach a worker; only the misses are distributed.
-        With more than one worker each miss is its own task, so a worker
-        that finishes early takes the next point (grids ordered by chain
-        size would otherwise leave one worker all the large chains); the
-        pool is forked once per call, so each worker still pays its
-        process start-up and imports once.  If the pool cannot be used
-        (unpicklable model, restricted platform, a worker that died) the
-        engine falls back to the serial path; a point's own exception
-        propagates.
+        This is the dispatch loop of :meth:`drive` on one coroutine that
+        asks for the whole grid, so hits never reach a worker, a repeated
+        point is solved once (its copies read the cache) and each miss is
+        its own pool task.  Points are answered without :meth:`solve`.
         """
         recorder = obs.recorder()
         t_start = time.perf_counter()
         grid = [dict(p) for p in grid]
 
+        def ask_grid():
+            return (yield grid)
+
+        def answer(params, key, rec):
+            if rec is not None:  # a worker's fresh solve
+                return key, rec, False
+            return (key, *self._recall(model_cls, params, key))
+
         with recorder.span(
             "sweep", model=model_cls.__name__, points=len(grid)
         ) as sweep_span:
-            keys = [self._key(model_cls, p) for p in grid]
-            records: dict[int, SolveRecord] = {}
-            hit_flags = [False] * len(grid)
-            for i, key in enumerate(keys):
-                if key is None:
-                    continue
-                rec = self.cache.get(key)
-                if rec is not None:
-                    records[i] = rec
-                    hit_flags[i] = True
-
-            misses = [i for i in range(len(grid)) if i not in records]
-            n_hits = len(grid) - len(misses)
-            recorder.add("sweep.cache.hit", n_hits)
-            recorder.add("sweep.cache.miss", len(misses))
-            n_workers = self.resolve_workers(None, len(misses))
-            if misses:
-                solved = None
-                if n_workers > 1 and len(misses) > 1:
-                    solved = self._run_parallel(model_cls, grid, misses, n_workers)
-                if solved is None:  # serial path (or parallel fallback)
-                    n_workers = 1
-                    solved = self._run_serial(model_cls, grid, misses)
-                for i, rec in zip(misses, solved):
-                    records[i] = rec
-                    if keys[i] is not None:
-                        self.cache.put(keys[i], rec)
-
+            (points,), workers = self._dispatch(model_cls, [ask_grid()], answer)
             end = time.perf_counter()
-            metrics, stats = [], []
-            for i in range(len(grid)):
-                rec = records[i]
-                metrics.append(rec.metrics)
-                stats.append(_point_stats(i, keys[i], rec, hit_flags[i]))
-                _file_point(recorder, stats[-1], end)
+            stats = [_point_stats(i, *point) for i, point in enumerate(points)]
+            for s in stats:
+                _file_point(recorder, s, end)
+            n_hits = sum(s.cache_hit for s in stats)
+            recorder.add("sweep.cache.hit", n_hits)
+            recorder.add("sweep.cache.miss", len(grid) - n_hits)
             sweep_span.set(
-                workers=n_workers, cache_hits=n_hits, solves=len(misses)
+                workers=workers, cache_hits=n_hits, solves=len(grid) - n_hits
             )
             return SweepResult(
-                metrics=metrics,
+                metrics=[rec.metrics for _, rec, _ in points],
                 stats=stats,
                 wall_time=time.perf_counter() - t_start,
-                workers=n_workers,
+                workers=workers,
                 params=grid,
             )
 
@@ -378,35 +357,71 @@ class SweepEngine:
 
         Each coroutine yields a batch of constructor-kwarg mappings and is
         sent their metrics in the same order (as
-        :func:`repro.approx.optimizer.spec_search` does).  Hits are
-        answered at once; a miss goes to one process pool as soon as it is
-        asked for, and a coroutine resumes as soon as its batch is back.
-        A worker's record enters the cache (one ``sweep.cache.miss``) and
-        is read back through :meth:`solve`, which every probe passes.  The
-        pool starts once more than one miss waits and
-        :meth:`resolve_workers` gives more than one worker; until then,
-        with one worker, without a cache key, or when the pool cannot run
-        (unpicklable model, no fork, a broken pool), :meth:`solve` solves
-        misses in-process.  A point's own exception propagates.  One
+        :func:`repro.approx.optimizer.spec_search` does).  Every probe with
+        a cache key is answered through :meth:`solve`, a worker's record
+        after it has entered the cache (one ``sweep.cache.miss``).  One
         ``drive`` span holds the coroutines' (overlapping) spans, the
         solved points and the workers' merged spans.
         """
         recorder = obs.recorder()
+
+        def answer(params, key, rec):
+            if rec is not None:  # a worker's fresh solve
+                recorder.add("sweep.cache.miss")
+                _file_point(recorder, _point_stats(0, key, rec, False), time.perf_counter())
+                if key is None:
+                    return rec.metrics
+            return self.solve(model_cls, params)[0]
+
         searches = list(searches)
+        with recorder.span(
+            "drive", model=model_cls.__name__, searches=len(searches)
+        ) as span:
+            returned, workers = self._dispatch(model_cls, searches, answer)
+            span.set(workers=workers)
+        return returned
+
+    def _dispatch(self, model_cls: type, searches: list, answer) -> "tuple[list, int]":
+        """The one dispatch loop: run coroutines that ask for points of
+        ``model_cls`` side by side; return what each returns, in order,
+        and the number of workers that ran (1 without a pool).
+
+        Each coroutine yields a batch of constructor-kwarg mappings and is
+        sent, in the same order, what ``answer(params, key, rec)`` returns
+        for each point.  ``rec`` is ``None`` unless a worker has just
+        solved the point; then it is that record (already cached if the
+        point has a key), and only the first of its waiting asks receives
+        it.  Asks for a key the cache holds are answered at once; the
+        others wait, merged by cache key (a point without one waits
+        alone).  Once more than one waits, the pool starts if
+        :meth:`resolve_workers` gives more than one worker and the asks
+        pickle; each miss is then submitted as soon as it is asked for,
+        and a coroutine resumes as soon as its batch is answered.
+        Without a pool, or once it fails
+        (a worker died, a result did not pickle), ``answer`` solves what
+        waits in-process; a point's own exception propagates.
+        """
+        recorder = obs.recorder()
         returned = [None] * len(searches)
-        answers: dict = {}  # search -> metrics of its batch
+        sent: dict = {}  # search -> answers of its batch
         left: dict = {}  # search -> points of its batch not answered yet
-        asks: dict = {}  # key -> (params, [(search, slot), ...]) unsolved
-        todo: list = []  # keys of asks not handed to a worker
-        flying: dict = {}  # future -> key
+        asks: dict = {}  # token -> (params, key, [(search, slot), ...]) unsolved
+        todo: list = []  # tokens of asks not handed to a worker
+        flying: dict = {}  # future -> token
         ready = list(range(len(searches)))
         pool, serial, workers = None, False, 1
 
-        def answer(k: int, slot: int, params) -> None:
-            answers[k][slot] = self.solve(model_cls, params)[0]
+        def give(k: int, slot: int, value) -> None:
+            sent[k][slot] = value
             left[k] -= 1
             if not left[k]:
                 ready.append(k)
+
+        def reply(token, rec=None) -> None:
+            params, key, waiters = asks.pop(token)
+            for k, slot in waiters:
+                give(k, slot, answer(params, key, rec))
+                rec = None  # the other waiters read the cache
 
         def pool_down() -> None:
             nonlocal pool, serial
@@ -415,137 +430,75 @@ class SweepEngine:
             flying.clear()
             pool, serial = None, True
 
-        with recorder.span(
-            "drive", model=model_cls.__name__, searches=len(searches)
-        ) as span:
-            try:
-                while ready or todo or flying:
-                    while ready:  # resume each search whose batch is answered
-                        k = ready.pop(0)
-                        try:
-                            batch = searches[k].send(answers.pop(k, None))
-                        except StopIteration as stop:
-                            returned[k] = stop.value
-                            continue
-                        answers[k], left[k] = [None] * len(batch), len(batch)
-                        if not batch:
-                            ready.append(k)
-                        for slot, params in enumerate(batch):
-                            key = self._key(model_cls, params)
-                            if key is None or key in self.cache:
-                                answer(k, slot, params)
-                            elif key in asks:
-                                asks[key][1].append((k, slot))
-                            else:
-                                asks[key] = (params, [(k, slot)])
-                                todo.append(key)
-                    # the pool starts once more than one miss waits
-                    if len(todo) > 1 and pool is None and not serial:
-                        workers = self.resolve_workers(None, len(todo))
-                        if workers > 1 and _picklable(
-                            model_cls, [asks[key][0] for key in todo]
-                        ):
-                            pool = _start_pool(workers)
-                        serial = pool is None
-                    if pool is not None:
-                        try:
-                            while todo:
-                                key = todo[0]
-                                params, waiters = asks[key]
-                                if self.cache.get(key) is not None:  # on disk
-                                    del asks[key]
-                                    for k, slot in waiters:
-                                        answer(k, slot, params)
-                                else:
-                                    flying[pool.submit(
-                                        _solve_chunk, model_cls, [params],
-                                        self.method, self.tol, recorder.enabled,
-                                    )] = key
-                                todo.pop(0)
-                        except _POOL_DOWN:
-                            pool_down()
-                    if pool is None:  # solve what waits in-process
-                        for key in todo:
-                            params, waiters = asks.pop(key)
-                            for k, slot in waiters:
-                                answer(k, slot, params)
-                        todo.clear()
+        try:
+            while ready or todo or flying:
+                while ready:  # resume each search whose batch is answered
+                    k = ready.pop(0)
+                    try:
+                        batch = searches[k].send(sent.pop(k, None))
+                    except StopIteration as stop:
+                        returned[k] = stop.value
                         continue
-                    # take back what the workers have finished
-                    done, _ = wait(flying, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        try:
-                            (rec,), payload = future.result()
-                        except _RESULT_LOST:
-                            pool_down()
-                            break
-                        key = flying.pop(future)
-                        recorder.merge(payload)
-                        recorder.add("sweep.cache.miss")
-                        _file_point(recorder, _point_stats(0, key, rec, False), time.perf_counter())
-                        self.cache.put(key, rec)
-                        params, waiters = asks.pop(key)
-                        for k, slot in waiters:
-                            answer(k, slot, params)
-            finally:
+                    sent[k], left[k] = [None] * len(batch), len(batch)
+                    if not batch:
+                        ready.append(k)
+                    for slot, params in enumerate(batch):
+                        key = self._key(model_cls, params)
+                        if key is not None and key in self.cache:
+                            give(k, slot, answer(params, key, None))
+                        elif key in asks:
+                            asks[key][2].append((k, slot))
+                        else:
+                            token = object() if key is None else key
+                            asks[token] = (params, key, [(k, slot)])
+                            todo.append(token)
+                # the pool starts once more than one miss waits
+                if len(todo) > 1 and pool is None and not serial:
+                    workers = self.resolve_workers(None, len(todo))
+                    if workers > 1 and _picklable(
+                        model_cls, [asks[token][0] for token in todo]
+                    ):
+                        pool = _start_pool(workers)
+                    serial = pool is None
                 if pool is not None:
-                    pool.shutdown(cancel_futures=True)
-            span.set(workers=1 if serial else workers)
-        return returned
-
-    # ------------------------------------------------------------------
-    def _run_serial(self, model_cls, grid, misses) -> "list[SolveRecord]":
-        # in-process: solver/BFS events land in the global recorder directly
-        records, _ = _solve_chunk(
-            model_cls, [grid[i] for i in misses], self.method, self.tol
-        )
-        return records
-
-    def _run_parallel(
-        self, model_cls, grid, misses, n_workers
-    ) -> "list[SolveRecord] | None":
-        """Fan the misses out over a process pool; None when the pool
-        cannot run them (the caller then solves them serially).  A
-        point's own exception cancels the rest and propagates.
-
-        When the parent is recording, each task records into a private
-        recorder and returns its drained buffer with its record; the
-        buffers are merged here, inside the open ``sweep`` span, so
-        worker-side solver spans appear as its children in the export.
-        """
-        recorder = obs.recorder()
-        if not _picklable(model_cls, [grid[i] for i in misses]):
-            return None
-        pool = _start_pool(min(n_workers, len(misses)))
-        if pool is None:
-            return None
-        with pool:
-            try:
-                futures = [
-                    pool.submit(
-                        _solve_chunk,
-                        model_cls,
-                        [grid[i]],
-                        self.method,
-                        self.tol,
-                        recorder.enabled,
-                    )
-                    for i in misses
-                ]
-            except _POOL_DOWN:
-                return None
-            try:
-                solved = [f.result() for f in futures]
-            except _RESULT_LOST:
-                return None
-            except BaseException:
+                    try:
+                        while todo:
+                            params, key, _ = asks[todo[0]]
+                            # the counted lookup of a miss; takes a record
+                            # another process has stored since
+                            if key is not None and self.cache.get(key) is not None:
+                                reply(todo[0])
+                            else:
+                                flying[pool.submit(
+                                    _solve_task, model_cls, params,
+                                    self.method, self.tol, recorder.enabled,
+                                )] = todo[0]
+                            todo.pop(0)
+                    except _POOL_DOWN:
+                        pool_down()
+                if pool is None:  # solve what waits in-process
+                    for token in todo:
+                        reply(token)
+                    todo.clear()
+                    continue
+                # take back what the workers have finished
+                done, _ = wait(flying, return_when=FIRST_COMPLETED)
+                for future in done:
+                    try:
+                        rec, payload = future.result()
+                    except _RESULT_LOST:
+                        pool_down()
+                        break
+                    token = flying.pop(future)
+                    recorder.merge(payload)
+                    key = asks[token][1]
+                    if key is not None:
+                        self.cache.put(key, rec)
+                    reply(token, rec)
+        finally:
+            if pool is not None:
                 pool.shutdown(cancel_futures=True)
-                raise
-        records = []
-        for recs, payload in solved:
-            recorder.merge(payload)
-            records.extend(recs)
-        return records
+        return returned, 1 if serial else workers
 
 
 _DEFAULT_ENGINE: "SweepEngine | None" = None

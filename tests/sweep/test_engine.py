@@ -169,12 +169,40 @@ class TestParallelFallback:
         assert rec.counter_total("sweep.cache.miss") == 0
         assert rec.counter_total("sweep.cache.hit") == len(grid)
 
+    def test_sweep_reads_disk_records_without_a_pool(self, tmp_path):
+        """A grid the disk layer holds is all hits in a fresh engine: no
+        worker starts for it."""
+        grid = [dict(x=float(x), fail_at=-1.0) for x in range(4)]
+        SweepEngine(workers=1, cache=SolveCache(disk_dir=tmp_path)).sweep(FailingPoint, grid)
+        res = SweepEngine(workers=2, cache=SolveCache(disk_dir=tmp_path)).sweep(FailingPoint, grid)
+        assert (res.n_hits, res.workers) == (len(grid), 1)
+
     def test_parallel_results_enter_parent_cache(self):
         eng = SweepEngine(workers=2)
         r1 = eng.sweep(TagsExponential, fig6_grid())
         assert r1.n_solves == len(T_GRID)
         r2 = eng.sweep(TagsExponential, fig6_grid())
         assert r2.n_hits == len(T_GRID) and r2.n_solves == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeated_point_is_solved_once(self, monkeypatch, workers):
+        """A grid point given twice is solved once; its copy reads the
+        cache and the summary still matches the counters."""
+        monkeypatch.setattr(CountingMM1K, "builds", 0)
+        grid = [dict(lam=l, mu=5.0, K=5) for l in (1.0, 2.0, 1.0)]
+        with obs.use(obs.Recorder()) as rec:
+            res = SweepEngine(workers=workers).sweep(CountingMM1K, grid)
+        # pool workers build in their own processes and ship their spans back
+        assert CountingMM1K.builds == (2 if workers == 1 else 0)
+        assert len(rec.find_spans("steady_state")) == 2
+        assert [s.cache_hit for s in res.stats] == [False, False, True]
+        assert res.stats[2].key == res.stats[0].key
+        assert res.metrics[2] == res.metrics[0]
+        summary = res.summary()
+        assert (summary["solves"], summary["cache_hits"]) == (2, 1)
+        assert rec.counter("sweep.cache.miss") == summary["solves"]
+        assert rec.counter("sweep.cache.hit") == summary["cache_hits"]
+        assert res.workers == workers
 
     def test_partial_cache_solves_only_misses(self):
         eng = SweepEngine(workers=1)

@@ -54,8 +54,10 @@ class TestPointStats:
 class TestSummaryMatchesCounters:
     """The acceptance bar: summary counts == obs counter values, exactly."""
 
-    def recorded_sweeps(self, workers=1):
-        engine = SweepEngine(workers=workers)
+    workers = 1
+
+    def recorded_sweeps(self):
+        engine = SweepEngine(workers=self.workers)
         with obs.use(obs.Recorder()) as rec:
             cold = engine.sweep(TagsExponential, grid())
             warm = engine.sweep(TagsExponential, grid())
@@ -106,6 +108,7 @@ class TestSummaryMatchesCounters:
             assert span.attrs["cache_hits"] == result.summary()["cache_hits"]
             assert span.attrs["solves"] == result.summary()["solves"]
             assert span.attrs["points"] == result.n_points
+            assert span.attrs["workers"] == result.workers
 
     def test_format_sweep_stats_reports_counter_values(self):
         rec, cold, warm = self.recorded_sweeps()
@@ -123,6 +126,17 @@ class TestSummaryMatchesCounters:
         assert (miss.cache_hit, hit.cache_hit) == (False, True)
         assert rec.counter("sweep.cache.miss") == 1
         assert rec.counter("sweep.cache.hit") == 1
+
+
+class TestSummaryMatchesCountersOnPool(TestSummaryMatchesCounters):
+    """The same checks when the cold sweep's misses go to a pool."""
+
+    workers = 2
+
+    def test_cold_sweep_ran_the_pool(self):
+        rec, cold, warm = self.recorded_sweeps()
+        assert (cold.workers, warm.workers) == (2, 1)
+        assert len(rec.find_spans("steady_state")) == len(T_GRID)
 
 
 class TestWorkerAggregation:

@@ -60,7 +60,6 @@ class TestDocstrings:
             "repro.pepa.semantics",
             "repro.pepa.statespace",
             "repro.ctmc.steady",
-            "repro.ctmc.lumping",
             "repro.models.tags_pepa",
             "repro.models.tags_hyper",
             "repro.models.tags_multinode",
